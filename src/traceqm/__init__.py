@@ -68,6 +68,7 @@ from .spectral import (
     apply_function,
     commute_check,
     eigendecompose,
+    eigenvalues,
     simultaneous_diagonalize,
     verify_dispersion_free,
     vn_generator,
@@ -83,6 +84,7 @@ from .dynamics import (
     evolve_operator,
     evolve_state,
     gaussian_spread_width,
+    grid_hamiltonian,
     heisenberg_rhs,
     oscillator_hamiltonian_poly,
     poisson_rhs_classical,

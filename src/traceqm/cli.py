@@ -7,7 +7,8 @@ compiled defaults.  The same configuration and seed always produce byte
 identical artifacts.
 
 Exit codes: 0 all checks passed, 1 a check failed (or the run errored),
-2 usage or validation problem, 3 could not write output.
+2 usage or validation problem, or an input the run refuses up front (such
+as a grid too large for physical memory), 3 could not write output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, WorkbenchError
+from .errors import InputError, UsageError, ValidationError, WorkbenchError
 from .experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
@@ -336,6 +337,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Run one configured experiment, write artifacts, print check lines."""
     try:
         rows, checks = EXPERIMENTS[cfg.experiment](cfg)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,10 @@ Two model families are provided:
 
 * grid models on a hard-wall interval (a particle in a box, with or without
   the box read as a free stretch), built from a three-point kinetic stencil
-  and a central-difference momentum;
+  and a central-difference momentum; :func:`grid_hamiltonian` builds the
+  kinetic stencil alone for callers that need only the energy levels, and
+  both refuse a grid whose dense matrices would not fit in physical memory
+  before allocating any of them;
 * a truncated oscillator ladder, built from the usual raising and lowering
   matrices.  Truncation lives entirely in the last row and column, so
   identities like [q, p] = i*hbar hold exactly on the leading block.
@@ -26,12 +29,13 @@ to roundoff.
 
 from __future__ import annotations
 
+import os
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeError, DimensionError, GridError, StateError, TruncationError
+from .errors import DegreeError, DimensionError, GridError, InputError, TruncationError
 from .operators import (
     HermitianOperator,
     Operator,
@@ -39,6 +43,7 @@ from .operators import (
     dispersion,
     expect_c,
     _require_match,
+    _require_normalized,
 )
 from .spectral import SpectralDecomposition, eigendecompose
 from .states import GridMeta, StateVector
@@ -49,6 +54,7 @@ __all__ = [
     "ModelSystem",
     "BracketCheck",
     "build_grid_model",
+    "grid_hamiltonian",
     "build_oscillator_ladder",
     "oscillator_hamiltonian_poly",
     "poisson_rhs_classical",
@@ -69,6 +75,20 @@ MAX_DEGREE = 6
 TOP_LEVEL_OCCUPANCY_TOL = 1e-6
 
 MIN_LADDER_DIM = 4
+
+#: bytes of one dense N x N complex128 matrix, per matrix element.
+DENSE_ELEMENT_BYTES = 16
+
+#: N x N matrices alive at once inside :func:`grid_hamiltonian`: the
+#: :class:`Operator` copy of the stencil (the stencil itself is a temporary,
+#: freed once copied), and the adjoint and difference that
+#: :func:`certify_hermitian` forms (the certified copy is made after those
+#: two are freed).
+HAMILTONIAN_MATRICES = 3
+
+#: N x N matrices alive at once inside :func:`build_grid_model`: the
+#: certified q and p, held while the Hamiltonian is built with its own three.
+GRID_MODEL_MATRICES = 2 + HAMILTONIAN_MATRICES
 
 
 class PolynomialObservable:
@@ -214,6 +234,44 @@ class BracketCheck(NamedTuple):
     gap: float
 
 
+def _require_dense_fits(grid: GridMeta, matrices: int):
+    """Refuse a grid whose ``matrices`` dense N x N matrices exceed physical memory.
+
+    Pure arithmetic on N: nothing is allocated, so an absurd grid size is
+    refused at once instead of exhausting the machine.
+    """
+    n = grid.npoints
+    need = matrices * DENSE_ELEMENT_BYTES * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InputError(
+            f"a grid of {n} points needs {need / 1e9:.3g} GB for {matrices} dense "
+            f"{n}x{n} complex matrices, more than the {have / 1e9:.3g} GB of physical memory"
+        )
+
+
+def _tridiagonal(n: int, diagonal, upper, lower) -> np.ndarray:
+    """Dense n x n complex matrix with constant diagonal, super- and subdiagonal."""
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(matrix, diagonal)
+    j = np.arange(n - 1)
+    matrix[j, j + 1] = upper
+    matrix[j + 1, j] = lower
+    return matrix
+
+
+def grid_hamiltonian(grid: GridMeta) -> HermitianOperator:
+    """Kinetic Hamiltonian -hbar^2/(2m) d^2/dx^2 from the three-point stencil.
+
+    Inside the hard walls the potential is zero, so this is the whole
+    Hamiltonian of both grid models; it is real symmetric and tridiagonal.
+    """
+    _require_dense_fits(grid, HAMILTONIAN_MATRICES)
+    h = grid.spacing
+    k = grid.hbar * grid.hbar / (2.0 * grid.mass * h * h)
+    return certify_hermitian(Operator(_tridiagonal(grid.npoints, 2.0 * k, -k, -k), grid))
+
+
 def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelSystem:
     """Hard-wall grid model with position, momentum, and kinetic Hamiltonian.
 
@@ -223,29 +281,12 @@ def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelS
     """
     if potential not in ("infinite_well", "free"):
         raise ValueError(f"unknown potential {potential!r}")
-    n = grid.npoints
-    h = grid.spacing
-    hbar, mass = grid.hbar, grid.mass
-
+    _require_dense_fits(grid, GRID_MODEL_MATRICES)
     q = certify_hermitian(Operator(np.diag(grid.positions.astype(np.complex128)), grid))
-
-    p_matrix = np.zeros((n, n), dtype=np.complex128)
-    off = hbar / (2.0 * h)
-    for j in range(n - 1):
-        p_matrix[j, j + 1] = -1j * off
-        p_matrix[j + 1, j] = 1j * off
-    p = certify_hermitian(Operator(p_matrix, grid))
-
-    k_matrix = np.zeros((n, n), dtype=np.complex128)
-    k = hbar * hbar / (2.0 * mass * h * h)
-    np.fill_diagonal(k_matrix, 2.0 * k)
-    for j in range(n - 1):
-        k_matrix[j, j + 1] = -k
-        k_matrix[j + 1, j] = -k
-    hamiltonian = certify_hermitian(Operator(k_matrix, grid))
-
+    off = grid.hbar / (2.0 * grid.spacing)
+    p = certify_hermitian(Operator(_tridiagonal(grid.npoints, 0.0, -1j * off, 1j * off), grid))
     kind = "grid_well" if potential == "infinite_well" else "grid_free"
-    return ModelSystem(kind, q, p, hamiltonian, mass=mass, hbar=hbar, grid=grid)
+    return ModelSystem(kind, q, p, grid_hamiltonian(grid), mass=grid.mass, hbar=grid.hbar, grid=grid)
 
 
 def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
@@ -351,8 +392,7 @@ def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     _require_match(model.hamiltonian, psi0)
-    if abs(psi0.norm() - 1.0) > 1e-8:
-        raise StateError(f"initial state is not normalized (norm {psi0.norm():.12f})")
+    _require_normalized(psi0)
     dec = model.energy_spectrum()
     phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
     amps = dec.basis.conj().T @ psi0.coeffs

@@ -78,7 +78,16 @@ class TruncationError(WorkbenchError):
 
 
 class NumericalError(WorkbenchError):
-    """A numerical result is too degraded to be meaningful."""
+    """A numerical result is too degraded to be meaningful.
+
+    ``value`` and ``bound`` carry the measured quantity and the limit it
+    broke, when the failure is a bound check.
+    """
+
+    def __init__(self, message, value=None, bound=None):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
 
 
 class DegenerateSpectrumError(WorkbenchError):

@@ -19,6 +19,7 @@ from .dynamics import (
     build_oscillator_ladder,
     bracket_correspondence,
     gaussian_spread_width,
+    grid_hamiltonian,
     oscillator_hamiltonian_poly,
     spread_series,
     well_level_energy,
@@ -26,7 +27,7 @@ from .dynamics import (
 from .measurement import cat_experiment, reconstruct_density, repeat_experiment
 from .operators import Operator, av_decompose, certify_hermitian
 from .scalars import IMAG_UNIT, TraceScalar, minimal_poly_residual, trace
-from .spectral import eigendecompose, verify_dispersion_free, vn_generator
+from .spectral import eigendecompose, eigenvalues, verify_dispersion_free, vn_generator
 from .states import GridMeta, StateVector, grid_sample, normalize, real_inner
 
 __all__ = [
@@ -164,25 +165,25 @@ def run_cat(cfg: ExperimentConfig):
 # well-spectrum
 # ---------------------------------------------------------------------------
 
+def _well_levels(npoints: int, cfg: ExperimentConfig) -> np.ndarray:
+    return eigenvalues(grid_hamiltonian(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar)))
+
+
 def _well_relative_errors(npoints: int, cfg: ExperimentConfig, levels: int = 5) -> np.ndarray:
-    grid = GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar)
-    model = build_grid_model(grid, "infinite_well")
-    dec = model.energy_spectrum()
+    values = _well_levels(npoints, cfg)
     errors = np.empty(levels)
     for level in range(1, levels + 1):
         analytic = well_level_energy(level, cfg.length, cfg.mass, cfg.hbar)
-        errors[level - 1] = abs(dec.eigenvalues[level - 1] - analytic) / analytic
+        errors[level - 1] = abs(values[level - 1] - analytic) / analytic
     return errors
 
 
 def run_well_spectrum(cfg: ExperimentConfig):
-    grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
-    model = build_grid_model(grid, "infinite_well")
-    dec = model.energy_spectrum()
+    values = _well_levels(cfg.grid_n, cfg)
 
     rows = []
     for level in range(1, 6):
-        numeric = float(dec.eigenvalues[level - 1])
+        numeric = float(values[level - 1])
         analytic = well_level_energy(level, cfg.length, cfg.mass, cfg.hbar)
         rows.append({
             "n": level,

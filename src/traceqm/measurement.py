@@ -19,13 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InputError,
-    NumericalError,
-    StateError,
-)
-from .operators import HermitianOperator, av_decompose, certify_hermitian
+from .errors import DegenerateSpectrumError, InputError, NumericalError
+from .operators import HermitianOperator, _require_normalized, av_decompose, certify_hermitian
 from .spectral import SpectralDecomposition, eigendecompose
 from .states import GridMeta, StateVector, normalize, superpose, _weight
 
@@ -87,11 +82,6 @@ class CatResult(NamedTuple):
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for sample ``index`` of experiment ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
-
-
-def _require_normalized(psi: StateVector):
-    if abs(psi.norm() - 1.0) > 1e-8:
-        raise StateError(f"state is not normalized (norm {psi.norm():.12f})")
 
 
 def _group_probabilities(dec: SpectralDecomposition, amps: np.ndarray) -> np.ndarray:

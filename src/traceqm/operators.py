@@ -3,7 +3,7 @@
 Observables enter the workbench through :func:`certify_hermitian`, which
 measures the worst entry deviation from the adjoint and refuses matrices
 beyond tolerance.  Expectations come in the complex flavour ``expect_c``
-(the real part of the sesquilinear form, with the imaginary part asserted
+(the real part of the sesquilinear form, with the imaginary part checked
 to vanish) and the trace-form flavour ``expect_r`` which is exactly twice
 ``expect_c`` for hermitian input.
 
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, GridError, NotHermitianError, StateError
+from .errors import DimensionError, GridError, NotHermitianError, NumericalError, StateError
 from .scalars import TraceScalar, trace
 from .states import GridMeta, StateVector, _raw_inner, _raw_norm
 
@@ -137,16 +137,12 @@ def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) ->
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if isinstance(a, Operator):
-        matrix, grid = a.matrix, a.grid
-    else:
-        matrix = np.asarray(a, dtype=np.complex128)
-    probe = Operator(matrix, grid)
+    probe = a if isinstance(a, Operator) else Operator(a, grid)
     deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
     bound = tol * (1.0 + float(np.max(np.abs(probe.matrix))))
     if deviation > bound:
         raise NotHermitianError(deviation, bound)
-    return HermitianOperator(probe.matrix, grid, certificate=deviation)
+    return HermitianOperator(probe.matrix, probe.grid, certificate=deviation)
 
 
 def sym_antisym_split(a: HermitianOperator, b: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
@@ -171,15 +167,17 @@ def _raw_value(a: Operator, psi: StateVector) -> tuple[complex, np.ndarray]:
 
 def _raw_expectation(a: HermitianOperator, psi: StateVector) -> tuple[complex, np.ndarray]:
     raw, image = _raw_value(a, psi)
-    scale = 1.0 + _raw_norm(image, psi.grid)
-    assert abs(raw.imag) <= IMAG_EXPECT_TOL * scale, (
-        f"hermitian expectation has imaginary part {raw.imag:.3e} (scale {scale:.3e})"
-    )
+    bound = IMAG_EXPECT_TOL * (1.0 + _raw_norm(image, psi.grid))
+    if abs(raw.imag) > bound:
+        raise NumericalError(
+            f"hermitian expectation has imaginary part {raw.imag:.3e} beyond bound {bound:.3e}",
+            value=raw.imag, bound=bound,
+        )
     return raw, image
 
 
 def expect_c(a: HermitianOperator, psi: StateVector) -> float:
-    """Complex-form expectation Re <psi|A psi>; the imaginary part is asserted away."""
+    """Complex-form expectation Re <psi|A psi>; the imaginary part is checked to vanish."""
     raw, _ = _raw_expectation(a, psi)
     return raw.real
 

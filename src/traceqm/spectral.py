@@ -10,6 +10,13 @@ for bit on a given platform:
 * each vector's first component of magnitude above ``PHASE_FLOOR`` is made
   real and positive.
 
+An operator whose matrix has an exactly zero imaginary part is solved in
+real arithmetic (the real symmetric LAPACK routine rather than the complex
+hermitian one), which is several times faster and needs half the memory;
+the conventions above and the complex128 ``basis`` are the same on both
+paths.  :func:`eigenvalues` returns the ascending spectrum alone, without
+eigenvectors, for callers that need only the levels.
+
 A basis is dispersion-free for an observable when every basis vector gives
 that observable zero spread; :func:`verify_dispersion_free` measures the
 worst spread over a decomposition.  Commuting families share such a basis,
@@ -41,6 +48,7 @@ __all__ = [
     "JointDecomposition",
     "GeneratorResult",
     "eigendecompose",
+    "eigenvalues",
     "verify_dispersion_free",
     "commute_check",
     "simultaneous_diagonalize",
@@ -91,10 +99,11 @@ def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
 
 
 def _phase_fix(basis: np.ndarray) -> np.ndarray:
-    for k in range(basis.shape[1]):
-        col = basis[:, k]
-        pivot = col[int(np.argmax(np.abs(col) > PHASE_FLOOR))]
-        basis[:, k] = col * (pivot.conjugate() / abs(pivot))
+    rows = np.argmax(np.abs(basis) > PHASE_FLOOR, axis=0)
+    pivots = basis[rows, np.arange(basis.shape[1])]
+    # hypot, as abs() of one complex scalar computes it; np.abs on a complex
+    # array takes a vectorized route that can differ in the last bit
+    basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return basis
 
 
@@ -183,23 +192,38 @@ class GeneratorResult(NamedTuple):
     tables: list[dict[int, float]]
 
 
-def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
-    """Decompose a certified hermitian operator with canonical conventions."""
+def _hermitian_solve(solver, a: HermitianOperator, caller: str):
+    """Run a LAPACK hermitian solver on ``a``, in real arithmetic when ``a`` is real.
+
+    The real part is passed only when the imaginary part is exactly zero, so
+    a matrix with any nonzero imaginary entry, however small, keeps the
+    complex solver.
+    """
     if not isinstance(a, HermitianOperator):
-        raise InputError("eigendecompose needs a certified HermitianOperator")
+        raise InputError(f"{caller} needs a certified HermitianOperator")
+    matrix = a.matrix.real if not a.matrix.imag.any() else a.matrix
     try:
-        eigenvalues, basis = np.linalg.eigh(a.matrix)
+        return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    tol = _group_tol(eigenvalues)
-    groups = _cluster_sorted(eigenvalues, tol)
-    basis = np.array(basis)
+
+
+def eigenvalues(a: HermitianOperator) -> np.ndarray:
+    """Ascending eigenvalues of a certified hermitian operator, without eigenvectors."""
+    return _hermitian_solve(np.linalg.eigvalsh, a, "eigenvalues")
+
+
+def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
+    """Decompose a certified hermitian operator with canonical conventions."""
+    values, basis = _hermitian_solve(np.linalg.eigh, a, "eigendecompose")
+    tol = _group_tol(values)
+    groups = _cluster_sorted(values, tol)
     for group in groups:
         if len(group) > 1:
             idx = list(group)
             basis[:, idx] = _orthonormalize_block(basis[:, idx])
     basis = _phase_fix(basis)
-    return SpectralDecomposition(eigenvalues, basis, groups, tol, a.grid)
+    return SpectralDecomposition(values, basis, groups, tol, a.grid)
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:

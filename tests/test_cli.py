@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ def test_exit_two_on_usage_error(capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert main(["cat", "--hbar", "-1"]) == 2
+
+
+@pytest.mark.parametrize("experiment", ["well-spectrum", "spread", "ensemble-density"])
+def test_exit_two_on_grid_too_large_for_memory(experiment, tmp_path, capsys):
+    """A 10^6-point grid is refused by arithmetic on N, before any matrix exists."""
+    tracemalloc.start()
+    try:
+        code, out = run_cli([experiment, "--grid-n", "1000000"], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of 1000000 points") and err.count("\n") == 1
+    assert "physical memory" in err
+    assert not out.exists()
+    assert peak < 2**20
 
 
 def test_exit_three_on_unwritable_output(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Model systems, Poisson/commutator correspondence, and time evolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from traceqm import dynamics
+from traceqm.operators import STATE_NORM_TOL
 from traceqm import (
     BracketCheck,
     DegreeError,
     GridMeta,
     PolynomialObservable,
+    StateError,
     StateVector,
     TruncationError,
     bracket_correspondence,
@@ -21,6 +26,7 @@ from traceqm import (
     evolve_state,
     expect_c,
     gaussian_spread_width,
+    grid_hamiltonian,
     grid_sample,
     heisenberg_rhs,
     normalize,
@@ -115,6 +121,50 @@ def test_grid_momentum_certificate_tiny():
     model = build_grid_model(g, "free")
     assert model.p.certificate <= 1e-14
     assert model.kind == "grid_free"
+
+
+def loop_grid_stencils(g):
+    """Momentum and kinetic matrices filled entry by entry, the reference
+    for the vectorized builders."""
+    n, h = g.npoints, g.spacing
+    p = np.zeros((n, n), dtype=np.complex128)
+    off = g.hbar / (2.0 * h)
+    kinetic = np.zeros((n, n), dtype=np.complex128)
+    k = g.hbar * g.hbar / (2.0 * g.mass * h * h)
+    np.fill_diagonal(kinetic, 2.0 * k)
+    for j in range(n - 1):
+        p[j, j + 1] = -1j * off
+        p[j + 1, j] = 1j * off
+        kinetic[j, j + 1] = -k
+        kinetic[j + 1, j] = -k
+    return p, kinetic
+
+
+def test_grid_stencils_bit_identical_to_loop_reference():
+    g = GridMeta(length=1.3, npoints=37, mass=0.7, hbar=1.9)
+    p_ref, kinetic_ref = loop_grid_stencils(g)
+    hamiltonian = grid_hamiltonian(g)
+    model = build_grid_model(g, "free")
+    assert hamiltonian.grid is g
+    assert hamiltonian.matrix.tobytes() == model.hamiltonian.matrix.tobytes() == kinetic_ref.tobytes()
+    assert model.p.matrix.tobytes() == p_ref.tobytes()
+    assert hamiltonian.certificate == model.hamiltonian.certificate == 0.0
+
+
+@pytest.mark.parametrize("build, matrices", [
+    (grid_hamiltonian, dynamics.HAMILTONIAN_MATRICES),
+    (build_grid_model, dynamics.GRID_MODEL_MATRICES),
+])
+def test_declared_dense_working_set_bounds_traced_peak(build, matrices):
+    """The matrix counts behind the memory refusal cover what the builders allocate."""
+    g = GridMeta(length=1.0, npoints=300)
+    tracemalloc.start()
+    try:
+        build(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (matrices + 0.25) * dynamics.DENSE_ELEMENT_BYTES * g.npoints**2
 
 
 def test_grid_model_rejects_unknown_potential():
@@ -334,6 +384,15 @@ def test_evolve_state_zero_time_identity():
     psi0 = grid_sample(lambda x: np.sin(np.pi * x), g)
     psi = evolve_state(model, psi0, 0.0)
     np.testing.assert_allclose(psi.coeffs, psi0.coeffs, atol=1e-12)
+
+
+def test_evolve_state_requires_normalized_state():
+    g = GridMeta(length=1.0, npoints=32)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.sin(np.pi * x), g)
+    evolve_state(model, StateVector(psi0.coeffs * (1.0 + 0.5 * STATE_NORM_TOL), g), 0.1)
+    with pytest.raises(StateError):
+        evolve_state(model, StateVector(psi0.coeffs * (1.0 + 2.0 * STATE_NORM_TOL), g), 0.1)
 
 
 def test_evolve_state_eigenstate_gets_phase_only():

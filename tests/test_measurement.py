@@ -8,6 +8,7 @@ from traceqm import (
     EnsembleReport,
     GridMeta,
     InputError,
+    StateError,
     StateVector,
     born_probabilities,
     build_grid_model,
@@ -22,6 +23,7 @@ from traceqm import (
     sample_rng,
     superpose,
 )
+from traceqm.operators import STATE_NORM_TOL
 
 SEED = 6606
 
@@ -81,6 +83,19 @@ def test_born_dimension_mismatch_rejected():
     dec = eigendecompose(certify_hermitian(np.diag([1.0, 2.0])))
     with pytest.raises(DimensionError):
         born_probabilities(dec, StateVector([1.0, 0.0, 0.0]))
+
+
+def test_born_and_measure_require_normalized_state():
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, 2.0])))
+    r = 2.0 ** -0.5
+    inside = StateVector([r * (1.0 + 0.5 * STATE_NORM_TOL), r])
+    outside = StateVector([r * (1.0 + 4.0 * STATE_NORM_TOL), r])
+    born_probabilities(dec, inside)
+    measure_once(dec, inside, sample_rng(0, 0))
+    with pytest.raises(StateError):
+        born_probabilities(dec, outside)
+    with pytest.raises(StateError):
+        measure_once(dec, outside, sample_rng(0, 0))
 
 
 # ---------------------------------------------------------------- single shots

@@ -1,5 +1,7 @@
 """Operator certification, expectation values, and the alpha/beta split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from traceqm import (
     GridMeta,
     HermitianOperator,
     NotHermitianError,
+    NumericalError,
     Operator,
     StateError,
     StateVector,
@@ -57,6 +60,45 @@ def test_certify_rejects_nonhermitian():
     with pytest.raises(NotHermitianError) as exc:
         certify_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert exc.value.deviation > exc.value.bound
+
+
+def test_certify_same_result_for_operator_and_bare_matrix():
+    rng = np.random.default_rng(SEED + 20)
+    g = GridMeta(length=1.0, npoints=12)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = (m + m.conj().T) / 2.0
+    for skew in (1e-13, 1e-3):  # within and beyond the default bound
+        skewed = h.copy()
+        skewed[0, 1] += skew
+        deviation = float(np.max(np.abs(skewed - skewed.conj().T)))
+        bound = 1e-10 * (1.0 + float(np.max(np.abs(skewed))))
+        for given in (skewed, Operator(skewed), Operator(skewed, g)):
+            grid = given.grid if isinstance(given, Operator) else None
+            if deviation <= bound:
+                a = certify_hermitian(given)
+                assert a.certificate == deviation
+                assert a.grid is grid
+                np.testing.assert_array_equal(a.matrix, skewed)
+            else:
+                with pytest.raises(NotHermitianError) as exc:
+                    certify_hermitian(given)
+                assert (exc.value.deviation, exc.value.bound) == (deviation, bound)
+    assert certify_hermitian(h, grid=g).grid is g
+
+
+def test_certify_makes_no_extra_copy_of_an_operator():
+    """Beyond the certified copy, only the adjoint and the difference are formed."""
+    n = 300
+    rng = np.random.default_rng(SEED + 21)
+    m = rng.standard_normal((n, n))
+    op = Operator(m + m.T)
+    tracemalloc.start()
+    try:
+        certify_hermitian(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * n * n
 
 
 def test_certify_tolerance_is_relative_to_scale():
@@ -150,6 +192,17 @@ def test_expectation_requires_normalized_state():
     a = certify_hermitian(PAULI_Z)
     with pytest.raises(StateError):
         expect_c(a, StateVector([2.0, 0.0]))
+
+
+def test_imaginary_expectation_raises_numerical_error():
+    # labeled hermitian without certification, so the expectation is complex
+    a = HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    psi = normalize(StateVector([1.0, 1j]))
+    for route in (expect_c, dispersion, av_decompose):
+        with pytest.raises(NumericalError) as exc:
+            route(a, psi)
+        assert exc.value.value == pytest.approx(0.5)
+        assert exc.value.bound == pytest.approx(1e-10 * (1.0 + 0.5**0.5))
 
 
 def test_expectation_pauli_values():

@@ -18,13 +18,16 @@ from traceqm import (
     commute_check,
     complex_inner,
     eigendecompose,
+    eigenvalues,
     normalize,
     simultaneous_diagonalize,
     verify_dispersion_free,
     vn_generator,
 )
+from traceqm.spectral import PHASE_FLOOR, _phase_fix
 
 SEED = 4404
+EPS = np.finfo(np.float64).eps
 EIG_RESIDUAL_TOL = 1e-9
 ORTH_TOL = 1e-9
 RECON_TOL = 1e-8
@@ -36,6 +39,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 def random_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return certify_hermitian((m + m.conj().T) / 2.0)
+
+
+def random_real_symmetric(rng, dim):
+    m = rng.standard_normal((dim, dim))
+    return certify_hermitian((m + m.T) / 2.0)
 
 
 def random_commuting_family(rng, dim, count):
@@ -74,6 +82,8 @@ def test_pauli_x_closed_form():
 def test_rejects_uncertified_input():
     with pytest.raises(InputError):
         eigendecompose(Operator(PAULI_X))
+    with pytest.raises(InputError):
+        eigenvalues(Operator(PAULI_X))
 
 
 def test_eigen_residual_orthonormality_reconstruction():
@@ -155,6 +165,106 @@ def test_grid_bound_eigenvectors_unit_grid_norm():
     for vec in dec.eigenvectors[:4]:
         assert vec.grid is g
         assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------- real-symmetric path
+
+
+def loop_phase_fix(basis):
+    """Per-column phase rule, the reference the vectorized rule must reproduce."""
+    for k in range(basis.shape[1]):
+        col = basis[:, k]
+        pivot = col[int(np.argmax(np.abs(col) > PHASE_FLOOR))]
+        basis[:, k] = col * (pivot.conjugate() / abs(pivot))
+    return basis
+
+
+def test_phase_fix_is_bit_identical_to_per_column_loop():
+    rng = np.random.default_rng(SEED + 40)
+    for trial in range(20):
+        shape = (int(rng.integers(2, 40)), int(rng.integers(1, 40)))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        complex_basis = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        real_basis = scale * rng.standard_normal(shape)
+        leading_zeros = complex_basis.copy()
+        leading_zeros[: shape[0] // 2] = 0.0
+        leading_zeros[shape[0] // 2, ::2] = 0.5 * PHASE_FLOOR  # nonzero, too small to anchor
+        for basis in (complex_basis, real_basis, leading_zeros, leading_zeros.real.copy()):
+            fixed = _phase_fix(basis.copy())
+            expected = loop_phase_fix(basis.copy())
+            assert fixed.dtype == expected.dtype
+            assert fixed.tobytes() == expected.tobytes()
+
+
+def test_real_path_matches_complex_path():
+    """Real and complex LAPACK agree on a real matrix to backward-stable roundoff.
+
+    Eigenvalues differ by at most n*eps*|A|; an eigenvector moves by at most
+    that over the gap to its neighbours, once both carry the phase rule.
+    """
+    rng = np.random.default_rng(SEED + 41)
+    for dim in (2, 5, 17, 40, 64):
+        a = random_real_symmetric(rng, dim)
+        dec = eigendecompose(a)
+        values, basis = np.linalg.eigh(a.matrix)  # complex128 input: the complex solver
+        basis = _phase_fix(basis)
+        norm = float(np.linalg.norm(a.matrix, 2))
+        gap = float(np.min(np.diff(values)))
+        assert dec.basis.dtype == np.complex128 and not dec.basis.imag.any()
+        assert float(np.max(np.abs(dec.eigenvalues - values))) <= dim * EPS * norm
+        assert float(np.max(np.abs(dec.basis - basis))) <= dim * EPS * norm / gap
+
+
+def test_real_path_keeps_degenerate_groups_in_dominant_index_order():
+    rng = np.random.default_rng(SEED + 42)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    m = (q * np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])) @ q.T
+    dec = eigendecompose(certify_hermitian((m + m.T) / 2.0))
+    assert dec.groups == ((0, 1, 2), (3, 4), (5,))
+    for group in dec.groups:
+        cols = dec.basis[:, list(group)]
+        dominant = np.argmax(np.abs(cols), axis=0)
+        assert list(dominant) == sorted(dominant)
+        exact = q[:, list(group)]
+        np.testing.assert_allclose(cols @ cols.conj().T, exact @ exact.T, atol=1e-12)
+
+
+def test_tiny_imaginary_part_keeps_complex_path(monkeypatch):
+    seen = []
+
+    def spy(name):
+        solver = getattr(np.linalg, name)
+
+        def recorded(matrix):
+            seen.append((name, matrix.dtype))
+            return solver(matrix)
+        return recorded
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    nearly_real = PAULI_X.astype(np.complex128)
+    nearly_real[0, 1] += 1e-20j
+    nearly_real[1, 0] -= 1e-20j
+    for matrix in (nearly_real, PAULI_X):
+        a = certify_hermitian(matrix)
+        eigendecompose(a)
+        eigenvalues(a)
+    assert seen == [
+        ("eigh", np.complex128), ("eigvalsh", np.complex128),
+        ("eigh", np.float64), ("eigvalsh", np.float64),
+    ]
+
+
+def test_eigenvalues_match_eigendecompose():
+    """Both routes are backward stable, so they agree within n*eps*|A|."""
+    rng = np.random.default_rng(SEED + 43)
+    for make in (random_hermitian, random_real_symmetric):
+        for dim in (2, 9, 33):
+            a = make(rng, dim)
+            values = eigenvalues(a)
+            assert np.all(np.diff(values) >= 0.0)
+            tol = dim * EPS * float(np.linalg.norm(a.matrix, 2))
+            assert float(np.max(np.abs(values - eigendecompose(a).eigenvalues))) <= tol
 
 
 # ---------------------------------------------------------------- dispersion-free
