@@ -210,8 +210,9 @@ def run_well_spectrum(cfg: ExperimentConfig):
 
 def run_spread(cfg: ExperimentConfig):
     grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
-    free = build_grid_model(grid, "free")
-    well = build_grid_model(grid, "infinite_well")
+    # "free" and "infinite_well" grid models have the same q, p and H and
+    # differ only in their recorded kind, so one model evolves both series
+    model = build_grid_model(grid)
 
     sigma0 = cfg.length / 40.0
     tau = 2.0 * cfg.mass * sigma0 * sigma0 / cfg.hbar
@@ -224,14 +225,14 @@ def run_spread(cfg: ExperimentConfig):
 
     rows = []
     free_errors = []
-    for t, width in spread_series(free, psi0, times):
+    for t, width in spread_series(model, psi0, times):
         reference = gaussian_spread_width(sigma0, t, cfg.mass, cfg.hbar)
         err = abs(width - reference) / reference
         free_errors.append(err)
         rows.append({"series": "free", "t": t, "width": width, "reference": reference, "err": err})
 
-    ground = well.energy_spectrum().eigenvectors[0]
-    stationary = spread_series(well, ground, times)
+    ground = model.energy_spectrum().eigenvectors[0]
+    stationary = spread_series(model, ground, times)
     base_width = stationary[0][1]
     drifts = []
     for t, width in stationary:

@@ -1,15 +1,21 @@
 """Projective measurement, collapse, and ensemble statistics.
 
 Outcome probabilities follow the squared-amplitude rule per degenerate
-group of the measured observable's decomposition.  A single measurement
-draws one uniform variate, walks the cumulative probabilities (with the
-final group as catch-all for the roundoff sliver at the top), and collapses
-the state onto the selected eigenspace.
+group of the measured observable's decomposition: |amplitude|^2 summed over
+each group.  A single measurement draws one uniform variate, picks the group
+whose cumulative-probability interval holds it (the final group catches the
+roundoff sliver at the top), and collapses the state onto that eigenspace.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
-named seed split into independent per-sample substreams, so sample i sees
-the same variate no matter how samples are batched or ordered.
+named seed split into per-sample substreams: sample i's variate is the
+first draw of ``sample_rng(seed, i)``, so it depends on (seed, i) alone and
+never on how samples are batched or ordered.  :func:`repeat_experiment`
+draws the variates a fixed-size chunk at a time with array arithmetic that
+reproduces numpy's SeedSequence and PCG64 exactly, so a batch yields the
+per-sample substreams' variates bit for bit, every outcome can be replayed
+with :func:`measure_once`, and the working memory does not grow with the
+number of samples.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InputError, NumericalError
+from .errors import DegenerateSpectrumError, InputError, NumericalError, ZeroVectorError
 from .operators import HermitianOperator, _require_normalized, av_decompose, certify_hermitian
 from .spectral import SpectralDecomposition, eigendecompose
-from .states import GridMeta, StateVector, normalize, superpose, _weight
+from .states import GridMeta, StateVector, normalize, superpose, _raw_norm, _weight
 
 __all__ = [
     "MeasurementOutcome",
@@ -35,9 +41,6 @@ __all__ = [
     "reconstruct_density",
     "cat_experiment",
 ]
-
-#: probabilities this far below zero are clamped; further is an error.
-PROB_CLAMP = 1e-12
 
 #: a distribution whose largest probability is below this is unusable.
 PROB_FLOOR = 1e-14
@@ -81,48 +84,208 @@ class CatResult(NamedTuple):
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for sample ``index`` of experiment ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
+
+
+# numpy's SeedSequence hash (pool of four uint32 words) and PCG64 constants,
+# as in numpy/random/bit_generator.pyx and pcg64.h
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _seed_words(seed: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative seed, as SeedSequence splits it."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    return words
+
+
+def _hashmix(value, hash_const: int) -> tuple:
+    """SeedSequence's hashmix on an int or a uint64 array of uint32 values; returns the next constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value *= hash_const
+    value &= _MASK32
+    value ^= value >> _XSHIFT
+    return value, hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 values (ints or uint64 arrays)."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result &= _MASK32
+    result ^= result >> _XSHIFT
+    return result
+
+
+def _pcg_step(high: np.ndarray, low: np.ndarray, inc_high: np.ndarray, inc_low: np.ndarray):
+    """state * multiplier + increment modulo 2**128, on (high, low) uint64 halves, in place.
+
+    The 128-bit product of ``low`` and the multiplier's low half is built
+    from 32-bit halves, each partial product fitting a uint64.
+    """
+    low0, low1 = low & _MASK32, low >> 32
+    m0, m1 = np.uint64(_PCG_MULT_LO & _MASK32), np.uint64(_PCG_MULT_LO >> 32)
+    cross = low0 * m1
+    middle = low0 * m0
+    middle >>= 32
+    middle += cross & _MASK32
+    high *= np.uint64(_PCG_MULT_LO)
+    high += low * np.uint64(_PCG_MULT_HI)
+    cross >>= 32
+    high += cross
+    cross = low1 * m0
+    middle += cross & _MASK32
+    cross >>= 32
+    high += cross
+    low1 *= m1
+    high += low1
+    middle >>= 32
+    high += middle
+    low *= np.uint64(_PCG_MULT_LO)
+    low += inc_low
+    high += inc_high
+    high += low < inc_low
+
+
+def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``sample_rng(seed, i).random()`` for every i in [lo, hi), bit for bit.
+
+    Reproduces ``SeedSequence(entropy=seed, spawn_key=(i,))``, its
+    ``generate_state(4, uint64)``, PCG64 seeding and one ``random()`` draw
+    with array arithmetic.  The hash constants do not depend on the data, so
+    the seed words are mixed once here and only the spawn word ``i`` (one
+    uint32, hence ``hi <= 2**32``) is mixed across the array.  Every array
+    has length ``hi - lo`` and at most a dozen are alive at once.
+    """
+    words = _seed_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))  # padded because a spawn key follows
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    # the spawn word, in uint64 lanes holding uint32 values
+    spawn = np.arange(lo, hi, dtype=np.uint64)
+    for dst in range(_POOL_SIZE):
+        value, hash_const = _hashmix(spawn, hash_const)
+        pool[dst] = _mix(pool[dst], value)
+    del spawn, value
+
+    # generate_state(4, uint64): eight uint32 words, paired little-endian
+    # into initstate (high, low) and initseq (high, low)
+    hash_const = _INIT_B
+    halves = []
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value *= hash_const
+        value &= _MASK32
+        value ^= value >> _XSHIFT
+        if k % 2:
+            value <<= 32
+            halves[-1] |= value
+        else:
+            halves.append(value)
+    del pool, value
+    high, low, inc_high, inc_low = halves
+    del halves
+
+    # PCG64 seeding: inc = initseq << 1 | 1, state = (inc + initstate) * M + inc
+    inc_high <<= 1
+    inc_high |= inc_low >> 63
+    inc_low <<= 1
+    inc_low |= 1
+    low += inc_low
+    high += inc_high
+    high += low < inc_low
+    _pcg_step(high, low, inc_high, inc_low)
+    # one draw: step, XSL-RR output, top 53 bits as a double in [0, 1)
+    _pcg_step(high, low, inc_high, inc_low)
+    rotation = high >> 58
+    low ^= high
+    high = low >> rotation
+    rotation = (64 - rotation) & 63
+    low <<= rotation
+    low |= high
+    low >>= 11
+    return low.astype(np.float64) * 2.0**-53
 
 
 def _group_probabilities(dec: SpectralDecomposition, amps: np.ndarray) -> np.ndarray:
     weights = np.abs(amps) ** 2
-    probs = np.empty(len(dec.groups), dtype=np.float64)
-    for g, group in enumerate(dec.groups):
-        p = float(np.sum(weights[list(group)]))
-        if p < -PROB_CLAMP:
-            raise NumericalError(f"group probability {p:.3e} is negative beyond clamping")
-        probs[g] = max(0.0, p)
-    return probs
+    return np.add.reduceat(weights, dec.group_starts)
 
 
-def _draw_group(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cumulative = np.cumsum(probs)
-    u = rng.random()
-    g = int(np.searchsorted(cumulative, u, side="right"))
-    return min(g, len(probs) - 1)
+def _outcome_bounds(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of a normalized state and the upper bounds of its outcome groups.
+
+    The bounds are the cumulative group probabilities without the last, so
+    ``bounds.searchsorted(u, side="right")`` picks group g for a variate u
+    and the final group catches the roundoff sliver at the top: it equals
+    the full cumulative search clamped to the last group.
+    """
+    _require_normalized(psi)
+    amps = dec.amplitudes(psi)
+    probs = _group_probabilities(dec, amps)
+    # array methods rather than np.max/np.cumsum: same result, less dispatch
+    if probs.max() < PROB_FLOOR:
+        raise NumericalError("all outcome probabilities vanish; state is numerically unusable")
+    return amps, probs.cumsum()[:-1]
 
 
 def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tuple[float, float]]:
     """(eigenvalue, probability) per degenerate group; probabilities sum to 1."""
     _require_normalized(psi)
-    amps = dec.amplitudes(psi)
-    probs = _group_probabilities(dec, amps)
+    probs = _group_probabilities(dec, dec.amplitudes(psi))
     return [(dec.group_eigenvalue(g), float(probs[g])) for g in range(len(probs))]
 
 
 def measure_once(dec: SpectralDecomposition, psi: StateVector,
                  rng: np.random.Generator) -> MeasurementOutcome:
     """Draw one outcome and collapse; consumes exactly one uniform variate."""
-    _require_normalized(psi)
-    amps = dec.amplitudes(psi)
-    probs = _group_probabilities(dec, amps)
-    if float(np.max(probs)) < PROB_FLOOR:
-        raise NumericalError("all outcome probabilities vanish; state is numerically unusable")
-    g = _draw_group(probs, rng)
+    amps, bounds = _outcome_bounds(dec, psi)
+    g = int(bounds.searchsorted(rng.random(), side="right"))
     idx = list(dec.groups[g])
     coeffs = (dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid))
-    collapsed = normalize(StateVector(coeffs, dec.grid))
+    norm = _raw_norm(coeffs, dec.grid)
+    if norm == 0.0:
+        raise ZeroVectorError("cannot normalize the zero vector")
+    collapsed = StateVector(coeffs / norm, dec.grid)
     return MeasurementOutcome(dec.group_eigenvalue(g), g, collapsed)
+
+
+#: samples whose variates are drawn and binned together; bounds the working set.
+SAMPLE_CHUNK = 4096
+
+#: more samples than this are refused: every sample index must fit the one
+#: uint32 spawn word that ``_first_uniforms`` mixes.
+MAX_SAMPLES = 2**32 - 1
+
+
+def _same_state(psi: StateVector, ref: StateVector) -> bool:
+    return psi.grid == ref.grid and (psi.coeffs is ref.coeffs or np.array_equal(psi.coeffs, ref.coeffs))
 
 
 def repeat_experiment(preparation: Callable[[], StateVector], observable: HermitianOperator,
@@ -136,22 +299,30 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    if n > MAX_SAMPLES:
+        raise InputError(f"at most {MAX_SAMPLES} samples per experiment, got {n}")
+    _seed_words(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
     counts = np.zeros(len(dec.groups), dtype=np.int64)
-    cached_coeffs = None
-    cached_grid = None
-    probs = None
-    for i in range(n):
-        psi = preparation()
-        if cached_coeffs is None or psi.grid != cached_grid or not np.array_equal(psi.coeffs, cached_coeffs):
-            _require_normalized(psi)
-            amps = dec.amplitudes(psi)
-            probs = _group_probabilities(dec, amps)
-            if float(np.max(probs)) < PROB_FLOOR:
-                raise NumericalError("all outcome probabilities vanish; state is numerically unusable")
-            cached_coeffs = psi.coeffs
-            cached_grid = psi.grid
-        counts[_draw_group(probs, sample_rng(seed, i))] += 1
+    state = bounds = None
+    for lo in range(0, n, SAMPLE_CHUNK):
+        hi = min(n, lo + SAMPLE_CHUNK)
+        # where the prepared state changes in this chunk, and its outcome bounds
+        starts, run_bounds = [0], [bounds]
+        for i in range(lo, hi):
+            psi = preparation()
+            if state is None or not _same_state(psi, state):
+                _, bounds = _outcome_bounds(dec, psi)
+                state = psi
+                starts.append(i - lo)
+                run_bounds.append(bounds)
+        starts.append(hi - lo)
+        u = _first_uniforms(seed, lo, hi)
+        picked = np.empty(hi - lo, dtype=np.intp)
+        for start, stop, run in zip(starts, starts[1:], run_bounds):
+            if stop > start:
+                picked[start:stop] = run.searchsorted(u[start:stop], side="right")
+        counts += np.bincount(picked, minlength=counts.size)
 
     observed = {}
     total = 0.0
@@ -205,11 +376,7 @@ def cat_experiment(a1: float, a2: float, n: int, seed: int) -> CatResult:
         raise DegenerateSpectrumError(f"outcomes must be distinct, both are {a1!r}")
     observable = certify_hermitian(np.diag([a1, a2]).astype(np.complex128))
 
-    def prepare() -> StateVector:
-        branch1 = StateVector([1.0, 0.0])
-        branch2 = StateVector([0.0, 1.0])
-        return normalize(superpose([branch1, branch2], [1.0, 1.0]))
-
-    report = repeat_experiment(prepare, observable, n, seed)
-    alpha, beta, _ = av_decompose(observable, prepare())
+    cat = normalize(superpose([StateVector([1.0, 0.0]), StateVector([0.0, 1.0])], [1.0, 1.0]))
+    report = repeat_experiment(lambda: cat, observable, n, seed)
+    alpha, beta, _ = av_decompose(observable, cat)
     return CatResult(report, alpha, beta)

@@ -136,17 +136,36 @@ class SpectralDecomposition:
         scale = 1.0 / np.sqrt(_weight(self.grid))
         return [StateVector(self.basis[:, k] * scale, self.grid) for k in range(self.dim)]
 
+    # The caches below are lazy: most decompositions are never sampled.
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        return self.basis.conj().T
+
+    @cached_property
+    def group_starts(self) -> np.ndarray:
+        """First index of each degenerate group, for ``np.add.reduceat``.
+
+        Groups are consecutive runs of the ascending index range, so these
+        starts delimit them completely.
+        """
+        return np.array([group[0] for group in self.groups], dtype=np.intp)
+
+    @cached_property
+    def _group_values(self) -> tuple[float, ...]:
+        return tuple(float(np.mean(self.eigenvalues[list(group)])) for group in self.groups)
+
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
         if state.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs state {state.dim}")
         if state.grid != self.grid:
             raise GridError("state and decomposition are bound to different grids")
-        return np.sqrt(_weight(self.grid)) * (self.basis.conj().T @ state.coeffs)
+        return np.sqrt(_weight(self.grid)) * (self._adjoint @ state.coeffs)
 
     def group_eigenvalue(self, g: int) -> float:
         """Representative eigenvalue (mean) of degenerate group ``g``."""
-        return float(np.mean(self.eigenvalues[list(self.groups[g])]))
+        return self._group_values[g]
 
     def __repr__(self):
         return f"<SpectralDecomposition dim={self.dim} groups={len(self.groups)}>"

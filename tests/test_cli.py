@@ -287,6 +287,27 @@ def test_spread_respects_custom_times(tmp_path):
     assert [r["t"] for r in free_rows] == [0.0, 0.0005]
 
 
+def test_spread_builds_and_diagonalizes_one_model(tmp_path, monkeypatch):
+    from traceqm import dynamics, experiments
+
+    calls = {"build_grid_model": 0, "eigendecompose": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(experiments, "build_grid_model")
+    counting(dynamics, "eigendecompose")
+    code, _ = run_cli(["spread", "--grid-n", "256", "--times", "0.0,0.0005"], tmp_path)
+    assert code == 0
+    assert calls == {"build_grid_model": 1, "eigendecompose": 1}
+
+
 def test_checks_csv_carries_config_echo(tmp_path):
     code, out = run_cli(["cat", "--n", "50", "--seed", "11"], tmp_path)
     assert code == 0

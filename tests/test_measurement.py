@@ -1,5 +1,7 @@
 """Born sampling, collapse, ensembles, and density reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from traceqm import (
     sample_rng,
     superpose,
 )
+from traceqm.measurement import SAMPLE_CHUNK, _first_uniforms, _group_probabilities
 from traceqm.operators import STATE_NORM_TOL
+from traceqm.states import _weight
 
 SEED = 6606
 
@@ -307,3 +311,153 @@ def test_sample_rng_streams_are_independent_and_stable():
     assert sample_rng(9, 4).random() == sample_rng(9, 4).random()
     draws = {sample_rng(9, i).random() for i in range(64)}
     assert len(draws) == 64
+
+
+# ---------------------------------------------------------------- batched variates
+
+#: seeds of one, two, three and five uint32 words
+SEEDS = (0, 1, 42, 109, 110, 9001, 1275887881, 2**32 + 5, 2**70 + 3, 2**130 + 11)
+
+
+def per_sample_uniforms(seed, lo, hi):
+    return np.array([sample_rng(seed, i).random() for i in range(lo, hi)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_uniforms_match_per_sample_streams(seed):
+    assert np.array_equal(_first_uniforms(seed, 0, 3000), per_sample_uniforms(seed, 0, 3000))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (SAMPLE_CHUNK - 5, SAMPLE_CHUNK + 5),  # across a chunk boundary
+    (17, 18),  # a single sample
+    (0, 1),
+    (2**32 - 4, 2**32),  # the largest spawn words one uint32 holds
+])
+def test_first_uniforms_match_on_any_range(lo, hi):
+    for seed in (3, 2**70 + 3):
+        assert np.array_equal(_first_uniforms(seed, lo, hi), per_sample_uniforms(seed, lo, hi))
+
+
+def test_repeat_matches_replay_when_preparation_switches():
+    """Counts equal a per-sample measure_once replay across state changes and chunks."""
+    rng = np.random.default_rng(SEED + 12)
+    dim = 5
+    a = random_hermitian(rng, dim)
+    dec = eigendecompose(a)
+    first, second = random_state(rng, dim), random_state(rng, dim)
+    n = SAMPLE_CHUNK + 300
+    # equal copies (new objects) and switches inside and across chunks
+    switches = {0: first, 100: second, 101: first, SAMPLE_CHUNK - 2: second, SAMPLE_CHUNK + 7: first}
+    schedule = []
+    for i in range(n):
+        schedule.append(StateVector(switches[i].coeffs.copy()) if i in switches else schedule[-1])
+    calls = iter(schedule)
+    report = repeat_experiment(lambda: next(calls), a, n, seed=SEED)
+
+    replay = {}
+    for i, psi in enumerate(schedule):
+        value = measure_once(dec, psi, sample_rng(SEED, i)).eigenvalue
+        replay[value] = replay.get(value, 0) + 1
+    assert report.counts == dict(sorted(replay.items()))
+    assert next(calls, None) is None
+
+
+def test_repeat_working_set_is_bounded_by_the_chunk():
+    """10^5 samples peak below 16 chunk-length float64 arrays, less than one n-length array."""
+    n = 10**5
+    bound = 16 * 8 * SAMPLE_CHUNK
+    assert bound < 8 * n
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    psi = cat_state()
+    repeat_experiment(lambda: psi, a, 10, seed=1)  # warm lazy caches and imports
+    tracemalloc.start()
+    try:
+        repeat_experiment(lambda: psi, a, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_repeat_refuses_sample_counts_beyond_one_spawn_word():
+    def preparation():
+        raise AssertionError("preparation must not run")
+
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    with pytest.raises(InputError):
+        repeat_experiment(preparation, a, 2**32, seed=1)
+
+
+def test_repeat_rejects_negative_seed_like_sample_rng():
+    def preparation():
+        raise AssertionError("preparation must not run")
+
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError) as expected:
+        sample_rng(-1, 0)
+    with pytest.raises(type(expected.value)) as got:
+        repeat_experiment(preparation, a, 10, seed=-1)
+    assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------- group sums
+
+
+def degenerate_decomposition(rng):
+    # groups of sizes 1, 3, 9 and 2: both summation regimes of np.sum
+    values = np.repeat([-2.0, 0.5, 1.0, 4.0], [1, 3, 9, 2])
+    m = rng.standard_normal((values.size,) * 2) + 1j * rng.standard_normal((values.size,) * 2)
+    q, _ = np.linalg.qr(m)
+    return eigendecompose(certify_hermitian(q @ np.diag(values) @ q.conj().T))
+
+
+def test_reduceat_group_probabilities_match_per_group_sums():
+    """Equal to the old per-group np.sum: bit for bit for groups of one or two
+    eigenvalues, whose sum is at most one addition; for m >= 3 terms the two
+    summation orders each err by at most (m - 1) * eps/2 relative (all terms
+    are non-negative), so they differ by at most (m - 1) * eps relative."""
+    rng = np.random.default_rng(SEED + 13)
+    dec = degenerate_decomposition(rng)
+    assert sorted(len(g) for g in dec.groups) == [1, 2, 3, 9]
+    sizes = np.array([len(group) for group in dec.groups])
+    eps = np.finfo(np.float64).eps
+    for _ in range(20):
+        amps = dec.amplitudes(random_state(rng, dec.dim))
+        weights = np.abs(amps) ** 2
+        reference = np.array([float(np.sum(weights[list(group)])) for group in dec.groups])
+        probs = _group_probabilities(dec, amps)
+        assert np.array_equal(probs[sizes <= 2], reference[sizes <= 2])
+        assert np.all(np.abs(probs - reference) <= (sizes - 1) * eps * reference)
+        means = [float(np.mean(dec.eigenvalues[list(group)])) for group in dec.groups]
+        assert [dec.group_eigenvalue(g) for g in range(len(dec.groups))] == means
+
+
+def reference_measure_once(dec, psi, rng):
+    """The per-group loop, clamp and two-step collapse measure_once replaced.
+
+    Its group sums may differ from reduceat's in the last bit for groups of
+    three or more, which changes an outcome only for a variate within that
+    rounding of a cumulative boundary; the seeded cases below have none.
+    """
+    amps = dec.amplitudes(psi)
+    weights = np.abs(amps) ** 2
+    probs = np.array([max(0.0, float(np.sum(weights[list(group)]))) for group in dec.groups])
+    g = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(probs) - 1)
+    idx = list(dec.groups[g])
+    coeffs = (dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid))
+    return g, normalize(StateVector(coeffs, dec.grid))
+
+
+def test_measure_once_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(SEED + 14)
+    decs = [degenerate_decomposition(rng)] + [
+        eigendecompose(random_hermitian(rng, dim)) for dim in (2, 3, 8)
+    ]
+    for trial in range(40):
+        dec = decs[trial % len(decs)]
+        psi = random_state(rng, dec.dim)
+        g, collapsed = reference_measure_once(dec, psi, sample_rng(SEED, trial))
+        out = measure_once(dec, psi, sample_rng(SEED, trial))
+        assert out.group_index == g
+        assert np.array_equal(out.collapsed.coeffs, collapsed.coeffs)
