@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,7 @@ from .errors import InputError, UsageError, ValidationError, WorkbenchError
 from .experiments import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
-    GLOBAL_DEFAULTS,
     TOL_KEYS,
-    Check,
     ExperimentConfig,
 )
 
@@ -37,12 +37,6 @@ __all__ = [
     "read_rows_csv",
     "read_report_json",
 ]
-
-#: flags that take a value, besides --tol-<name>.
-FLAG_KEYS = (
-    "n", "seed", "grid-n", "length", "mass", "omega", "hbar", "d",
-    "times", "a1", "a2", "out", "format", "config",
-)
 
 USAGE = """usage: traceqm EXPERIMENT [--flag value ...]
 
@@ -80,7 +74,7 @@ def _parse_flags(tokens: list[str]) -> dict[str, str]:
 
 
 def _known_key(key: str) -> bool:
-    if key in FLAG_KEYS:
+    if key == "config" or key in FIELD_OF_KEY:
         return True
     return key.startswith("tol-") and key[4:] in TOL_KEYS
 
@@ -129,19 +123,45 @@ def _to_float(key: str, raw, positive: bool = False) -> float:
     return value
 
 
-def _to_times(raw) -> tuple[float, ...]:
-    if isinstance(raw, tuple):
-        parts = list(raw)
-    else:
-        parts = [piece for piece in str(raw).split(",") if piece.strip() != ""]
+def _to_times(key: str, raw) -> tuple[float, ...]:
+    parts = [piece for piece in str(raw).split(",") if piece.strip() != ""]
     if not parts:
-        raise ValidationError("times must list at least one value")
-    times = tuple(_to_float("times", piece) for piece in parts)
+        raise ValidationError(f"{key} must list at least one value")
+    times = tuple(_to_float(key, piece) for piece in parts)
     if any(t < 0 for t in times):
-        raise ValidationError("times must be non-negative")
+        raise ValidationError(f"{key} must be non-negative")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValidationError("times must be strictly ascending")
+        raise ValidationError(f"{key} must be strictly ascending")
     return times
+
+
+def _to_format(key: str, raw) -> str:
+    if raw not in ("csv", "json"):
+        raise ValidationError(f"{key} must be csv or json, got {raw!r}")
+    return raw
+
+
+#: the parser of every settable :class:`ExperimentConfig` field, called as
+#: ``parser(key, raw)``; its flag and config-file key is the field name
+#: with "-" for "_".  Unset fields take the dataclass default, overridden
+#: by ``EXPERIMENT_DEFAULTS``.
+PARSERS = {
+    "n": partial(_to_int, minimum=1),
+    "seed": partial(_to_int, minimum=0),
+    "grid_n": partial(_to_int, minimum=8),
+    "length": partial(_to_float, positive=True),
+    "mass": partial(_to_float, positive=True),
+    "omega": partial(_to_float, positive=True),
+    "hbar": partial(_to_float, positive=True),
+    "d": partial(_to_int, minimum=4),
+    "times": _to_times,
+    "a1": _to_float,
+    "a2": _to_float,
+    "out": lambda key, raw: str(raw),
+    "format": _to_format,
+}
+
+FIELD_OF_KEY = {name.replace("_", "-"): name for name in PARSERS}
 
 
 def parse_config(args, file: str | None = None) -> ExperimentConfig:
@@ -167,9 +187,7 @@ def parse_config(args, file: str | None = None) -> ExperimentConfig:
     merged.update(file_values)
     merged.update(flags)
 
-    resolved: dict[str, object] = dict(GLOBAL_DEFAULTS)
-    resolved.update(EXPERIMENT_DEFAULTS[experiment])
-
+    values: dict[str, object] = dict(EXPERIMENT_DEFAULTS[experiment])
     tols: dict[str, float] = {}
     for key, raw in merged.items():
         if key.startswith("tol-"):
@@ -177,49 +195,14 @@ def parse_config(args, file: str | None = None) -> ExperimentConfig:
             if value < 0:
                 raise ValidationError(f"{key} must be non-negative, got {value!r}")
             tols[key[4:]] = value
-        elif key == "n":
-            resolved["n"] = _to_int(key, raw, minimum=1)
-        elif key == "seed":
-            resolved["seed"] = _to_int(key, raw)
-        elif key == "grid-n":
-            resolved["grid_n"] = _to_int(key, raw, minimum=8)
-        elif key == "d":
-            resolved["d"] = _to_int(key, raw, minimum=4)
-        elif key in ("length", "mass", "omega", "hbar"):
-            resolved[key] = _to_float(key, raw, positive=True)
-        elif key in ("a1", "a2"):
-            resolved[key] = _to_float(key, raw)
-        elif key == "times":
-            resolved["times"] = _to_times(raw)
-        elif key == "out":
-            resolved["out"] = str(raw)
-        elif key == "format":
-            if raw not in ("csv", "json"):
-                raise ValidationError(f"format must be csv or json, got {raw!r}")
-            resolved["format"] = raw
         else:
-            raise UsageError(f"unknown key {key!r}")
+            name = FIELD_OF_KEY[key]
+            values[name] = PARSERS[name](key, raw)
 
-    if experiment == "cat" and resolved["a1"] == resolved["a2"]:
+    cfg = ExperimentConfig(experiment, **values, tols=tols)
+    if experiment == "cat" and cfg.a1 == cfg.a2:
         raise ValidationError("a1 and a2 must be distinct outcomes")
-
-    return ExperimentConfig(
-        experiment=experiment,
-        n=resolved["n"],
-        seed=resolved["seed"],
-        grid_n=resolved["grid_n"],
-        length=resolved["length"],
-        mass=resolved["mass"],
-        omega=resolved["omega"],
-        hbar=resolved["hbar"],
-        d=resolved["d"],
-        times=resolved["times"],
-        a1=resolved["a1"],
-        a2=resolved["a2"],
-        out=resolved["out"],
-        format=resolved["format"],
-        tols=tols,
-    )
+    return cfg
 
 
 def _format_cell(value) -> str:
@@ -265,31 +248,10 @@ def read_rows_csv(path) -> list[dict]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "grid_n": cfg.grid_n,
-        "length": cfg.length,
-        "mass": cfg.mass,
-        "omega": cfg.omega,
-        "hbar": cfg.hbar,
-        "d": cfg.d,
-        "times": None if cfg.times is None else list(cfg.times),
-        "a1": cfg.a1,
-        "a2": cfg.a2,
-        "format": cfg.format,
-    }
-
-
-def _check_record(check: Check) -> dict:
-    return {
-        "name": check.name,
-        "value": check.value,
-        "bound": check.bound,
-        "mode": check.mode,
-        "passed": check.passed,
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in ("out", "tols")}
+    if cfg.times is not None:
+        echo["times"] = list(cfg.times)
+    return echo
 
 
 def _jsonable(value):
@@ -310,7 +272,7 @@ def write_report_json(path, cfg: ExperimentConfig, rows, checks) -> None:
     report = {
         "config": _config_echo(cfg),
         "rows": _jsonable(rows),
-        "checks": [_jsonable(_check_record(c)) for c in checks],
+        "checks": [_jsonable({**asdict(c), "passed": c.passed}) for c in checks],
     }
     Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
@@ -328,8 +290,7 @@ def _checks_csv_records(cfg: ExperimentConfig, checks) -> list[dict]:
         records.append({"record": "config", "name": key, "value": value,
                         "bound": "", "mode": "", "passed": ""})
     for check in checks:
-        records.append({"record": "check", "name": check.name, "value": check.value,
-                        "bound": check.bound, "mode": check.mode, "passed": int(check.passed)})
+        records.append({"record": "check", **asdict(check), "passed": int(check.passed)})
     return records
 
 

@@ -386,30 +386,31 @@ def bracket_correspondence(a_poly: PolynomialObservable, h_poly: PolynomialObser
     return BracketCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:
-    """Evolve a normalized state by time t through the spectral propagator."""
+def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it."""
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
+    dec = model.energy_spectrum()
+    return dec, np.exp(-1j * dec.eigenvalues * (t / model.hbar))
+
+
+def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:
+    """Evolve a normalized state by time t through the spectral propagator."""
+    dec, phases = _propagator(model, t)
     _require_match(model.hamiltonian, psi0)
     _require_normalized(psi0)
-    dec = model.energy_spectrum()
-    phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
     amps = dec.basis.conj().T @ psi0.coeffs
     return StateVector(dec.basis @ (phases * amps), psi0.grid)
 
 
 def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> HermitianOperator:
     """Operator-picture evolution U(t)^dagger A U(t); spectrum is preserved."""
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    dec, phases = _propagator(model, t)
     if a.dim != model.dim:
         raise DimensionError(f"dimension mismatch: operator {a.dim} vs model {model.dim}")
     if a.grid != model.grid:
         raise GridError("operator and model are bound to different grids")
-    dec = model.energy_spectrum()
-    phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
     u = (dec.basis * phases) @ dec.basis.conj().T
     return certify_hermitian(Operator(u.conj().T @ a.matrix @ u, a.grid))
 

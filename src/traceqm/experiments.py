@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentConfig",
     "Check",
     "EXPERIMENTS",
-    "GLOBAL_DEFAULTS",
     "EXPERIMENT_DEFAULTS",
     "TOL_KEYS",
 ]
@@ -77,22 +76,6 @@ class Check:
         return bool(self.value >= self.bound)
 
 
-GLOBAL_DEFAULTS: dict[str, object] = {
-    "n": 10000,
-    "seed": 42,
-    "grid_n": 2000,
-    "length": 1.0,
-    "mass": 1.0,
-    "omega": 1.0,
-    "hbar": 1.0,
-    "d": 16,
-    "times": None,
-    "a1": 1.0,
-    "a2": -1.0,
-    "out": None,
-    "format": "csv",
-}
-
 EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
     "cat": {},
     "well-spectrum": {},
@@ -117,8 +100,9 @@ TOL_KEYS = (
 )
 
 
-def _tol(cfg: ExperimentConfig, key: str, default: float) -> float:
-    return float(cfg.tols.get(key, default))
+def _check(cfg: ExperimentConfig, name: str, value, default: float, mode: str = "max") -> Check:
+    """Check ``name`` on ``value``, bounded by ``cfg.tols[name]`` if given, else ``default``."""
+    return Check(name, value, float(cfg.tols.get(name, default)), mode)
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -154,9 +138,9 @@ def run_cat(cfg: ExperimentConfig):
     mean_default = 3.0 * result.beta / np.sqrt(cfg.n)
     std_default = result.beta * (1.0 - np.sqrt(1.0 - 4.0 * delta * delta))
     checks = [
-        Check("support", float(alien), _tol(cfg, "support", 0.0)),
-        Check("mean", abs(report.empirical_mean - result.alpha), _tol(cfg, "mean", mean_default)),
-        Check("std", abs(report.empirical_std - result.beta), _tol(cfg, "std", std_default)),
+        _check(cfg, "support", float(alien), 0.0),
+        _check(cfg, "mean", abs(report.empirical_mean - result.alpha), mean_default),
+        _check(cfg, "std", abs(report.empirical_std - result.beta), std_default),
     ]
     return rows, checks
 
@@ -165,22 +149,9 @@ def run_cat(cfg: ExperimentConfig):
 # well-spectrum
 # ---------------------------------------------------------------------------
 
-def _well_levels(npoints: int, cfg: ExperimentConfig) -> np.ndarray:
-    return eigenvalues(grid_hamiltonian(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar)))
-
-
-def _well_relative_errors(npoints: int, cfg: ExperimentConfig, levels: int = 5) -> np.ndarray:
-    values = _well_levels(npoints, cfg)
-    errors = np.empty(levels)
-    for level in range(1, levels + 1):
-        analytic = well_level_energy(level, cfg.length, cfg.mass, cfg.hbar)
-        errors[level - 1] = abs(values[level - 1] - analytic) / analytic
-    return errors
-
-
-def run_well_spectrum(cfg: ExperimentConfig):
-    values = _well_levels(cfg.grid_n, cfg)
-
+def _well_rows(npoints: int, cfg: ExperimentConfig) -> list[dict]:
+    """The five lowest hard-wall levels on an ``npoints`` grid against the analytic law."""
+    values = eigenvalues(grid_hamiltonian(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar)))
     rows = []
     for level in range(1, 6):
         numeric = float(values[level - 1])
@@ -191,15 +162,18 @@ def run_well_spectrum(cfg: ExperimentConfig):
             "analytic": analytic,
             "rel_err": abs(numeric - analytic) / analytic,
         })
+    return rows
 
+
+def run_well_spectrum(cfg: ExperimentConfig):
+    rows = _well_rows(cfg.grid_n, cfg)
     base = max(200, cfg.grid_n // 4)
-    coarse = _well_relative_errors(base, cfg)
-    fine = _well_relative_errors(2 * base + 1, cfg)  # doubles the resolution: h -> h/2
-    ratios = coarse / fine
-
+    # the fine grid doubles the resolution of the coarse one: h -> h/2
+    coarse, fine = (np.array([row["rel_err"] for row in _well_rows(npoints, cfg)])
+                    for npoints in (base, 2 * base + 1))
     checks = [
-        Check("spectrum", max(r["rel_err"] for r in rows), _tol(cfg, "spectrum", 0.005)),
-        Check("convergence", float(np.min(ratios)), _tol(cfg, "convergence", 3.0), mode="min"),
+        _check(cfg, "spectrum", max(r["rel_err"] for r in rows), 0.005),
+        _check(cfg, "convergence", float(np.min(coarse / fine)), 3.0, "min"),
     ]
     return rows, checks
 
@@ -241,8 +215,8 @@ def run_spread(cfg: ExperimentConfig):
         rows.append({"series": "stationary", "t": t, "width": width, "reference": base_width, "err": drift})
 
     checks = [
-        Check("spread", max(free_errors), _tol(cfg, "spread", 0.01)),
-        Check("stationary", max(drifts), _tol(cfg, "stationary", 1e-6)),
+        _check(cfg, "spread", max(free_errors), 0.01),
+        _check(cfg, "stationary", max(drifts), 1e-6),
     ]
     return rows, checks
 
@@ -269,7 +243,7 @@ def run_poisson(cfg: ExperimentConfig):
         gaps.append(check.gap)
         rows.append({"observable": name, "lhs": check.lhs, "rhs": check.rhs, "gap": check.gap})
 
-    checks = [Check("gap", max(gaps), _tol(cfg, "gap", 1e-9))]
+    checks = [_check(cfg, "gap", max(gaps), 1e-9)]
     return rows, checks
 
 
@@ -291,41 +265,47 @@ def _reconstruct_member(result, member: int) -> np.ndarray:
     return (dec.basis * values) @ dec.basis.conj().T
 
 
-def run_vn_generator(cfg: ExperimentConfig):
+def _canned_generator():
+    """Generator of the canned diagonal pair, its worst entry deviation from
+    ``CANNED_GENERATOR``, and whether its labels and tables match exactly."""
     a = certify_hermitian(np.diag(CANNED_FIRST))
     b = certify_hermitian(np.diag(CANNED_SECOND))
     result = vn_generator([a, b])
+    deviation = float(np.max(np.abs(result.generator.matrix - np.diag(CANNED_GENERATOR))))
+    exact = result.labels == [0.0, 1.0, 2.0] and result.tables == CANNED_TABLES
+    return result, deviation, exact
 
-    canned_dev = float(np.max(np.abs(result.generator.matrix - np.diag(CANNED_GENERATOR))))
-    exact = (
-        result.labels == [0.0, 1.0, 2.0]
-        and result.tables == CANNED_TABLES
-    )
 
-    rows = [
-        {"label": int(label), "value_a": result.tables[0][int(label)], "value_b": result.tables[1][int(label)]}
-        for label in result.labels
-    ]
-
-    rng = np.random.default_rng(cfg.seed)
+def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
+    """Worst entry error over ``trials`` random commuting families of three
+    polynomials in one hermitian base, each member rebuilt from the family's
+    single generator."""
     worst = 0.0
-    for trial in range(cfg.n):
+    for _ in range(trials):
         dim = int(rng.integers(3, 9))
         base = _random_hermitian(rng, dim)
         family = []
         for _ in range(3):
             c0, c1, c2 = rng.uniform(-2.0, 2.0, size=3)
-            member = c0 * np.eye(dim) + c1 * base + c2 * (base @ base)
-            family.append(certify_hermitian(member))
+            family.append(certify_hermitian(c0 * np.eye(dim) + c1 * base + c2 * (base @ base)))
         res = vn_generator(family)
         for member_index, member in enumerate(family):
             rebuilt = _reconstruct_member(res, member_index)
             worst = max(worst, float(np.max(np.abs(rebuilt - member.matrix))))
+    return worst
 
+
+def run_vn_generator(cfg: ExperimentConfig):
+    result, canned_dev, exact = _canned_generator()
+    rows = [
+        {"label": int(label), "value_a": result.tables[0][int(label)], "value_b": result.tables[1][int(label)]}
+        for label in result.labels
+    ]
+    worst = _worst_family_recon(np.random.default_rng(cfg.seed), cfg.n)
     checks = [
-        Check("canned", canned_dev, _tol(cfg, "canned", 0.0)),
-        Check("tables", 0.0 if exact else 1.0, _tol(cfg, "tables", 0.0)),
-        Check("recon", worst, _tol(cfg, "recon", 1e-9)),
+        _check(cfg, "canned", canned_dev, 0.0),
+        _check(cfg, "tables", 0.0 if exact else 1.0, 0.0),
+        _check(cfg, "recon", worst, 1e-9),
     ]
     return rows, checks
 
@@ -361,8 +341,8 @@ def run_ensemble_density(cfg: ExperimentConfig):
     top_mass = max(delta_report.counts.values()) / delta_report.n
 
     checks = [
-        Check("envelope", float(max(sigmas)), _tol(cfg, "envelope", 3.0)),
-        Check("mass-one-cell", float(top_mass), _tol(cfg, "mass-one-cell", 0.99), mode="min"),
+        _check(cfg, "envelope", float(max(sigmas)), 3.0),
+        _check(cfg, "mass-one-cell", float(top_mass), 0.99, "min"),
     ]
     return rows, checks
 
@@ -386,7 +366,7 @@ def run_claims(cfg: ExperimentConfig):
         commutator = Operator(a.matrix @ b.matrix - b.matrix @ a.matrix)
         worst_weak = max(worst_weak, abs(real_inner(psi, commutator.apply(psi))))
     rows.append({"claim": "weak-commutativity", "trials": 1000, "worst": worst_weak})
-    checks.append(Check("weak", worst_weak, _tol(cfg, "weak", 1e-10)))
+    checks.append(_check(cfg, "weak", worst_weak, 1e-10))
 
     # mean-plus-deviation split reconstructs the operator action
     worst_residual = 0.0
@@ -404,9 +384,9 @@ def run_claims(cfg: ExperimentConfig):
         if perp is not None:
             worst_orth = max(worst_orth, abs(np.vdot(psi.coeffs, perp.coeffs)))
     rows.append({"claim": "av-split", "trials": 500, "worst": worst_residual})
-    checks.append(Check("av-residual", worst_residual, _tol(cfg, "av-residual", 1e-9)))
-    checks.append(Check("av-orth", float(worst_orth), _tol(cfg, "av-orth", 1e-10)))
-    checks.append(Check("av-beta", float(min_beta), _tol(cfg, "av-beta", 0.0), mode="min"))
+    checks.append(_check(cfg, "av-residual", worst_residual, 1e-9))
+    checks.append(_check(cfg, "av-orth", float(worst_orth), 1e-10))
+    checks.append(_check(cfg, "av-beta", float(min_beta), 0.0, "min"))
 
     # eigenbases are dispersion-free and solve the eigenproblem
     worst_spread = 0.0
@@ -421,8 +401,8 @@ def run_claims(cfg: ExperimentConfig):
         residual = np.max(np.abs(a.matrix @ dec.basis - dec.basis * dec.eigenvalues))
         worst_eig = max(worst_eig, float(residual) / (1.0 + norm))
     rows.append({"claim": "dispersion-free", "trials": 44, "worst": worst_spread})
-    checks.append(Check("dispersion-free", worst_spread, _tol(cfg, "dispersion-free", 1e-8)))
-    checks.append(Check("eigen-residual", worst_eig, _tol(cfg, "eigen-residual", 1e-9)))
+    checks.append(_check(cfg, "dispersion-free", worst_spread, 1e-8))
+    checks.append(_check(cfg, "eigen-residual", worst_eig, 1e-9))
 
     # scalar algebra: tr(i) = 0 exactly, minimal polynomial annihilates
     trace_i = abs(trace(IMAG_UNIT))
@@ -431,29 +411,14 @@ def run_claims(cfg: ExperimentConfig):
         x = TraceScalar(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
         worst_minpoly = max(worst_minpoly, abs(minimal_poly_residual(x)))
     rows.append({"claim": "trace-algebra", "trials": 1000, "worst": worst_minpoly})
-    checks.append(Check("trace-i", trace_i, _tol(cfg, "trace-i", 0.0)))
-    checks.append(Check("minpoly", worst_minpoly, _tol(cfg, "minpoly", 1e-9)))
+    checks.append(_check(cfg, "trace-i", trace_i, 0.0))
+    checks.append(_check(cfg, "minpoly", worst_minpoly, 1e-9))
 
     # single generator reconstructs a commuting family
-    a = certify_hermitian(np.diag(CANNED_FIRST))
-    b = certify_hermitian(np.diag(CANNED_SECOND))
-    res = vn_generator([a, b])
-    canned_dev = float(np.max(np.abs(res.generator.matrix - np.diag(CANNED_GENERATOR))))
-    exact = res.labels == [0.0, 1.0, 2.0] and res.tables == CANNED_TABLES
-    worst_recon = canned_dev if exact else np.inf
-    for trial in range(100):
-        dim = int(rng.integers(3, 9))
-        base = _random_hermitian(rng, dim)
-        family = []
-        for _ in range(3):
-            c0, c1, c2 = rng.uniform(-2.0, 2.0, size=3)
-            family.append(certify_hermitian(c0 * np.eye(dim) + c1 * base + c2 * (base @ base)))
-        res = vn_generator(family)
-        for member_index, member in enumerate(family):
-            rebuilt = _reconstruct_member(res, member_index)
-            worst_recon = max(worst_recon, float(np.max(np.abs(rebuilt - member.matrix))))
+    _, canned_dev, exact = _canned_generator()
+    worst_recon = max(canned_dev if exact else np.inf, _worst_family_recon(rng, 100))
     rows.append({"claim": "single-generator", "trials": 100, "worst": float(worst_recon)})
-    checks.append(Check("recon", float(worst_recon), _tol(cfg, "recon", 1e-9)))
+    checks.append(_check(cfg, "recon", float(worst_recon), 1e-9))
 
     return rows, checks
 

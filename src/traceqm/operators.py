@@ -133,15 +133,17 @@ def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) ->
 
     Accepts an :class:`Operator` or a bare matrix.  Returns a
     :class:`HermitianOperator` carrying the measured deviation as its
-    certificate, or raises :class:`NotHermitianError`.
+    certificate, or raises :class:`NotHermitianError` (also for a matrix
+    with a non-finite entry).
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     probe = a if isinstance(a, Operator) else Operator(a, grid)
     deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
     bound = tol * (1.0 + float(np.max(np.abs(probe.matrix))))
-    if deviation > bound:
-        raise NotHermitianError(deviation, bound)
+    # NaN compares false and an inf entry makes the bound inf: both refuse
+    if not deviation <= bound < np.inf:
+        raise NotHermitianError(deviation, bound, "" if bound < np.inf else "matrix has non-finite entries")
     return HermitianOperator(probe.matrix, probe.grid, certificate=deviation)
 
 

@@ -41,7 +41,7 @@ from .errors import (
     NotCommutingError,
 )
 from .operators import HermitianOperator, Operator, certify_hermitian
-from .states import GridMeta, StateVector, _weight
+from .states import GridMeta, StateVector, _orthonormal_rows, _weight
 
 __all__ = [
     "SpectralDecomposition",
@@ -88,14 +88,7 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ..
 def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
     """Reorder near-orthonormal columns by dominant component index, then re-orthonormalize."""
     dominant = [int(np.argmax(np.abs(cols[:, j]))) for j in range(cols.shape[1])]
-    cols = cols[:, np.argsort(dominant, kind="stable")]
-    out = np.array(cols)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for i in range(j):
-            v = v - out[:, i] * np.vdot(out[:, i], v)
-        out[:, j] = v / np.linalg.norm(v)
-    return out
+    return _orthonormal_rows(cols[:, np.argsort(dominant, kind="stable")].T).T
 
 
 def _phase_fix(basis: np.ndarray) -> np.ndarray:
@@ -105,6 +98,12 @@ def _phase_fix(basis: np.ndarray) -> np.ndarray:
     # array takes a vectorized route that can differ in the last bit
     basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return basis
+
+
+def _eigenvectors(dec) -> list[StateVector]:
+    """Basis columns of a decomposition as unit-norm states under its grid weight."""
+    scale = 1.0 / np.sqrt(_weight(dec.grid))
+    return [StateVector(dec.basis[:, k] * scale, dec.grid) for k in range(dec.dim)]
 
 
 class SpectralDecomposition:
@@ -131,10 +130,7 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    @cached_property
-    def eigenvectors(self) -> list[StateVector]:
-        scale = 1.0 / np.sqrt(_weight(self.grid))
-        return [StateVector(self.basis[:, k] * scale, self.grid) for k in range(self.dim)]
+    eigenvectors = cached_property(_eigenvectors)
 
     # The caches below are lazy: most decompositions are never sampled.
 
@@ -193,10 +189,7 @@ class JointDecomposition:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @cached_property
-    def eigenvectors(self) -> list[StateVector]:
-        scale = 1.0 / np.sqrt(_weight(self.grid))
-        return [StateVector(self.basis[:, k] * scale, self.grid) for k in range(self.dim)]
+    eigenvectors = cached_property(_eigenvectors)
 
     def __repr__(self):
         ops = self.eigenvalue_lists.shape[0]
@@ -211,6 +204,14 @@ class GeneratorResult(NamedTuple):
     tables: list[dict[int, float]]
 
 
+def _solve(solver, matrix: np.ndarray):
+    """Run a LAPACK hermitian solver, reporting non-convergence as :class:`ConvergenceError`."""
+    try:
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+
+
 def _hermitian_solve(solver, a: HermitianOperator, caller: str):
     """Run a LAPACK hermitian solver on ``a``, in real arithmetic when ``a`` is real.
 
@@ -220,11 +221,7 @@ def _hermitian_solve(solver, a: HermitianOperator, caller: str):
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")
-    matrix = a.matrix.real if not a.matrix.imag.any() else a.matrix
-    try:
-        return solver(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    return _solve(solver, a.matrix.real if not a.matrix.imag.any() else a.matrix)
 
 
 def eigenvalues(a: HermitianOperator) -> np.ndarray:
@@ -323,11 +320,9 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
         raise NotCommutingError(pair, worst)
 
     first = family[0]
-    try:
-        values, basis = np.linalg.eigh(first.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    basis = np.array(basis)
+    # the complex solver even for a real family: vn_generator's artifacts
+    # depend on this basis bit for bit
+    values, basis = _solve(np.linalg.eigh, first.matrix)
     blocks = _cluster_sorted(values, _group_tol(values))
 
     for a in family[1:]:
@@ -341,10 +336,7 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
             sub = basis[:, idx]
             m = sub.conj().T @ a.matrix @ sub
             m = (m + m.conj().T) / 2.0
-            try:
-                w, s = np.linalg.eigh(m)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+            w, s = _solve(np.linalg.eigh, m)
             basis[:, idx] = sub @ s
             for sub_block in _cluster_sorted(w, scale_tol):
                 refined.append(tuple(idx[t] for t in sub_block))
@@ -408,7 +400,7 @@ def apply_function(dec: SpectralDecomposition, fn) -> Operator:
     results raise :class:`FunctionDomainError`.
     """
     values = np.array([complex(fn(lam)) for lam in dec.eigenvalues], dtype=np.complex128)
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
+    if not np.isfinite(values).all():
         raise FunctionDomainError("function produced non-finite values on the spectrum")
     matrix = (dec.basis * values) @ dec.basis.conj().T
     return Operator(matrix, dec.grid)

@@ -110,7 +110,7 @@ class StateVector:
             raise DimensionError(f"coefficients must form a nonempty 1D array, got shape {arr.shape}")
         if grid is not None and arr.size != grid.npoints:
             raise GridError(f"{arr.size} coefficients do not fit a grid of {grid.npoints} points")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -208,24 +208,34 @@ def gram_schmidt(states) -> list[StateVector]:
     first = states[0]
     for s in states[1:]:
         _require_compatible(first, s)
-    grid = first.grid
+    rows = _orthonormal_rows(np.array([s.coeffs for s in states]), first.grid)
+    return [StateVector(row, first.grid) for row in rows]
+
+
+def _orthonormal_rows(rows: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    """Orthonormalize the rows of a 2D array in order, under the grid weight.
+
+    Modified Gram-Schmidt, swept twice per row; raises
+    :class:`DegenerateSetError` for a zero row or one whose residual after
+    projection is below ``DEPENDENT_TOL``.
+    """
     weight = _weight(grid)
-    basis: list[np.ndarray] = []
-    for k, s in enumerate(states):
-        nrm = _raw_norm(s.coeffs, grid)
+    out = np.empty_like(rows, order="C")
+    for k, row in enumerate(rows):
+        nrm = _raw_norm(row, grid)
         if nrm == 0.0:
             raise DegenerateSetError(f"vector {k} is zero")
-        v = s.coeffs / nrm
+        v = row / nrm
         for _ in range(2):
-            for b in basis:
+            for b in out[:k]:
                 v = v - b * (np.vdot(b, v) * weight)
         residual = _raw_norm(v, grid)
         if residual < DEPENDENT_TOL:
             raise DegenerateSetError(
                 f"vector {k} is dependent on its predecessors (residual {residual:.3e})"
             )
-        basis.append(v / residual)
-    return [StateVector(b, grid) for b in basis]
+        out[k] = v / residual
+    return out
 
 
 def grid_sample(profile, grid: GridMeta) -> StateVector:
@@ -235,6 +245,6 @@ def grid_sample(profile, grid: GridMeta) -> StateVector:
     complex values.  Non-finite samples raise :class:`SamplingError`.
     """
     values = np.asarray([profile(x) for x in grid.positions], dtype=np.complex128)
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
+    if not np.isfinite(values).all():
         raise SamplingError("profile produced non-finite values on the grid")
     return normalize(StateVector(values, grid))

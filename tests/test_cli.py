@@ -317,3 +317,90 @@ def test_checks_csv_carries_config_echo(tmp_path):
     assert config_rows["n"] == 50
     check_rows = [r for r in records if r["record"] == "check"]
     assert check_rows and all(r["passed"] == 1 for r in check_rows)
+
+
+# ---------------------------------------------------------------- negative seed
+
+
+def _exits_two_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert [line for line in err_lines if line.startswith("error:")] == [
+        "error: seed must be at least 0, got -1"
+    ]
+
+
+@pytest.mark.parametrize("experiment", ["cat", "claims", "ensemble-density", "vn-generator"])
+def test_negative_seed_flag_exits_two(experiment, tmp_path, capsys):
+    _exits_two_with_one_error_line([experiment, "--seed", "-1", "--out", str(tmp_path / "o.csv")], capsys)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_negative_seed_in_config_file_exits_two(tmp_path, capsys):
+    f = tmp_path / "run.cfg"
+    f.write_text("seed = -1\n")
+    _exits_two_with_one_error_line(["cat", "--config", str(f), "--out", str(tmp_path / "o.csv")], capsys)
+
+
+def test_negative_env_seed_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WORKBENCH_SEED", "-1")
+    _exits_two_with_one_error_line(["cat", "--out", str(tmp_path / "o.csv")], capsys)
+
+
+# ---------------------------------------------------------------- one config schema
+
+
+def test_parser_table_covers_every_settable_field():
+    from dataclasses import fields
+
+    from traceqm.cli import PARSERS
+    from traceqm.experiments import ExperimentConfig
+
+    settable = [f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "tols")]
+    assert list(PARSERS) == settable
+
+
+def test_json_config_echo_keys_and_order(tmp_path):
+    code, out = run_cli(["cat", "--n", "20", "--format", "json"], tmp_path, "r.json")
+    assert code == 0
+    assert list(read_report_json(out)["config"]) == [
+        "experiment", "n", "seed", "grid_n", "length", "mass", "omega", "hbar",
+        "d", "times", "a1", "a2", "format",
+    ]
+
+
+def test_tol_keys_are_exactly_the_emitted_check_names():
+    from traceqm.experiments import EXPERIMENTS, TOL_KEYS
+
+    small = {
+        "cat": ["--n", "200"],
+        "well-spectrum": ["--grid-n", "64"],
+        "spread": ["--grid-n", "64"],
+        "poisson": ["--d", "8"],
+        "vn-generator": ["--n", "3"],
+        "ensemble-density": ["--n", "200", "--grid-n", "16"],
+        "claims": [],
+    }
+    assert set(small) == set(EXPERIMENTS)
+    emitted = set()
+    for name, flags in small.items():
+        _, checks = EXPERIMENTS[name](parse_config([name] + flags))
+        emitted |= {check.name for check in checks}
+    assert emitted == set(TOL_KEYS)
+    assert len(TOL_KEYS) == len(set(TOL_KEYS))
+
+
+def test_usage_names_every_flag():
+    from traceqm.cli import FIELD_OF_KEY, USAGE
+
+    for key in list(FIELD_OF_KEY) + ["config", "tol-NAME"]:
+        assert f"--{key} " in USAGE
+
+
+def test_underscore_field_name_is_not_a_flag(tmp_path):
+    with pytest.raises(UsageError, match="unknown flag --grid_n"):
+        parse_config(["well-spectrum", "--grid_n", "100"])
+    f = tmp_path / "run.cfg"
+    f.write_text("grid_n = 100\n")
+    with pytest.raises(UsageError, match="unknown key 'grid_n'"):
+        parse_config(["well-spectrum", "--config", str(f)])

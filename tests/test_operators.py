@@ -62,6 +62,21 @@ def test_certify_rejects_nonhermitian():
     assert exc.value.deviation > exc.value.bound
 
 
+@pytest.mark.parametrize("entries", [
+    {(0, 0): np.inf},
+    {(0, 1): np.nan},
+    {(0, 0): np.inf, (0, 1): np.nan},
+    {(0, 1): np.inf, (1, 0): np.inf},  # symmetric inf: deviation reads inf, bound inf
+])
+def test_certify_refuses_non_finite_entries(entries):
+    m = np.array(PAULI_X, dtype=np.complex128)
+    for index, value in entries.items():
+        m[index] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            certify_hermitian(m)
+
+
 def test_certify_same_result_for_operator_and_bare_matrix():
     rng = np.random.default_rng(SEED + 20)
     g = GridMeta(length=1.0, npoints=12)

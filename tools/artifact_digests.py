@@ -1,0 +1,68 @@
+"""Print the sha256 digest of every CLI artifact the workbench writes at its defaults.
+
+Runs the seven experiments at their default configs in csv and in json,
+plus ``spread --times 0,0.001`` (a tuple-valued config echo) and
+``cat --seed 7``, into a temporary directory, and prints one
+``name sha256`` line per artifact file and one ``name.exit CODE`` line per
+run.  Comparing two checkouts is one ``diff``::
+
+    python tools/artifact_digests.py --root OTHER_CHECKOUT > before.txt
+    python tools/artifact_digests.py > after.txt
+    diff before.txt after.txt
+
+``--root`` names the checkout whose ``src/traceqm`` is run (default: the
+one holding this script).  The script is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ensemble-density", "claims")
+
+#: extra runs beyond the defaults: (label, arguments).
+EXTRA = (
+    ("spread-times", ("spread", "--times", "0,0.001")),
+    ("cat-seed7", ("cat", "--seed", "7")),
+)
+
+
+def runs():
+    for name in EXPERIMENTS:
+        for fmt in ("csv", "json"):
+            yield f"{name}-{fmt}", (name, "--format", fmt)
+    for label, argv in EXTRA:
+        yield f"{label}-csv", argv
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/traceqm is run")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    os.environ.pop("WORKBENCH_SEED", None)
+    from traceqm.cli import main as traceqm_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in runs():
+            out_dir = Path(tmp) / label
+            out_dir.mkdir()
+            suffix = ".json" if "json" in argv else ".csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = traceqm_main(list(argv) + ["--out", str(out_dir / (argv[0] + suffix))])
+            for path in sorted(out_dir.iterdir()):
+                print(f"{label}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+            print(f"{label}.exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
