@@ -85,6 +85,7 @@ from .dynamics import (
     evolve_state,
     gaussian_spread_width,
     grid_hamiltonian,
+    grid_levels,
     heisenberg_rhs,
     oscillator_hamiltonian_poly,
     poisson_rhs_classical,

@@ -5,9 +5,14 @@ Two model families are provided:
 * grid models on a hard-wall interval (a particle in a box, with or without
   the box read as a free stretch), built from a three-point kinetic stencil
   and a central-difference momentum; :func:`grid_hamiltonian` builds the
-  kinetic stencil alone for callers that need only the energy levels, and
-  both refuse a grid whose dense matrices would not fit in physical memory
-  before allocating any of them;
+  kinetic stencil alone as a dense matrix, and :func:`grid_levels` (the
+  band path) returns its lowest levels from its two bands alone, a
+  diagonal of 2k and an off-diagonal of -k with k = hbar^2/(2 m h^2), by
+  Sturm-sequence bisection (scipy's ``eigvalsh_tridiagonal`` with LAPACK
+  ``?stebz``) in O(N) memory; scipy is imported inside that function, so
+  callers that never ask for levels never load it.  Each builder refuses
+  a grid whose working set would not fit in physical memory before
+  allocating any of it;
 * a truncated oscillator ladder, built from the usual raising and lowering
   matrices.  Truncation lives entirely in the last row and column, so
   identities like [q, p] = i*hbar hold exactly on the leading block.
@@ -35,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeError, DimensionError, GridError, InputError, TruncationError
+from .errors import DegreeError, DimensionError, GridError, InputError, NotHermitianError, TruncationError
 from .operators import (
     HermitianOperator,
     Operator,
@@ -45,7 +50,7 @@ from .operators import (
     _require_match,
     _require_normalized,
 )
-from .spectral import SpectralDecomposition, eigendecompose
+from .spectral import SpectralDecomposition, _solve, eigendecompose
 from .states import GridMeta, StateVector
 
 __all__ = [
@@ -55,6 +60,7 @@ __all__ = [
     "BracketCheck",
     "build_grid_model",
     "grid_hamiltonian",
+    "grid_levels",
     "build_oscillator_ladder",
     "oscillator_hamiltonian_poly",
     "poisson_rhs_classical",
@@ -89,6 +95,12 @@ HAMILTONIAN_MATRICES = 3
 #: N x N matrices alive at once inside :func:`build_grid_model`: the
 #: certified q and p, held while the Hamiltonian is built with its own three.
 GRID_MODEL_MATRICES = 2 + HAMILTONIAN_MATRICES
+
+#: bytes per grid point alive at once inside :func:`grid_levels`: seven
+#: float64 vectors (the diagonal and off-diagonal bands, the eigenvalue
+#: output and ``?stebz``'s 4N workspace) and five int32 vectors (its block
+#: and split indices and 3N integer workspace).
+BAND_BYTES_PER_POINT = 7 * 8 + 5 * 4
 
 
 class PolynomialObservable:
@@ -234,20 +246,24 @@ class BracketCheck(NamedTuple):
     gap: float
 
 
-def _require_dense_fits(grid: GridMeta, matrices: int):
-    """Refuse a grid whose ``matrices`` dense N x N matrices exceed physical memory.
+def _require_fits(grid: GridMeta, need: int, what: str):
+    """Refuse a grid whose working set of ``need`` bytes exceeds physical memory.
 
     Pure arithmetic on N: nothing is allocated, so an absurd grid size is
     refused at once instead of exhausting the machine.
     """
-    n = grid.npoints
-    need = matrices * DENSE_ELEMENT_BYTES * n * n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise InputError(
-            f"a grid of {n} points needs {need / 1e9:.3g} GB for {matrices} dense "
-            f"{n}x{n} complex matrices, more than the {have / 1e9:.3g} GB of physical memory"
+            f"a grid of {grid.npoints} points needs {need / 1e9:.3g} GB for {what}, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
         )
+
+
+def _require_dense_fits(grid: GridMeta, matrices: int):
+    """Refuse a grid whose ``matrices`` dense N x N matrices exceed physical memory."""
+    n = grid.npoints
+    _require_fits(grid, matrices * DENSE_ELEMENT_BYTES * n * n, f"{matrices} dense {n}x{n} complex matrices")
 
 
 def _tridiagonal(n: int, diagonal, upper, lower) -> np.ndarray:
@@ -260,6 +276,20 @@ def _tridiagonal(n: int, diagonal, upper, lower) -> np.ndarray:
     return matrix
 
 
+def _kinetic_coupling(grid: GridMeta) -> float:
+    """Coupling k = hbar^2/(2 m h^2) of the three-point stencil (bands 2k and -k).
+
+    A stencil with a non-finite entry is refused as :func:`certify_hermitian`
+    refuses its matrix, also when 2 m h^2 underflows to zero.
+    """
+    h = grid.spacing
+    denominator = 2.0 * grid.mass * h * h
+    k = grid.hbar * grid.hbar / denominator if denominator > 0.0 else np.inf
+    if not 2.0 * k < np.inf:
+        raise NotHermitianError(np.nan, np.inf, "matrix has non-finite entries")
+    return k
+
+
 def grid_hamiltonian(grid: GridMeta) -> HermitianOperator:
     """Kinetic Hamiltonian -hbar^2/(2m) d^2/dx^2 from the three-point stencil.
 
@@ -267,9 +297,33 @@ def grid_hamiltonian(grid: GridMeta) -> HermitianOperator:
     Hamiltonian of both grid models; it is real symmetric and tridiagonal.
     """
     _require_dense_fits(grid, HAMILTONIAN_MATRICES)
-    h = grid.spacing
-    k = grid.hbar * grid.hbar / (2.0 * grid.mass * h * h)
+    k = _kinetic_coupling(grid)
     return certify_hermitian(Operator(_tridiagonal(grid.npoints, 2.0 * k, -k, -k), grid))
+
+
+def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
+    """Lowest ``count`` levels of :func:`grid_hamiltonian`, ascending, from its two bands.
+
+    The stencil is symmetric by construction, so there is nothing to
+    certify beyond finiteness; bisection on the bands costs O(N) memory and
+    O(N) work per bisection step instead of a dense N x N solve.
+    """
+    if not 1 <= count <= grid.npoints:
+        raise ValueError(f"count must lie in [1, {grid.npoints}], got {count!r}")
+    _require_fits(grid, BAND_BYTES_PER_POINT * grid.npoints, "its band working set")
+    k = _kinetic_coupling(grid)
+    diagonal = np.full(grid.npoints, 2.0 * k)
+    off_diagonal = np.full(grid.npoints - 1, -k)
+    # scipy costs a fresh interpreter about 0.3 s to import: only callers
+    # that ask for levels pay it
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    # not ?stemr: given an index range it allocates an N x N array
+    return _solve(
+        lambda d: eigvalsh_tridiagonal(d, off_diagonal, select="i", select_range=(0, count - 1),
+                                       lapack_driver="stebz"),
+        diagonal,
+    )
 
 
 def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelSystem:

@@ -19,7 +19,7 @@ from .dynamics import (
     build_oscillator_ladder,
     bracket_correspondence,
     gaussian_spread_width,
-    grid_hamiltonian,
+    grid_levels,
     oscillator_hamiltonian_poly,
     spread_series,
     well_level_energy,
@@ -27,7 +27,7 @@ from .dynamics import (
 from .measurement import cat_experiment, reconstruct_density, repeat_experiment
 from .operators import Operator, av_decompose, certify_hermitian
 from .scalars import IMAG_UNIT, TraceScalar, minimal_poly_residual, trace
-from .spectral import eigendecompose, eigenvalues, verify_dispersion_free, vn_generator
+from .spectral import eigendecompose, verify_dispersion_free, vn_generator
 from .states import GridMeta, StateVector, grid_sample, normalize, real_inner
 
 __all__ = [
@@ -151,7 +151,7 @@ def run_cat(cfg: ExperimentConfig):
 
 def _well_rows(npoints: int, cfg: ExperimentConfig) -> list[dict]:
     """The five lowest hard-wall levels on an ``npoints`` grid against the analytic law."""
-    values = eigenvalues(grid_hamiltonian(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar)))
+    values = grid_levels(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar), 5)
     rows = []
     for level in range(1, 6):
         numeric = float(values[level - 1])
@@ -205,7 +205,7 @@ def run_spread(cfg: ExperimentConfig):
         free_errors.append(err)
         rows.append({"series": "free", "t": t, "width": width, "reference": reference, "err": err})
 
-    ground = model.energy_spectrum().eigenvectors[0]
+    ground = model.energy_spectrum().eigenvector(0)
     stationary = spread_series(model, ground, times)
     base_width = stationary[0][1]
     drifts = []
@@ -317,7 +317,7 @@ def run_vn_generator(cfg: ExperimentConfig):
 def run_ensemble_density(cfg: ExperimentConfig):
     grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
     model = build_grid_model(grid, "infinite_well")
-    ground = model.energy_spectrum().eigenvectors[0]
+    ground = model.energy_spectrum().eigenvector(0)
 
     report = repeat_experiment(lambda: ground, model.q, cfg.n, cfg.seed)
     density = reconstruct_density(report, grid)

@@ -139,11 +139,15 @@ def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) ->
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     probe = a if isinstance(a, Operator) else Operator(a, grid)
-    deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
     bound = tol * (1.0 + float(np.max(np.abs(probe.matrix))))
-    # NaN compares false and an inf entry makes the bound inf: both refuse
-    if not deviation <= bound < np.inf:
-        raise NotHermitianError(deviation, bound, "" if bound < np.inf else "matrix has non-finite entries")
+    # an inf or NaN entry makes the bound inf or NaN; refuse before the
+    # subtraction, where inf - inf would make numpy warn, and whose worst
+    # entry would be non-finite too
+    if not bound < np.inf:
+        raise NotHermitianError(np.nan, bound, "matrix has non-finite entries")
+    deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
+    if not deviation <= bound:
+        raise NotHermitianError(deviation, bound)
     return HermitianOperator(probe.matrix, probe.grid, certificate=deviation)
 
 

@@ -100,10 +100,13 @@ def _phase_fix(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _eigenvector(dec, k: int) -> StateVector:
+    """Basis column ``k`` of a decomposition as a unit-norm state under its grid weight."""
+    return StateVector(dec.basis[:, k] * (1.0 / np.sqrt(_weight(dec.grid))), dec.grid)
+
+
 def _eigenvectors(dec) -> list[StateVector]:
-    """Basis columns of a decomposition as unit-norm states under its grid weight."""
-    scale = 1.0 / np.sqrt(_weight(dec.grid))
-    return [StateVector(dec.basis[:, k] * scale, dec.grid) for k in range(dec.dim)]
+    return [_eigenvector(dec, k) for k in range(dec.dim)]
 
 
 class SpectralDecomposition:
@@ -131,6 +134,8 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
     eigenvectors = cached_property(_eigenvectors)
+    #: ``eigenvectors[k]`` alone, without building the other states.
+    eigenvector = _eigenvector
 
     # The caches below are lazy: most decompositions are never sampled.
 

@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traceqm
 from traceqm import UsageError, ValidationError
 from traceqm.cli import (
     main,
@@ -136,21 +141,42 @@ def test_exit_two_on_usage_error(capsys):
     assert main(["cat", "--hbar", "-1"]) == 2
 
 
-@pytest.mark.parametrize("experiment", ["well-spectrum", "spread", "ensemble-density"])
-def test_exit_two_on_grid_too_large_for_memory(experiment, tmp_path, capsys):
-    """A 10^6-point grid is refused by arithmetic on N, before any matrix exists."""
+@pytest.mark.parametrize("experiment, npoints", [
+    # well-spectrum needs only the two O(N) bands of the Hamiltonian, so its
+    # grid must be far larger than the dense builders' before it is refused
+    pytest.param("well-spectrum", "1000000000000", id="well-spectrum"),
+    pytest.param("spread", "1000000", id="spread"),
+    pytest.param("ensemble-density", "1000000", id="ensemble-density"),
+])
+def test_exit_two_on_grid_too_large_for_memory(experiment, npoints, tmp_path, capsys):
+    """An oversized grid is refused by arithmetic on N, before any matrix or band exists."""
     tracemalloc.start()
     try:
-        code, out = run_cli([experiment, "--grid-n", "1000000"], tmp_path)
+        code, out = run_cli([experiment, "--grid-n", npoints], tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a grid of 1000000 points") and err.count("\n") == 1
+    assert err.startswith(f"error: a grid of {npoints} points") and err.count("\n") == 1
     assert "physical memory" in err
     assert not out.exists()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("mass", ["1e-305", "1e-320"])
+@pytest.mark.parametrize("experiment", ["well-spectrum", "spread", "ensemble-density"])
+def test_exit_one_on_mass_too_small_for_the_stencil(experiment, mass, tmp_path, capsys):
+    """A mass whose stencil coupling overflows (1e-305) or whose 2 m h^2
+    underflows to zero (1e-320) ends in one error line, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli([experiment, "--mass", mass], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("(matrix has non-finite entries)\n")
+    assert not out.exists()
 
 
 def test_exit_three_on_unwritable_output(tmp_path, capsys):
@@ -306,6 +332,35 @@ def test_spread_builds_and_diagonalizes_one_model(tmp_path, monkeypatch):
     code, _ = run_cli(["spread", "--grid-n", "256", "--times", "0.0,0.0005"], tmp_path)
     assert code == 0
     assert calls == {"build_grid_model": 1, "eigendecompose": 1}
+
+
+def test_well_spectrum_takes_the_band_path(tmp_path, monkeypatch):
+    from traceqm import dynamics, experiments
+
+    counts = []
+    original = experiments.grid_levels
+    monkeypatch.setattr(experiments, "grid_levels", lambda grid, count: counts.append(count) or original(grid, count))
+    monkeypatch.setattr(dynamics, "certify_hermitian", None)  # no dense matrix is built
+    code, _ = run_cli(["well-spectrum", "--grid-n", "400"], tmp_path)
+    assert code == 0
+    assert counts == [5, 5, 5]
+
+
+def test_experiments_without_levels_never_import_scipy(tmp_path):
+    """scipy is loaded by the band path alone; the other experiments must not pay for it."""
+    script = f"""
+import sys
+from traceqm.cli import main
+runs = [["cat", "--n", "200"], ["ensemble-density", "--n", "200", "--grid-n", "16"], ["claims"],
+        ["poisson", "--d", "8"], ["vn-generator", "--n", "3"],
+        ["spread", "--grid-n", "256", "--times", "0.0,0.0005"]]
+codes = [main(argv + ["--out", {str(tmp_path)!r} + "/" + argv[0] + ".csv"]) for argv in runs]
+print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(traceqm.__file__).resolve().parents[1]))
+    env.pop("WORKBENCH_SEED", None)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_checks_csv_carries_config_echo(tmp_path):

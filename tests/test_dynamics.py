@@ -9,8 +9,11 @@ from traceqm import dynamics
 from traceqm.operators import STATE_NORM_TOL
 from traceqm import (
     BracketCheck,
+    ConvergenceError,
     DegreeError,
     GridMeta,
+    InputError,
+    NotHermitianError,
     PolynomialObservable,
     StateError,
     StateVector,
@@ -22,11 +25,13 @@ from traceqm import (
     complex_inner,
     dispersion,
     eigendecompose,
+    eigenvalues,
     evolve_operator,
     evolve_state,
     expect_c,
     gaussian_spread_width,
     grid_hamiltonian,
+    grid_levels,
     grid_sample,
     heisenberg_rhs,
     normalize,
@@ -193,6 +198,106 @@ def test_well_low_levels_approach_continuum():
         target = well_level_energy(n, g.length, g.mass, g.hbar)
         rel = abs(dec.eigenvalues[n - 1] - target) / target
         assert rel <= 1e-3
+
+
+# ---------------------------------------------------------------- band path
+
+EPS = np.finfo(np.float64).eps
+
+GRID_SHAPES = [  # (length, mass, hbar, npoints)
+    (1.0, 1.0, 1.0, 2000),
+    (2.5, 0.3, 1.7, 101),
+    (0.4, 7.0, 0.2, 500),
+    (1.3, 0.7, 1.9, 37),
+    (1.0, 1.0, 1.0, 8),
+]
+
+
+def stencil_norm(g):
+    """Gershgorin bound 2k + 2k on the 2-norm of the kinetic stencil."""
+    return 4.0 * g.hbar * g.hbar / (2.0 * g.mass * g.spacing**2)
+
+
+@pytest.mark.parametrize("length, mass, hbar, npoints", GRID_SHAPES)
+def test_grid_levels_agree_with_dense_eigenvalues(length, mass, hbar, npoints):
+    """Bisection on the bands and the dense solver are both backward stable:
+    each level lies within n*eps*||H|| of the other's."""
+    g = GridMeta(length=length, npoints=npoints, mass=mass, hbar=hbar)
+    levels = grid_levels(g, 5)
+    dense = eigenvalues(grid_hamiltonian(g))[:5]
+    assert levels.shape == (5,)
+    assert np.all(np.diff(levels) > 0)
+    assert np.max(np.abs(levels - dense)) <= npoints * EPS * stencil_norm(g)
+
+
+@pytest.mark.parametrize("length, mass, hbar, npoints", GRID_SHAPES)
+def test_grid_levels_match_discrete_closed_form(length, mass, hbar, npoints):
+    """(2 hbar^2 / m h^2) sin^2(n pi h / 2L), within the same n*eps*||H||."""
+    g = GridMeta(length=length, npoints=npoints, mass=mass, hbar=hbar)
+    n = np.arange(1, 6)
+    h = g.spacing
+    exact = (2.0 * g.hbar**2 / (g.mass * h * h)) * np.sin(n * np.pi * h / (2.0 * g.length)) ** 2
+    assert np.max(np.abs(grid_levels(g, 5) - exact)) <= npoints * EPS * stencil_norm(g)
+
+
+def test_grid_levels_count_selects_the_lowest():
+    g = GridMeta(length=1.0, npoints=40)
+    everything = grid_levels(g, g.npoints)
+    bound = g.npoints * EPS * stencil_norm(g)
+    for count in (1, 7):
+        np.testing.assert_allclose(grid_levels(g, count), everything[:count], rtol=0, atol=bound)
+    for count in (0, 41, -3):
+        with pytest.raises(ValueError, match="count"):
+            grid_levels(g, count)
+
+
+def test_grid_levels_solver_failure_is_convergence_error(monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("stebz failed")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+    with pytest.raises(ConvergenceError, match="stebz failed"):
+        grid_levels(GridMeta(length=1.0, npoints=16), 5)
+
+
+@pytest.mark.parametrize("mass", [1e-305, 1e-320])
+def test_non_finite_stencil_refused_by_both_paths(mass):
+    """2 m h^2 overflowing k (1e-305) or underflowing to zero (1e-320) is
+    refused like a matrix with a non-finite entry, on the band and dense paths."""
+    g = GridMeta(length=1.0, npoints=2000, mass=mass)
+    messages = []
+    for build in (lambda: grid_levels(g, 5), lambda: grid_hamiltonian(g), lambda: build_grid_model(g)):
+        with pytest.raises(NotHermitianError, match=r"\(matrix has non-finite entries\)") as exc:
+            build()
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+def test_declared_band_working_set_bounds_traced_peak():
+    """The byte count behind the band path's memory refusal covers what it allocates."""
+    grid_levels(GridMeta(length=1.0, npoints=16), 5)  # import scipy outside the trace
+    g = GridMeta(length=1.0, npoints=100_000)
+    tracemalloc.start()
+    try:
+        grid_levels(g, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dynamics.BAND_BYTES_PER_POINT * g.npoints + 2**16
+
+
+def test_band_refusal_before_allocation():
+    g = GridMeta(length=1.0, npoints=10**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="band working set.*physical memory"):
+            grid_levels(g, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- oscillator ladder

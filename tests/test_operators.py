@@ -1,6 +1,7 @@
 """Operator certification, expectation values, and the alpha/beta split."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ def test_certify_refuses_non_finite_entries(entries):
         m[index] = value
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotHermitianError, match="non-finite"):
+            certify_hermitian(m)
+
+
+def test_certify_refuses_non_finite_entries_without_a_warning():
+    m = np.array(PAULI_X, dtype=np.complex128)
+    m[0, 0] = np.inf  # inf - inf in the deviation is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError, match=r"deviation nan exceeds bound inf \(matrix has non-finite entries\)"):
             certify_hermitian(m)
 
 

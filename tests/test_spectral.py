@@ -167,6 +167,18 @@ def test_grid_bound_eigenvectors_unit_grid_norm():
         assert vec.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_single_eigenvector_bit_identical_to_the_list():
+    g = GridMeta(length=3.0, npoints=24)
+    rng = np.random.default_rng(SEED + 6)
+    m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    for grid in (g, None):
+        dec = eigendecompose(certify_hermitian((m + m.conj().T) / 2.0, grid=grid))
+        for k in (0, 5, 23):
+            single = dec.eigenvector(k)
+            assert single.grid is grid
+            assert single.coeffs.tobytes() == dec.eigenvectors[k].coeffs.tobytes()
+
+
 # ---------------------------------------------------------------- real-symmetric path
 
 
