@@ -40,7 +40,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeError, DimensionError, GridError, InputError, NotHermitianError, TruncationError
+from .errors import (
+    DegreeError,
+    DimensionError,
+    GridError,
+    InputError,
+    NotHermitianError,
+    NumericalError,
+    TruncationError,
+)
 from .operators import (
     HermitianOperator,
     Operator,
@@ -88,8 +96,8 @@ DENSE_ELEMENT_BYTES = 16
 #: N x N matrices alive at once inside :func:`grid_hamiltonian`: the
 #: :class:`Operator` copy of the stencil (the stencil itself is a temporary,
 #: freed once copied), and the adjoint and difference that
-#: :func:`certify_hermitian` forms (the certified copy is made after those
-#: two are freed).
+#: :func:`certify_hermitian` forms (the certified operator shares the
+#: :class:`Operator` copy).
 HAMILTONIAN_MATRICES = 3
 
 #: N x N matrices alive at once inside :func:`build_grid_model`: the
@@ -445,8 +453,12 @@ def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
+    scaled = t / model.hbar
+    if not np.isfinite(scaled):
+        raise NumericalError(f"time {t!r} over hbar {model.hbar!r} overflows; "
+                             "the propagator's phases are undefined")
     dec = model.energy_spectrum()
-    return dec, np.exp(-1j * dec.eigenvalues * (t / model.hbar))
+    return dec, np.exp(-1j * dec.eigenvalues * scaled)
 
 
 def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:

@@ -24,6 +24,7 @@ from .dynamics import (
     spread_series,
     well_level_energy,
 )
+from .errors import NumericalError
 from .measurement import cat_experiment, reconstruct_density, repeat_experiment
 from .operators import Operator, av_decompose, certify_hermitian
 from .scalars import IMAG_UNIT, TraceScalar, minimal_poly_residual, trace
@@ -156,6 +157,10 @@ def _well_rows(npoints: int, cfg: ExperimentConfig) -> list[dict]:
     for level in range(1, 6):
         numeric = float(values[level - 1])
         analytic = well_level_energy(level, cfg.length, cfg.mass, cfg.hbar)
+        if analytic == 0.0:
+            raise NumericalError(f"analytic level {level} underflows to zero; "
+                                 f"its relative error is undefined (hbar {cfg.hbar!r}, "
+                                 f"mass {cfg.mass!r}, length {cfg.length!r})")
         rows.append({
             "n": level,
             "numeric": numeric,

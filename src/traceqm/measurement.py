@@ -5,6 +5,13 @@ group of the measured observable's decomposition: |amplitude|^2 summed over
 each group.  A single measurement draws one uniform variate, picks the group
 whose cumulative-probability interval holds it (the final group catches the
 roundoff sliver at the top), and collapses the state onto that eigenspace.
+Each decomposition remembers, for :func:`measure_once`, the outcome bounds
+of the last few states it measured and every collapse already built from
+them (at most ``MEMO_ENTRIES`` entries, the oldest evicted first).  A state
+is known by its exact content, grid and coefficient bytes, so an equal copy
+reuses the entry, and a measurement whose state and outcome are known costs
+one variate and two lookups: replaying samples, or measuring a collapsed
+state again, repeats no Born computation.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
@@ -47,6 +54,10 @@ PROB_FLOOR = 1e-14
 
 #: measured values must sit this close (scaled) to a grid position to bin.
 POSITION_MATCH_TOL = 1e-9
+
+#: states and (state, outcome group) collapses one decomposition remembers
+#: for measure_once; each entry holds a few dimension-length arrays.
+MEMO_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -262,11 +273,8 @@ def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tup
     return [(dec.group_eigenvalue(g), float(probs[g])) for g in range(len(probs))]
 
 
-def measure_once(dec: SpectralDecomposition, psi: StateVector,
-                 rng: np.random.Generator) -> MeasurementOutcome:
-    """Draw one outcome and collapse; consumes exactly one uniform variate."""
-    amps, bounds = _outcome_bounds(dec, psi)
-    g = int(bounds.searchsorted(rng.random(), side="right"))
+def _collapse(dec: SpectralDecomposition, amps: np.ndarray, g: int) -> MeasurementOutcome:
+    """Outcome of group ``g``: its eigenvalue and the state projected onto its eigenspace."""
     idx = list(dec.groups[g])
     coeffs = (dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid))
     norm = _raw_norm(coeffs, dec.grid)
@@ -274,6 +282,37 @@ def measure_once(dec: SpectralDecomposition, psi: StateVector,
         raise ZeroVectorError("cannot normalize the zero vector")
     collapsed = StateVector(coeffs / norm, dec.grid)
     return MeasurementOutcome(dec.group_eigenvalue(g), g, collapsed)
+
+
+def _remember(memo, key, value):
+    """Store ``value`` under ``key``, evicting the oldest entries beyond ``MEMO_ENTRIES``."""
+    # popitem is one call, so concurrent callers cannot evict the same entry twice
+    while len(memo) >= MEMO_ENTRIES:
+        memo.popitem(last=False)
+    memo[key] = value
+    return value
+
+
+def measure_once(dec: SpectralDecomposition, psi: StateVector,
+                 rng: np.random.Generator) -> MeasurementOutcome:
+    """Draw one outcome and collapse; consumes exactly one uniform variate.
+
+    The outcome bounds of ``psi`` and the collapse onto the drawn group are
+    taken from ``dec``'s memo when an earlier call computed them for a state
+    with the same grid and coefficient bytes.  Only successful results are
+    stored, so a state that is refused is refused on every call.
+    """
+    memo = dec._memo
+    state = (psi.grid, psi.coeffs.tobytes())
+    known = memo.get(state)
+    if known is None:
+        known = _remember(memo, state, _outcome_bounds(dec, psi))
+    amps, bounds = known
+    g = int(bounds.searchsorted(rng.random(), side="right"))
+    outcome = memo.get((state, g))
+    if outcome is None:
+        outcome = _remember(memo, (state, g), _collapse(dec, amps, g))
+    return outcome
 
 
 #: samples whose variates are drawn and binned together; bounds the working set.

@@ -148,7 +148,13 @@ def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) ->
     deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
     if not deviation <= bound:
         raise NotHermitianError(deviation, bound)
-    return HermitianOperator(probe.matrix, probe.grid, certificate=deviation)
+    # the probe's matrix is already a private read-only copy: share it rather
+    # than copy it again through Operator.__init__
+    certified = object.__new__(HermitianOperator)
+    object.__setattr__(certified, "matrix", probe.matrix)
+    object.__setattr__(certified, "grid", probe.grid)
+    object.__setattr__(certified, "certificate", deviation)
+    return certified
 
 
 def sym_antisym_split(a: HermitianOperator, b: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:

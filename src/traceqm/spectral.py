@@ -27,6 +27,7 @@ eigenvalues.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import cached_property
 from typing import NamedTuple
 
@@ -142,6 +143,11 @@ class SpectralDecomposition:
     @cached_property
     def _adjoint(self) -> np.ndarray:
         return self.basis.conj().T
+
+    @cached_property
+    def _memo(self) -> OrderedDict:
+        """``measure_once``'s remembered results, oldest first (see ``measurement.MEMO_ENTRIES``)."""
+        return OrderedDict()
 
     @cached_property
     def group_starts(self) -> np.ndarray:

@@ -179,6 +179,22 @@ def test_exit_one_on_mass_too_small_for_the_stencil(experiment, mass, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, message", [
+    # hbar^2 underflows: the analytic level is zero and its relative error undefined
+    ("well-spectrum", "error: analytic level 1 underflows to zero"),
+    # tau = 2 m sigma0^2 / hbar is finite, but t / hbar overflows
+    ("spread", "error: time "),
+])
+def test_exit_one_on_hbar_too_small(experiment, message, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli([experiment, "--hbar", "1e-200"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_three_on_unwritable_output(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.csv"
     code = main(["cat", "--n", "10", "--out", str(target)])

@@ -14,6 +14,7 @@ from traceqm import (
     GridMeta,
     InputError,
     NotHermitianError,
+    NumericalError,
     PolynomialObservable,
     StateError,
     StateVector,
@@ -498,6 +499,16 @@ def test_evolve_state_requires_normalized_state():
     evolve_state(model, StateVector(psi0.coeffs * (1.0 + 0.5 * STATE_NORM_TOL), g), 0.1)
     with pytest.raises(StateError):
         evolve_state(model, StateVector(psi0.coeffs * (1.0 + 2.0 * STATE_NORM_TOL), g), 0.1)
+
+
+def test_evolution_refuses_a_time_over_hbar_that_overflows():
+    """A finite t whose t / hbar is inf would give NaN phases; it is refused."""
+    g = GridMeta(length=1.0, npoints=16, hbar=0.5)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.sin(np.pi * x), g)
+    for evolve, operand in ((evolve_state, psi0), (evolve_operator, model.q)):
+        with pytest.raises(NumericalError, match="overflows"):
+            evolve(model, operand, 1.5e308)
 
 
 def test_evolve_state_eigenstate_gets_phase_only():

@@ -8,8 +8,10 @@ import pytest
 from traceqm import (
     DegenerateSpectrumError,
     EnsembleReport,
+    GridError,
     GridMeta,
     InputError,
+    SpectralDecomposition,
     StateError,
     StateVector,
     born_probabilities,
@@ -25,7 +27,7 @@ from traceqm import (
     sample_rng,
     superpose,
 )
-from traceqm.measurement import SAMPLE_CHUNK, _first_uniforms, _group_probabilities
+from traceqm.measurement import MEMO_ENTRIES, SAMPLE_CHUNK, _first_uniforms, _group_probabilities
 from traceqm.operators import STATE_NORM_TOL
 from traceqm.states import _weight
 
@@ -37,9 +39,9 @@ def random_hermitian(rng, dim):
     return certify_hermitian((m + m.conj().T) / 2.0)
 
 
-def random_state(rng, dim):
+def random_state(rng, dim, grid=None):
     c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return normalize(StateVector(c))
+    return normalize(StateVector(c, grid))
 
 
 def cat_state():
@@ -461,3 +463,95 @@ def test_measure_once_matches_reference_bit_for_bit():
         out = measure_once(dec, psi, sample_rng(SEED, trial))
         assert out.group_index == g
         assert np.array_equal(out.collapsed.coeffs, collapsed.coeffs)
+
+
+# ---------------------------------------------------------------- measurement memo
+
+
+def position_decomposition(npoints):
+    return eigendecompose(build_grid_model(GridMeta(length=1.0, npoints=npoints)).q)
+
+
+def cold_copy(dec):
+    """The same decomposition with an empty memo."""
+    return SpectralDecomposition(dec.eigenvalues, dec.basis, dec.groups, dec.group_tol, dec.grid)
+
+
+def test_memo_outcomes_match_a_cold_decomposition_bit_for_bit():
+    rng = np.random.default_rng(SEED + 15)
+    decs = [degenerate_decomposition(rng), position_decomposition(24)] + [
+        eigendecompose(random_hermitian(rng, dim)) for dim in (2, 3, 8)
+    ]
+    for dec in decs:
+        states = [random_state(rng, dec.dim, dec.grid) for _ in range(3)]
+        for trial in range(12):
+            psi = states[trial % len(states)]
+            warm = measure_once(dec, psi, sample_rng(SEED, trial))
+            assert measure_once(dec, psi, sample_rng(SEED, trial)) is warm
+            cold = measure_once(cold_copy(dec), psi, sample_rng(SEED, trial))
+            again = measure_once(dec, warm.collapsed, sample_rng(SEED + 1, trial))
+            again_cold = measure_once(cold_copy(dec), cold.collapsed, sample_rng(SEED + 1, trial))
+            for got, want in ((warm, cold), (again, again_cold)):
+                assert (got.group_index, got.eigenvalue) == (want.group_index, want.eigenvalue)
+                assert np.array_equal(got.collapsed.coeffs, want.collapsed.coeffs)
+            assert again.group_index == warm.group_index
+
+
+def test_memo_hits_an_equal_content_copy():
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, -1.0])))
+    psi = cat_state()
+    first = measure_once(dec, psi, sample_rng(SEED, 0))
+    entries = len(dec._memo)
+    copy = StateVector(psi.coeffs.copy())
+    assert copy.coeffs is not psi.coeffs
+    assert measure_once(dec, copy, sample_rng(SEED, 0)) is first
+    assert len(dec._memo) == entries
+
+
+def test_memo_keeps_no_refused_state():
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])))
+    unnormalized = StateVector(np.ones(8))
+    for i in range(3):
+        with pytest.raises(StateError):
+            measure_once(dec, unnormalized, sample_rng(SEED, i))
+        assert len(dec._memo) == 0
+    # the same bytes on a grid of unit spacing are another state, refused for its grid
+    psi = normalize(unnormalized)
+    measure_once(dec, psi, sample_rng(SEED, 0))
+    on_grid = StateVector(psi.coeffs, GridMeta(length=9.0, npoints=8))
+    with pytest.raises(GridError):
+        measure_once(dec, on_grid, sample_rng(SEED, 0))
+
+
+def test_memo_hit_draws_exactly_one_variate():
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, -1.0])))
+    psi = cat_state()
+    first = measure_once(dec, psi, sample_rng(SEED, 3))
+    rng = sample_rng(SEED, 3)
+    assert measure_once(dec, psi, rng) is first
+    reference = sample_rng(SEED, 3)
+    reference.random()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_memo_stays_within_its_cap():
+    """Three times the cap in distinct states, each adding a state and a collapse
+    entry, leave at most the cap, each holding a few dimension-length arrays."""
+    dec = position_decomposition(256)
+    rng = np.random.default_rng(SEED + 16)
+    states = [random_state(rng, dec.dim, dec.grid) for _ in range(3 * MEMO_ENTRIES)]
+    measure_once(dec, states[0], sample_rng(SEED, 0))  # warm the lazy caches
+    array_bytes = 16 * dec.dim
+    # uncapped, the states and their collapses alone would hold twice this
+    bound = MEMO_ENTRIES * 4 * array_bytes
+    assert bound < len(states) * 2 * array_bytes
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i, psi in enumerate(states[1:]):
+            measure_once(dec, psi, sample_rng(SEED, i))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dec._memo) == MEMO_ENTRIES
+    assert after - before < bound

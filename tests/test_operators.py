@@ -67,7 +67,7 @@ def test_certify_rejects_nonhermitian():
     {(0, 0): np.inf},
     {(0, 1): np.nan},
     {(0, 0): np.inf, (0, 1): np.nan},
-    {(0, 1): np.inf, (1, 0): np.inf},  # symmetric inf: deviation reads inf, bound inf
+    {(0, 1): np.inf, (1, 0): np.inf},  # symmetric inf: deviation reads NaN, bound inf
 ])
 def test_certify_refuses_non_finite_entries(entries):
     m = np.array(PAULI_X, dtype=np.complex128)
@@ -85,6 +85,18 @@ def test_certify_refuses_non_finite_entries_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NotHermitianError, match=r"deviation nan exceeds bound inf \(matrix has non-finite entries\)"):
             certify_hermitian(m)
+
+
+def test_certify_shares_an_operators_matrix_and_copies_a_bare_array():
+    op = Operator(PAULI_Y)
+    certified = certify_hermitian(op)
+    assert certified.matrix is op.matrix
+    assert not certified.matrix.flags.writeable
+    original = np.array(PAULI_Y)
+    bare = certify_hermitian(original)
+    assert not np.shares_memory(bare.matrix, original)
+    original[0, 1] = 5.0
+    np.testing.assert_array_equal(bare.matrix, PAULI_Y)
 
 
 def test_certify_same_result_for_operator_and_bare_matrix():
