@@ -95,9 +95,9 @@ DENSE_ELEMENT_BYTES = 16
 
 #: N x N matrices alive at once inside :func:`grid_hamiltonian`: the
 #: :class:`Operator` copy of the stencil (the stencil itself is a temporary,
-#: freed once copied), and the adjoint and difference that
-#: :func:`certify_hermitian` forms (the certified operator shares the
-#: :class:`Operator` copy).
+#: freed once copied), and the adjoint-difference and its magnitude that
+#: :func:`certify_hermitian` forms, 1.5 matrices, rounded up (the certified
+#: operator shares the :class:`Operator` copy).
 HAMILTONIAN_MATRICES = 3
 
 #: N x N matrices alive at once inside :func:`build_grid_model`: the
@@ -466,7 +466,7 @@ def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector
     dec, phases = _propagator(model, t)
     _require_match(model.hamiltonian, psi0)
     _require_normalized(psi0)
-    amps = dec.basis.conj().T @ psi0.coeffs
+    amps = dec._adjoint @ psi0.coeffs
     return StateVector(dec.basis @ (phases * amps), psi0.grid)
 
 
@@ -477,7 +477,7 @@ def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> Hermi
         raise DimensionError(f"dimension mismatch: operator {a.dim} vs model {model.dim}")
     if a.grid != model.grid:
         raise GridError("operator and model are bound to different grids")
-    u = (dec.basis * phases) @ dec.basis.conj().T
+    u = (dec.basis * phases) @ dec._adjoint
     return certify_hermitian(Operator(u.conj().T @ a.matrix @ u, a.grid))
 
 

@@ -123,10 +123,10 @@ def _seed_words(seed: int) -> list[int]:
     return words
 
 
-def _hashmix(value, hash_const: int) -> tuple:
+def _hashmix(value, hash_const: int, mult: int = _MULT_A) -> tuple:
     """SeedSequence's hashmix on an int or a uint64 array of uint32 values; returns the next constant."""
     value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
+    hash_const = (hash_const * mult) & _MASK32
     value *= hash_const
     value &= _MASK32
     value ^= value >> _XSHIFT
@@ -209,11 +209,7 @@ def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     hash_const = _INIT_B
     halves = []
     for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value *= hash_const
-        value &= _MASK32
-        value ^= value >> _XSHIFT
+        value, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
         if k % 2:
             value <<= 32
             halves[-1] |= value

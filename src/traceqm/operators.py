@@ -145,7 +145,10 @@ def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) ->
     # entry would be non-finite too
     if not bound < np.inf:
         raise NotHermitianError(np.nan, bound, "matrix has non-finite entries")
-    deviation = float(np.max(np.abs(probe.matrix - probe.matrix.conj().T)))
+    # the one N x N temporary, the adjoint in C order so the in-place difference runs contiguously
+    diff = np.conjugate(probe.matrix.T, order="C")
+    np.subtract(probe.matrix, diff, out=diff)
+    deviation = float(np.max(np.abs(diff)))
     if not deviation <= bound:
         raise NotHermitianError(deviation, bound)
     # the probe's matrix is already a private read-only copy: share it rather

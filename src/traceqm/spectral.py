@@ -10,6 +10,10 @@ for bit on a given platform:
 * each vector's first component of magnitude above ``PHASE_FLOOR`` is made
   real and positive.
 
+The last two steps are one canonicalization, ``_canonicalize``, shared by
+:func:`eigendecompose` and :func:`simultaneous_diagonalize`; a degenerate
+group's representative eigenvalue is its mean (``_group_means``).
+
 An operator whose matrix has an exactly zero imaginary part is solved in
 real arithmetic (the real symmetric LAPACK routine rather than the complex
 hermitian one), which is several times faster and needs half the memory;
@@ -22,7 +26,8 @@ that observable zero spread; :func:`verify_dispersion_free` measures the
 worst spread over a decomposition.  Commuting families share such a basis,
 and :func:`vn_generator` compresses a commuting family into one operator
 with integer spectrum from which every member is recovered by relabeling
-eigenvalues.
+eigenvalues: one :func:`eigendecompose` of the generator serves every
+member through :func:`apply_function` and the member's table.
 """
 
 from __future__ import annotations
@@ -73,10 +78,11 @@ def _group_tol(values: np.ndarray) -> float:
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    """Partition indices of an ascending array into runs with adjacent gap <= tol."""
+    """Partition indices of an ascending float64 array into runs with adjacent gap <= tol."""
+    values = values.tolist()  # float64 arithmetic without numpy's per-element overhead
     groups = []
     current = [0]
-    for i in range(1, values.size):
+    for i in range(1, len(values)):
         if values[i] - values[i - 1] > tol:
             groups.append(tuple(current))
             current = [i]
@@ -84,6 +90,11 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ..
             current.append(i)
     groups.append(tuple(current))
     return tuple(groups)
+
+
+def _group_means(values: np.ndarray, groups) -> tuple[float, ...]:
+    """Mean of ``values`` over each index group, the representative of a degenerate cluster."""
+    return tuple(float(np.mean(values[list(group)])) for group in groups)
 
 
 def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
@@ -99,6 +110,16 @@ def _phase_fix(basis: np.ndarray) -> np.ndarray:
     # array takes a vectorized route that can differ in the last bit
     basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return basis
+
+
+def _canonicalize(basis: np.ndarray, groups) -> np.ndarray:
+    """Apply the module's basis conventions in place: every degenerate group
+    is reordered and re-orthonormalized, then every column's phase is fixed."""
+    for group in groups:
+        if len(group) > 1:
+            idx = list(group)
+            basis[:, idx] = _orthonormalize_block(basis[:, idx])
+    return _phase_fix(basis)
 
 
 def _eigenvector(dec, k: int) -> StateVector:
@@ -160,7 +181,7 @@ class SpectralDecomposition:
 
     @cached_property
     def _group_values(self) -> tuple[float, ...]:
-        return tuple(float(np.mean(self.eigenvalues[list(group)])) for group in self.groups)
+        return _group_means(self.eigenvalues, self.groups)
 
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
@@ -245,12 +266,7 @@ def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     values, basis = _hermitian_solve(np.linalg.eigh, a, "eigendecompose")
     tol = _group_tol(values)
     groups = _cluster_sorted(values, tol)
-    for group in groups:
-        if len(group) > 1:
-            idx = list(group)
-            basis[:, idx] = _orthonormalize_block(basis[:, idx])
-    basis = _phase_fix(basis)
-    return SpectralDecomposition(values, basis, groups, tol, a.grid)
+    return SpectralDecomposition(values, _canonicalize(basis, groups), groups, tol, a.grid)
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:
@@ -353,11 +369,7 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
                 refined.append(tuple(idx[t] for t in sub_block))
         blocks = refined
 
-    for block in blocks:
-        if len(block) > 1:
-            idx = list(block)
-            basis[:, idx] = _orthonormalize_block(basis[:, idx])
-    basis = _phase_fix(basis)
+    basis = _canonicalize(basis, blocks)
 
     lists = np.empty((len(family), first.dim), dtype=np.float64)
     for i, a in enumerate(family):
@@ -369,11 +381,10 @@ def _representatives(values: np.ndarray) -> np.ndarray:
     """Snap a list of eigenvalues to cluster representatives (cluster means)."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    tol = _group_tol(ordered)
+    clusters = _cluster_sorted(ordered, _group_tol(ordered))
     reps = np.empty_like(values)
-    for cluster in _cluster_sorted(ordered, tol):
-        members = order[list(cluster)]
-        reps[members] = float(np.mean(values[members]))
+    for cluster, mean in zip(clusters, _group_means(ordered, clusters)):
+        reps[order[list(cluster)]] = mean
     return reps
 
 
@@ -394,12 +405,7 @@ def vn_generator(family) -> GeneratorResult:
 
     matrix = (joint.basis * label_per_index) @ joint.basis.conj().T
     generator = certify_hermitian(Operator(matrix, joint.grid))
-    tables = []
-    for i in range(reps.shape[0]):
-        table: dict[int, float] = {}
-        for k in range(joint.dim):
-            table[int(label_per_index[k])] = float(reps[i, k])
-        tables.append(dict(sorted(table.items())))
+    tables = [{label: float(t[i]) for label, t in enumerate(distinct)} for i in range(reps.shape[0])]
     labels = [float(i) for i in range(len(distinct))]
     return GeneratorResult(generator, labels, tables)
 
@@ -413,5 +419,5 @@ def apply_function(dec: SpectralDecomposition, fn) -> Operator:
     values = np.array([complex(fn(lam)) for lam in dec.eigenvalues], dtype=np.complex128)
     if not np.isfinite(values).all():
         raise FunctionDomainError("function produced non-finite values on the spectrum")
-    matrix = (dec.basis * values) @ dec.basis.conj().T
+    matrix = (dec.basis * values) @ dec._adjoint
     return Operator(matrix, dec.grid)

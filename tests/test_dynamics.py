@@ -511,6 +511,21 @@ def test_evolution_refuses_a_time_over_hbar_that_overflows():
             evolve(model, operand, 1.5e308)
 
 
+def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
+    """The cached adjoint basis gives the same bytes as forming basis.conj().T per call."""
+    g = GridMeta(length=1.0, npoints=40, mass=0.7, hbar=0.9)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
+    dec = model.energy_spectrum()
+    for t in (0.0, 0.013, 0.37, 2.5):
+        phases = np.exp(-1j * dec.eigenvalues * (t / g.hbar))
+        want_state = dec.basis @ (phases * (dec.basis.conj().T @ psi0.coeffs))
+        assert evolve_state(model, psi0, t).coeffs.tobytes() == want_state.tobytes()
+        u = (dec.basis * phases) @ dec.basis.conj().T
+        want_op = u.conj().T @ model.q.matrix @ u
+        assert evolve_operator(model, model.q, t).matrix.tobytes() == want_op.tobytes()
+
+
 def test_evolve_state_eigenstate_gets_phase_only():
     g = GridMeta(length=1.0, npoints=48)
     model = build_grid_model(g)

@@ -124,7 +124,8 @@ def test_certify_same_result_for_operator_and_bare_matrix():
 
 
 def test_certify_makes_no_extra_copy_of_an_operator():
-    """Beyond the certified copy, only the adjoint and the difference are formed."""
+    """Beyond the certified copy, only the adjoint (overwritten by the difference)
+    and its real magnitude are formed: 1.5 matrices, below 2."""
     n = 300
     rng = np.random.default_rng(SEED + 21)
     m = rng.standard_normal((n, n))
@@ -135,7 +136,7 @@ def test_certify_makes_no_extra_copy_of_an_operator():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 16 * n * n
+    assert peak <= 1.75 * 16 * n * n
 
 
 def test_certify_tolerance_is_relative_to_scale():

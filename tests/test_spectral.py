@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traceqm import experiments, spectral
 from traceqm import (
     ConvergenceError,
     FunctionDomainError,
@@ -494,3 +497,133 @@ def test_apply_function_inverse_round_trip():
     e = apply_function(dec, np.exp)
     back = apply_function(eigendecompose(certify_hermitian(e.matrix)), np.log)
     assert float(np.max(np.abs(back.matrix - a.matrix))) <= 1e-8
+
+
+# ---------------------------------------------------------------- one implementation per job
+
+
+def loop_cluster_sorted(values, tol):
+    """Index-by-index clustering, the reference for ``_cluster_sorted``."""
+    groups = []
+    current = [0]
+    for i in range(1, values.size):
+        if values[i] - values[i - 1] > tol:
+            groups.append(tuple(current))
+            current = [i]
+        else:
+            current.append(i)
+    groups.append(tuple(current))
+    return tuple(groups)
+
+
+# steps in units of the tolerance's unit: ties, gaps exactly at tol, just past it
+_STEP_UNITS = st.sampled_from([0, 0, 3, 3, 4, 1, 2, 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(_STEP_UNITS, min_size=0, max_size=40),
+       start=st.integers(-1000, 1000), exponent=st.integers(-60, 60))
+def test_cluster_sorted_equals_loop_with_exact_ties_and_gaps(steps, start, exponent):
+    """Dyadic values make every difference exact, so gaps land exactly on tol = 3 units."""
+    unit = 2.0 ** exponent
+    values = (start + np.cumsum([0, *steps])) * unit
+    tol = 3 * unit
+    result = spectral._cluster_sorted(values, tol)
+    assert result == loop_cluster_sorted(values, tol)
+    assert all(type(i) is int for group in result for i in group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30), pick=st.integers(0, 100))
+def test_cluster_sorted_equals_loop_with_tol_taken_from_a_gap(values, pick):
+    values = np.sort(np.array(values + values[: len(values) // 3]))  # planted ties
+    gaps = np.diff(values)
+    tol = float(gaps[pick % gaps.size]) if gaps.size else 0.0
+    assert spectral._cluster_sorted(values, tol) == loop_cluster_sorted(values, tol)
+
+
+def loop_representatives(values):
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    reps = np.empty_like(values)
+    for cluster in loop_cluster_sorted(ordered, spectral._group_tol(ordered)):
+        members = order[list(cluster)]
+        reps[members] = float(np.mean(values[members]))
+    return reps
+
+
+def loop_labels_and_tables(family):
+    """vn_generator's labels and tables by the per-index dict loop and sort."""
+    joint = simultaneous_diagonalize(family)
+    reps = np.array([loop_representatives(row) for row in joint.eigenvalue_lists])
+    tuples = [tuple(reps[:, k]) for k in range(joint.dim)]
+    distinct = sorted(set(tuples))
+    label_of = {t: float(i) for i, t in enumerate(distinct)}
+    label_per_index = np.array([label_of[t] for t in tuples], dtype=np.float64)
+    tables = []
+    for i in range(reps.shape[0]):
+        table = {}
+        for k in range(joint.dim):
+            table[int(label_per_index[k])] = float(reps[i, k])
+        tables.append(dict(sorted(table.items())))
+    return [float(i) for i in range(len(distinct))], tables
+
+
+def planted_degenerate_family(rng, dim, count, rotate):
+    """Members with exactly repeated planted eigenvalues, diagonal or in one shared random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    family = []
+    for _ in range(count):
+        levels = rng.choice(rng.uniform(-3.0, 3.0, size=max(1, dim // 2)), size=dim)
+        m = (q * levels) @ q.conj().T if rotate else np.diag(levels)
+        family.append(certify_hermitian((m + m.conj().T) / 2.0))
+    return family
+
+
+def test_vn_generator_tables_equal_per_index_loop():
+    rng = np.random.default_rng(SEED + 60)
+    families = [[certify_hermitian(np.diag([1.0, 1.0, 2.0])), certify_hermitian(np.diag([3.0, 4.0, 4.0]))]]
+    for trial in range(30):
+        dim = int(rng.integers(2, 9))
+        families.append(planted_degenerate_family(rng, dim, int(rng.integers(1, 4)), rotate=trial % 2 == 1))
+        families.append(random_commuting_family(rng, dim, 3))
+    for family in families:
+        result = vn_generator(family)
+        labels, tables = loop_labels_and_tables(family)
+        assert result.labels == labels
+        assert [list(t.items()) for t in result.tables] == [list(t.items()) for t in tables]
+        assert all(type(key) is int and type(value) is float for t in result.tables for key, value in t.items())
+
+
+def loop_worst_family_recon(rng, trials):
+    """The recon loop with one generator decomposition per member, as its reference."""
+    worst = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(3, 9))
+        base = experiments._random_hermitian(rng, dim)
+        family = []
+        for _ in range(3):
+            c0, c1, c2 = rng.uniform(-2.0, 2.0, size=3)
+            family.append(certify_hermitian(c0 * np.eye(dim) + c1 * base + c2 * (base @ base)))
+        res = vn_generator(family)
+        for member_index, member in enumerate(family):
+            dec = eigendecompose(res.generator)
+            table = res.tables[member_index]
+            values = np.array([table[int(np.round(lam))] for lam in dec.eigenvalues])
+            rebuilt = (dec.basis * values) @ dec.basis.conj().T
+            assert apply_function(dec, lambda lam: table[int(np.round(lam))]).matrix.tobytes() == rebuilt.tobytes()
+            worst = max(worst, float(np.max(np.abs(rebuilt - member.matrix))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_worst_family_recon_equals_per_member_rebuild(seed):
+    worst = experiments._worst_family_recon(np.random.default_rng(seed), 20)
+    assert worst == loop_worst_family_recon(np.random.default_rng(seed), 20)
+
+
+def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "eigendecompose", lambda a: calls.append(a) or eigendecompose(a))
+    experiments._worst_family_recon(np.random.default_rng(SEED + 61), 25)
+    assert len(calls) == 25

@@ -1,8 +1,9 @@
 """Print the sha256 digest of every CLI artifact the workbench writes at its defaults.
 
 Runs the seven experiments at their default configs in csv and in json,
-plus ``spread --times 0,0.001`` (a tuple-valued config echo) and
-``cat --seed 7``, into a temporary directory, and prints one
+plus ``spread --times 0,0.001`` (a tuple-valued config echo),
+``cat --seed 7``, ``vn-generator --n 1000`` and ``claims`` at seeds 1 and
+9001, into a temporary directory, and prints one
 ``name sha256`` line per artifact file and one ``name.exit CODE`` line per
 run.  Comparing two checkouts is one ``diff``::
 
@@ -31,6 +32,10 @@ EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ens
 EXTRA = (
     ("spread-times", ("spread", "--times", "0,0.001")),
     ("cat-seed7", ("cat", "--seed", "7")),
+    # the small-algebra benchmark workload's inputs
+    ("vn-generator-n1000", ("vn-generator", "--n", "1000")),
+    ("claims-seed1", ("claims", "--seed", "1")),
+    ("claims-seed9001", ("claims", "--seed", "9001")),
 )
 
 
