@@ -254,27 +254,20 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _json_scalar(value):
+    """``json.dumps`` hook: a numpy scalar as its Python value (``np.float64`` is a float already)."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_report_json(path, cfg: ExperimentConfig, rows, checks) -> None:
     report = {
         "config": _config_echo(cfg),
-        "rows": _jsonable(rows),
-        "checks": [_jsonable({**asdict(c), "passed": c.passed}) for c in checks],
+        "rows": rows,
+        "checks": [{**asdict(c), "passed": c.passed} for c in checks],
     }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, default=_json_scalar) + "\n")
 
 
 def read_report_json(path) -> dict:

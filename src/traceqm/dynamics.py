@@ -314,24 +314,27 @@ def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
 
     The stencil is symmetric by construction, so there is nothing to
     certify beyond finiteness; bisection on the bands costs O(N) memory and
-    O(N) work per bisection step instead of a dense N x N solve.
+    O(N) work per bisection step instead of a dense N x N solve.  The bands
+    are scaled by the power of two putting k in [0.5, 1) and the levels
+    scaled back, both exactly, so the squared coupling cannot underflow.
     """
     if not 1 <= count <= grid.npoints:
         raise ValueError(f"count must lie in [1, {grid.npoints}], got {count!r}")
     _require_fits(grid, BAND_BYTES_PER_POINT * grid.npoints, "its band working set")
-    k = _kinetic_coupling(grid)
-    diagonal = np.full(grid.npoints, 2.0 * k)
-    off_diagonal = np.full(grid.npoints - 1, -k)
+    unit, exponent = np.frexp(_kinetic_coupling(grid))
+    diagonal = np.full(grid.npoints, 2.0 * unit)
+    off_diagonal = np.full(grid.npoints - 1, -unit)
     # scipy costs a fresh interpreter about 0.3 s to import: only callers
     # that ask for levels pay it
     from scipy.linalg import eigvalsh_tridiagonal
 
     # not ?stemr: given an index range it allocates an N x N array
-    return _solve(
+    levels = _solve(
         lambda d: eigvalsh_tridiagonal(d, off_diagonal, select="i", select_range=(0, count - 1),
                                        lapack_driver="stebz"),
         diagonal,
     )
+    return np.ldexp(levels, exponent)
 
 
 def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelSystem:

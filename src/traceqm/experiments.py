@@ -288,7 +288,7 @@ def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
         res = vn_generator(family)
         dec = eigendecompose(res.generator)
         for member, table in zip(family, res.tables):
-            rebuilt = apply_function(dec, lambda lam: table[int(np.round(lam))])
+            rebuilt = apply_function(dec, lambda lam: table[round(lam)])
             worst = max(worst, float(np.max(np.abs(rebuilt.matrix - member.matrix))))
     return worst
 

@@ -5,13 +5,13 @@ group of the measured observable's decomposition: |amplitude|^2 summed over
 each group.  A single measurement draws one uniform variate, picks the group
 whose cumulative-probability interval holds it (the final group catches the
 roundoff sliver at the top), and collapses the state onto that eigenspace.
-Each decomposition remembers, for :func:`measure_once`, the outcome bounds
-of the last few states it measured and every collapse already built from
-them (at most ``MEMO_ENTRIES`` entries, the oldest evicted first).  A state
-is known by its exact content, grid and coefficient bytes, so an equal copy
-reuses the entry, and a measurement whose state and outcome are known costs
-one variate and two lookups: replaying samples, or measuring a collapsed
-state again, repeats no Born computation.
+Each decomposition remembers the outcome bounds of the last few states
+measured on it and every collapse built from them (at most ``MEMO_ENTRIES``
+entries, the oldest evicted first), found by one lookup in :func:`measure_once`
+and :func:`repeat_experiment`: the last state by identity, any other by its
+grid and coefficient bytes, so an equal copy reuses the entry.  A measurement
+whose state and outcome are known costs one variate and two lookups: replaying
+samples, or measuring a collapsed state again, repeats no Born computation.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
@@ -32,10 +32,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InputError, NumericalError, ZeroVectorError
+from .errors import DegenerateSpectrumError, InputError, NumericalError
 from .operators import HermitianOperator, _require_normalized, av_decompose, certify_hermitian
 from .spectral import SpectralDecomposition, eigendecompose
-from .states import GridMeta, StateVector, normalize, superpose, _raw_norm, _weight
+from .states import GridMeta, StateVector, normalize, superpose, _weight
 
 __all__ = [
     "MeasurementOutcome",
@@ -241,8 +241,14 @@ def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _group_probabilities(dec: SpectralDecomposition, amps: np.ndarray) -> np.ndarray:
-    weights = np.abs(amps) ** 2
-    return np.add.reduceat(weights, dec.group_starts)
+    return np.add.reduceat(np.abs(amps) ** 2, dec.group_starts)
+
+
+def _born_weights(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of a normalized state and the Born probability of each outcome group."""
+    _require_normalized(psi)
+    amps = dec.amplitudes(psi)
+    return amps, _group_probabilities(dec, amps)
 
 
 def _outcome_bounds(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +259,7 @@ def _outcome_bounds(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.nd
     and the final group catches the roundoff sliver at the top: it equals
     the full cumulative search clamped to the last group.
     """
-    _require_normalized(psi)
-    amps = dec.amplitudes(psi)
-    probs = _group_probabilities(dec, amps)
+    amps, probs = _born_weights(dec, psi)
     # array methods rather than np.max/np.cumsum: same result, less dispatch
     if probs.max() < PROB_FLOOR:
         raise NumericalError("all outcome probabilities vanish; state is numerically unusable")
@@ -264,29 +268,39 @@ def _outcome_bounds(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.nd
 
 def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tuple[float, float]]:
     """(eigenvalue, probability) per degenerate group; probabilities sum to 1."""
-    _require_normalized(psi)
-    probs = _group_probabilities(dec, dec.amplitudes(psi))
+    _, probs = _born_weights(dec, psi)
     return [(dec.group_eigenvalue(g), float(probs[g])) for g in range(len(probs))]
 
 
 def _collapse(dec: SpectralDecomposition, amps: np.ndarray, g: int) -> MeasurementOutcome:
     """Outcome of group ``g``: its eigenvalue and the state projected onto its eigenspace."""
     idx = list(dec.groups[g])
-    coeffs = (dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid))
-    norm = _raw_norm(coeffs, dec.grid)
-    if norm == 0.0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    collapsed = StateVector(coeffs / norm, dec.grid)
-    return MeasurementOutcome(dec.group_eigenvalue(g), g, collapsed)
+    projected = StateVector((dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid)), dec.grid)
+    return MeasurementOutcome(dec.group_eigenvalue(g), g, normalize(projected))
 
 
 def _remember(memo, key, value):
     """Store ``value`` under ``key``, evicting the oldest entries beyond ``MEMO_ENTRIES``."""
-    # popitem is one call, so concurrent callers cannot evict the same entry twice
     while len(memo) >= MEMO_ENTRIES:
         memo.popitem(last=False)
     memo[key] = value
     return value
+
+
+def _known_state(dec: SpectralDecomposition, psi: StateVector):
+    """Memo key of ``psi`` and its ``(amplitudes, bounds)``, computed once per content.
+    The state looked up last is known by identity (states are immutable), any other
+    by its key; only successes are stored, so a refused state is refused every time."""
+    last = dec._last_state
+    if last is not None and last[0] is psi:
+        return last[1]
+    memo = dec._memo
+    key = (psi.grid, psi.coeffs.tobytes())
+    known = memo.get(key)
+    if known is None:
+        known = _remember(memo, key, _outcome_bounds(dec, psi))
+    dec._last_state = (psi, (key, known))
+    return key, known
 
 
 def measure_once(dec: SpectralDecomposition, psi: StateVector,
@@ -295,16 +309,11 @@ def measure_once(dec: SpectralDecomposition, psi: StateVector,
 
     The outcome bounds of ``psi`` and the collapse onto the drawn group are
     taken from ``dec``'s memo when an earlier call computed them for a state
-    with the same grid and coefficient bytes.  Only successful results are
-    stored, so a state that is refused is refused on every call.
+    with the same grid and coefficient bytes.
     """
-    memo = dec._memo
-    state = (psi.grid, psi.coeffs.tobytes())
-    known = memo.get(state)
-    if known is None:
-        known = _remember(memo, state, _outcome_bounds(dec, psi))
-    amps, bounds = known
+    state, (amps, bounds) = _known_state(dec, psi)
     g = int(bounds.searchsorted(rng.random(), side="right"))
+    memo = dec._memo
     outcome = memo.get((state, g))
     if outcome is None:
         outcome = _remember(memo, (state, g), _collapse(dec, amps, g))
@@ -319,18 +328,16 @@ SAMPLE_CHUNK = 4096
 MAX_SAMPLES = 2**32 - 1
 
 
-def _same_state(psi: StateVector, ref: StateVector) -> bool:
-    return psi.grid == ref.grid and (psi.coeffs is ref.coeffs or np.array_equal(psi.coeffs, ref.coeffs))
-
-
 def repeat_experiment(preparation: Callable[[], StateVector], observable: HermitianOperator,
                       n: int, seed: int) -> EnsembleReport:
     """Run n independent prepare-measure-discard cycles.
 
     ``preparation`` is a pure recipe called once per sample; nothing carries
-    over between samples except the outcome tally.  Sample i draws from
-    ``sample_rng(seed, i)``, so the counts are identical however the loop is
-    chunked, and each outcome can be replayed with :func:`measure_once`.
+    over between samples except the outcome tally.  A prepared state's
+    outcome bounds come from the decomposition's memo, as for
+    :func:`measure_once`.  Sample i draws from ``sample_rng(seed, i)``, so
+    the counts are identical however the loop is chunked, and each outcome
+    can be replayed with :func:`measure_once`.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
@@ -339,16 +346,16 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     _seed_words(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
     counts = np.zeros(len(dec.groups), dtype=np.int64)
-    state = bounds = None
+    bounds = None
     for lo in range(0, n, SAMPLE_CHUNK):
         hi = min(n, lo + SAMPLE_CHUNK)
-        # where the prepared state changes in this chunk, and its outcome bounds
+        # where the outcome bounds change in this chunk: the memo returns the
+        # same bounds object for the same prepared state
         starts, run_bounds = [0], [bounds]
         for i in range(lo, hi):
-            psi = preparation()
-            if state is None or not _same_state(psi, state):
-                _, bounds = _outcome_bounds(dec, psi)
-                state = psi
+            _, (_, known) = _known_state(dec, preparation())
+            if known is not bounds:
+                bounds = known
                 starts.append(i - lo)
                 run_bounds.append(bounds)
         starts.append(hi - lo)
@@ -359,14 +366,9 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
                 picked[start:stop] = run.searchsorted(u[start:stop], side="right")
         counts += np.bincount(picked, minlength=counts.size)
 
-    observed = {}
-    total = 0.0
-    for g in range(len(dec.groups)):
-        if counts[g] > 0:
-            value = dec.group_eigenvalue(g)
-            observed[value] = int(counts[g])
-            total += value * counts[g]
-    mean = total / n
+    seen = np.flatnonzero(counts)
+    observed = {dec.group_eigenvalue(g): int(counts[g]) for g in seen}
+    mean = sum(value * counts[g] for value, g in zip(observed, seen)) / n
     variance = sum(c * (value - mean) ** 2 for value, c in observed.items()) / n
     return EnsembleReport(observed, n, float(mean), float(np.sqrt(variance)), int(seed))
 

@@ -12,6 +12,9 @@ Any product of two hermitian operators splits as
 both hermitian; :func:`sym_antisym_split` returns that pair certified.
 ``av_decompose`` splits the action of an observable on a state into a mean
 part along the state and a dispersion part orthogonal to it.
+
+Every routine taking a state requires :attr:`StateVector.normalized`: its
+norm within ``STATE_NORM_TOL`` (defined in :mod:`traceqm.states`) of one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 
 from .errors import DimensionError, GridError, NotHermitianError, NumericalError, StateError
 from .scalars import TraceScalar, trace
-from .states import GridMeta, StateVector, _raw_inner, _raw_norm
+# STATE_NORM_TOL is defined in states and stays importable from here
+from .states import STATE_NORM_TOL, GridMeta, StateVector, _raw_inner, _raw_norm  # noqa: F401
 
 __all__ = [
     "Operator",
@@ -39,9 +43,6 @@ __all__ = [
 
 #: default relative bound for hermiticity certification.
 CERT_TOL = 1e-10
-
-#: expectation routines reject states whose norm deviates more than this.
-STATE_NORM_TOL = 1e-8
 
 #: relative bound on the imaginary part of a hermitian expectation.
 IMAG_EXPECT_TOL = 1e-10
@@ -119,7 +120,7 @@ def _require_match(a: Operator, state: StateVector):
 
 
 def _require_normalized(state: StateVector):
-    if abs(state.norm() - 1.0) > STATE_NORM_TOL:
+    if not state.normalized:
         raise StateError(f"state is not normalized (norm {state.norm():.12f})")
 
 

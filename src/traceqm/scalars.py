@@ -36,11 +36,6 @@ class TraceScalar:
         object.__setattr__(self, "re", float(self.re))
         object.__setattr__(self, "im", float(self.im))
 
-    @classmethod
-    def from_complex(cls, z) -> "TraceScalar":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 

@@ -93,8 +93,12 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ..
 
 
 def _group_means(values: np.ndarray, groups) -> tuple[float, ...]:
-    """Mean of ``values`` over each index group, the representative of a degenerate cluster."""
-    return tuple(float(np.mean(values[list(group)])) for group in groups)
+    """Mean of ``values`` over each index group, the representative of a degenerate cluster.
+
+    A singleton's is its value plus 0.0, bit for bit ``np.mean``'s (whose sum
+    starts from +0.0, so -0.0 reads 0.0), without the reduction."""
+    return tuple(float(values[group[0]]) + 0.0 if len(group) == 1 else float(np.mean(values[list(group)]))
+                 for group in groups)
 
 
 def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
@@ -122,15 +126,6 @@ def _canonicalize(basis: np.ndarray, groups) -> np.ndarray:
     return _phase_fix(basis)
 
 
-def _eigenvector(dec, k: int) -> StateVector:
-    """Basis column ``k`` of a decomposition as a unit-norm state under its grid weight."""
-    return StateVector(dec.basis[:, k] * (1.0 / np.sqrt(_weight(dec.grid))), dec.grid)
-
-
-def _eigenvectors(dec) -> list[StateVector]:
-    return [_eigenvector(dec, k) for k in range(dec.dim)]
-
-
 class SpectralDecomposition:
     """Canonical eigendecomposition of one hermitian operator.
 
@@ -155,9 +150,13 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    eigenvectors = cached_property(_eigenvectors)
-    #: ``eigenvectors[k]`` alone, without building the other states.
-    eigenvector = _eigenvector
+    def eigenvector(self, k: int) -> StateVector:
+        """``eigenvectors[k]`` alone, without building the other states."""
+        return StateVector(self.basis[:, k] * (1.0 / np.sqrt(_weight(self.grid))), self.grid)
+
+    @cached_property
+    def eigenvectors(self) -> list[StateVector]:
+        return [self.eigenvector(k) for k in range(self.dim)]
 
     # The caches below are lazy: most decompositions are never sampled.
 
@@ -167,8 +166,11 @@ class SpectralDecomposition:
 
     @cached_property
     def _memo(self) -> OrderedDict:
-        """``measure_once``'s remembered results, oldest first (see ``measurement.MEMO_ENTRIES``)."""
+        """The Born path's remembered results, oldest first (see ``measurement.MEMO_ENTRIES``)."""
         return OrderedDict()
+
+    #: the Born path's last looked-up state, with its memo key and entry
+    _last_state = None
 
     @cached_property
     def group_starts(self) -> np.ndarray:
@@ -220,8 +222,6 @@ class JointDecomposition:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    eigenvectors = cached_property(_eigenvectors)
 
     def __repr__(self):
         ops = self.eigenvalue_lists.shape[0]

@@ -13,7 +13,10 @@ Two inner products coexist:
   bilinear over the reals.  A complex-normalized state f therefore has
   ``real_inner(f, f) == TRACE_OF_ONE == 2``.
 
-Normalization always refers to the complex inner product.
+Normalization always refers to the complex inner product; a state is
+normalized when its norm lies within ``STATE_NORM_TOL`` of one, the one
+bound of :attr:`StateVector.normalized` that expectations, evolution and
+measurement enforce.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ __all__ = [
 #: trace of the unit scalar; equals real_inner(f, f) for complex-normalized f.
 TRACE_OF_ONE = 2.0
 
-#: a state flagged normalized must have |norm - 1| within this bound.
-NORMALIZED_TOL = 1e-10
+#: a normalized state has |norm - 1| within this bound.
+STATE_NORM_TOL = 1e-8
 
 #: projection residual below which a vector set counts as dependent.
 DEPENDENT_TOL = 1e-10
@@ -129,7 +132,7 @@ class StateVector:
 
     @property
     def normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= NORMALIZED_TOL
+        return abs(self.norm() - 1.0) <= STATE_NORM_TOL
 
     def __repr__(self):
         where = f" on {self.grid.npoints}-point grid" if self.grid is not None else ""

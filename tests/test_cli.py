@@ -18,8 +18,10 @@ from traceqm.cli import (
     parse_config,
     read_report_json,
     read_rows_csv,
+    write_report_json,
     write_rows_csv,
 )
+from traceqm.experiments import Check
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -193,6 +195,24 @@ def test_exit_one_on_hbar_too_small(experiment, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_well_spectrum_passes_at_tiny_hbar(tmp_path):
+    """The levels scale with hbar^2 however small it is, so every check passes."""
+    code, out = run_cli(["well-spectrum", "--hbar", "1e-100"], tmp_path)
+    assert code == 0
+    assert out.exists()
+
+
+def test_json_report_writes_numpy_scalars_as_python_values(tmp_path):
+    cfg = parse_config(["cat"])
+    numpy_rows = [{"n": np.int64(3), "flag": np.bool_(True), "x": np.float32(0.1), "y": np.float64(0.2)}]
+    plain_rows = [{"n": 3, "flag": True, "x": float(np.float32(0.1)), "y": 0.2}]
+    write_report_json(tmp_path / "numpy.json", cfg, numpy_rows, [Check("c", np.float64(1.0), 2.0)])
+    write_report_json(tmp_path / "plain.json", cfg, plain_rows, [Check("c", 1.0, 2.0)])
+    assert (tmp_path / "numpy.json").read_text() == (tmp_path / "plain.json").read_text()
+    with pytest.raises(TypeError):
+        write_report_json(tmp_path / "object.json", cfg, [{"x": object()}], [])
 
 
 def test_exit_three_on_unwritable_output(tmp_path, capsys):

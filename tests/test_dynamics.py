@@ -241,6 +241,32 @@ def test_grid_levels_match_discrete_closed_form(length, mass, hbar, npoints):
     assert np.max(np.abs(grid_levels(g, 5) - exact)) <= npoints * EPS * stencil_norm(g)
 
 
+def unscaled_stebz_levels(g, count):
+    """?stebz on the unscaled bands 2k and -k, as grid_levels bisected them before scaling."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    k = dynamics._kinetic_coupling(g)
+    return eigvalsh_tridiagonal(np.full(g.npoints, 2.0 * k), np.full(g.npoints - 1, -k),
+                                select="i", select_range=(0, count - 1), lapack_driver="stebz")
+
+
+@pytest.mark.parametrize("npoints", [2000, 500, 1001])
+def test_grid_levels_scaling_keeps_the_default_well_spectrum_bytes(npoints):
+    """The power-of-two scaling changes no bit on the three default grids."""
+    g = GridMeta(length=1.0, npoints=npoints)
+    assert grid_levels(g, 5).tobytes() == unscaled_stebz_levels(g, 5).tobytes()
+
+
+@pytest.mark.parametrize("hbar", [1e-75, 1e-100, 1e-150])
+def test_grid_levels_scale_as_hbar_squared_at_tiny_hbar(hbar):
+    """Levels are proportional to hbar^2; unscaled, k^2 underflowed and every
+    level read as the diagonal 2k from about hbar = 1e-82 on."""
+    unit = GridMeta(length=1.0, npoints=2000)
+    tiny = GridMeta(length=1.0, npoints=2000, hbar=hbar)
+    scaled = grid_levels(tiny, 5) / hbar**2
+    assert np.max(np.abs(scaled - grid_levels(unit, 5))) <= unit.npoints * EPS * stencil_norm(unit)
+
+
 def test_grid_levels_count_selects_the_lowest():
     g = GridMeta(length=1.0, npoints=40)
     everything = grid_levels(g, g.npoints)

@@ -14,6 +14,7 @@ from traceqm import (
     SpectralDecomposition,
     StateError,
     StateVector,
+    ZeroVectorError,
     born_probabilities,
     build_grid_model,
     cat_experiment,
@@ -27,9 +28,10 @@ from traceqm import (
     sample_rng,
     superpose,
 )
-from traceqm.measurement import MEMO_ENTRIES, SAMPLE_CHUNK, _first_uniforms, _group_probabilities
+from traceqm import measurement
+from traceqm.measurement import MEMO_ENTRIES, SAMPLE_CHUNK, _collapse, _first_uniforms, _group_probabilities
 from traceqm.operators import STATE_NORM_TOL
-from traceqm.states import _weight
+from traceqm.states import _raw_norm, _weight
 
 SEED = 6606
 
@@ -341,21 +343,11 @@ def test_first_uniforms_match_on_any_range(lo, hi):
         assert np.array_equal(_first_uniforms(seed, lo, hi), per_sample_uniforms(seed, lo, hi))
 
 
-def test_repeat_matches_replay_when_preparation_switches():
-    """Counts equal a per-sample measure_once replay across state changes and chunks."""
-    rng = np.random.default_rng(SEED + 12)
-    dim = 5
-    a = random_hermitian(rng, dim)
+def assert_repeat_matches_replay(a, schedule):
+    """repeat_experiment over ``schedule`` counts what a per-sample measure_once replay counts."""
     dec = eigendecompose(a)
-    first, second = random_state(rng, dim), random_state(rng, dim)
-    n = SAMPLE_CHUNK + 300
-    # equal copies (new objects) and switches inside and across chunks
-    switches = {0: first, 100: second, 101: first, SAMPLE_CHUNK - 2: second, SAMPLE_CHUNK + 7: first}
-    schedule = []
-    for i in range(n):
-        schedule.append(StateVector(switches[i].coeffs.copy()) if i in switches else schedule[-1])
     calls = iter(schedule)
-    report = repeat_experiment(lambda: next(calls), a, n, seed=SEED)
+    report = repeat_experiment(lambda: next(calls), a, len(schedule), seed=SEED)
 
     replay = {}
     for i, psi in enumerate(schedule):
@@ -363,6 +355,43 @@ def test_repeat_matches_replay_when_preparation_switches():
         replay[value] = replay.get(value, 0) + 1
     assert report.counts == dict(sorted(replay.items()))
     assert next(calls, None) is None
+
+
+def test_repeat_matches_replay_when_preparation_switches():
+    """Counts equal a per-sample measure_once replay across state changes and
+    chunks, also when the states cycle through more than the memo holds."""
+    rng = np.random.default_rng(SEED + 12)
+    dim = 5
+    a = random_hermitian(rng, dim)
+    first, second = random_state(rng, dim), random_state(rng, dim)
+    n = SAMPLE_CHUNK + 300
+    # equal copies (new objects) and switches inside and across chunks
+    switches = {0: first, 100: second, 101: first, SAMPLE_CHUNK - 2: second, SAMPLE_CHUNK + 7: first}
+    schedule = []
+    for i in range(n):
+        schedule.append(StateVector(switches[i].coeffs.copy()) if i in switches else schedule[-1])
+    assert_repeat_matches_replay(a, schedule)
+    # a fresh copy every sample, cycling through more distinct states than
+    # MEMO_ENTRIES, so evicted states come back and are computed again
+    cycle = [random_state(rng, dim) for _ in range(MEMO_ENTRIES + 3)]
+    assert_repeat_matches_replay(a, [StateVector(cycle[(i // 7) % len(cycle)].coeffs.copy())
+                                     for i in range(n)])
+
+
+def test_repeat_computes_outcome_bounds_once_per_prepared_content(monkeypatch):
+    calls = []
+    original = measurement._outcome_bounds
+    monkeypatch.setattr(measurement, "_outcome_bounds",
+                        lambda dec, psi: calls.append(psi) or original(dec, psi))
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    psi = cat_state()
+    repeat_experiment(lambda: psi, a, SAMPLE_CHUNK + 10, seed=SEED)
+    assert calls == [psi]
+    # fresh equal copies of two contents, switching every sample
+    contents = [psi, normalize(StateVector([1.0, 2.0]))]
+    index = iter(range(500))
+    repeat_experiment(lambda: StateVector(contents[next(index) % 2].coeffs.copy()), a, 500, seed=SEED)
+    assert len(calls) == 3
 
 
 def test_repeat_working_set_is_bounded_by_the_chunk():
@@ -555,3 +584,35 @@ def test_memo_stays_within_its_cap():
         tracemalloc.stop()
     assert len(dec._memo) == MEMO_ENTRIES
     assert after - before < bound
+
+
+def reference_collapse(dec, amps, g):
+    """The inline normalization _collapse repeated before it called normalize."""
+    idx = list(dec.groups[g])
+    coeffs = (dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid))
+    norm = _raw_norm(coeffs, dec.grid)
+    if norm == 0.0:
+        raise ZeroVectorError("cannot normalize the zero vector")
+    return coeffs / norm
+
+
+def test_collapse_equals_the_inline_normalization_bit_for_bit():
+    rng = np.random.default_rng(SEED + 17)
+    decs = [degenerate_decomposition(rng), position_decomposition(24)] + [
+        eigendecompose(random_hermitian(rng, dim)) for dim in (2, 3, 8)
+    ]
+    for dec in decs:
+        amps = dec.amplitudes(random_state(rng, dec.dim, dec.grid))
+        for g in range(len(dec.groups)):
+            out = _collapse(dec, amps, g)
+            assert out.collapsed.coeffs.tobytes() == reference_collapse(dec, amps, g).tobytes()
+            assert out.collapsed.grid == dec.grid
+            assert (out.group_index, out.eigenvalue) == (g, dec.group_eigenvalue(g))
+    # a group the state has no weight in is refused with the same error
+    dec = position_decomposition(24)
+    amps = dec.amplitudes(StateVector(np.eye(24)[3] / np.sqrt(dec.grid.spacing), dec.grid))
+    with pytest.raises(ZeroVectorError) as expected:
+        reference_collapse(dec, amps, 0)
+    with pytest.raises(ZeroVectorError) as got:
+        _collapse(dec, amps, 0)
+    assert str(got.value) == str(expected.value)

@@ -29,6 +29,8 @@ from traceqm import (
     sym_antisym_split,
 )
 
+from traceqm.operators import STATE_NORM_TOL, _require_normalized
+
 SEED = 3303
 ORTH_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -401,3 +403,17 @@ def test_real_inner_view_of_av_split():
     assert real_inner(psi, image) / 2.0 == pytest.approx(res.alpha, abs=1e-12)
     if res.perp is not None:
         assert real_inner(res.perp, image) / 2.0 == pytest.approx(res.beta, abs=1e-10)
+
+
+@pytest.mark.parametrize("factor", [0.5, 4.0])
+def test_normalized_flag_agrees_with_the_enforced_bound(factor):
+    """One tolerance: a state reads as normalized exactly when expectations,
+    evolution and measurement accept it."""
+    r = 2.0 ** -0.5
+    state = StateVector([r * (1.0 + factor * STATE_NORM_TOL), r])
+    try:
+        _require_normalized(state)
+        accepted = True
+    except StateError:
+        accepted = False
+    assert state.normalized == accepted == (factor < 1.0)

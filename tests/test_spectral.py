@@ -27,7 +27,7 @@ from traceqm import (
     verify_dispersion_free,
     vn_generator,
 )
-from traceqm.spectral import PHASE_FLOOR, _phase_fix
+from traceqm.spectral import PHASE_FLOOR, _group_means, _phase_fix
 
 SEED = 4404
 EPS = np.finfo(np.float64).eps
@@ -627,3 +627,18 @@ def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
     monkeypatch.setattr(experiments, "eigendecompose", lambda a: calls.append(a) or eigendecompose(a))
     experiments._worst_family_recon(np.random.default_rng(SEED + 61), 25)
     assert len(calls) == 25
+
+
+def test_group_means_equal_np_mean_bit_for_bit():
+    """Singletons take their value, except that -0.0 reads 0.0 as np.mean returns
+    it; larger groups keep np.mean."""
+    rng = np.random.default_rng(SEED + 70)
+    values = np.concatenate(([-0.0, 0.0, -1.5, 3.0, 1e-300, -2.0**-1074],
+                             rng.standard_normal(60) * 10.0 ** rng.integers(-8, 9, 60)))
+    singletons = [(i,) for i in range(values.size)]
+    larger = [tuple(rng.choice(values.size, size=size, replace=False)) for size in range(2, 10) for _ in range(5)]
+    for groups in (singletons, larger):
+        means = _group_means(values, groups)
+        reference = [float(np.mean(values[list(group)])) for group in groups]
+        assert all(type(mean) is float for mean in means)
+        assert np.array(means).tobytes() == np.array(reference).tobytes()

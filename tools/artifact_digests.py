@@ -2,10 +2,10 @@
 
 Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
-``cat --seed 7``, ``vn-generator --n 1000`` and ``claims`` at seeds 1 and
-9001, into a temporary directory, and prints one
-``name sha256`` line per artifact file and one ``name.exit CODE`` line per
-run.  Comparing two checkouts is one ``diff``::
+``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
+9001 and ``well-spectrum --hbar 1e-100``, into a temporary directory, and
+prints one ``name sha256`` line per artifact file and one
+``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
     python tools/artifact_digests.py --root OTHER_CHECKOUT > before.txt
     python tools/artifact_digests.py > after.txt
@@ -36,6 +36,8 @@ EXTRA = (
     ("vn-generator-n1000", ("vn-generator", "--n", "1000")),
     ("claims-seed1", ("claims", "--seed", "1")),
     ("claims-seed9001", ("claims", "--seed", "9001")),
+    # a tiny hbar, where the unscaled bands' squared coupling underflowed
+    ("well-spectrum-hbar1e-100", ("well-spectrum", "--hbar", "1e-100")),
 )
 
 
