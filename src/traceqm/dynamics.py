@@ -42,8 +42,6 @@ import numpy as np
 
 from .errors import (
     DegreeError,
-    DimensionError,
-    GridError,
     InputError,
     NotHermitianError,
     NumericalError,
@@ -55,11 +53,10 @@ from .operators import (
     certify_hermitian,
     dispersion,
     expect_c,
-    _require_match,
     _require_normalized,
 )
 from .spectral import SpectralDecomposition, _solve, eigendecompose
-from .states import GridMeta, StateVector
+from .states import GridMeta, StateVector, _require_same_space
 
 __all__ = [
     "MAX_DEGREE",
@@ -467,7 +464,7 @@ def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np
 def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:
     """Evolve a normalized state by time t through the spectral propagator."""
     dec, phases = _propagator(model, t)
-    _require_match(model.hamiltonian, psi0)
+    _require_same_space(model.hamiltonian, psi0, "operator and state")
     _require_normalized(psi0)
     amps = dec._adjoint @ psi0.coeffs
     return StateVector(dec.basis @ (phases * amps), psi0.grid)
@@ -476,10 +473,7 @@ def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector
 def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> HermitianOperator:
     """Operator-picture evolution U(t)^dagger A U(t); spectrum is preserved."""
     dec, phases = _propagator(model, t)
-    if a.dim != model.dim:
-        raise DimensionError(f"dimension mismatch: operator {a.dim} vs model {model.dim}")
-    if a.grid != model.grid:
-        raise GridError("operator and model are bound to different grids")
+    _require_same_space(a, model, "operator and model")
     u = (dec.basis * phases) @ dec._adjoint
     return certify_hermitian(Operator(u.conj().T @ a.matrix @ u, a.grid))
 

@@ -27,6 +27,7 @@ number of samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -369,8 +370,12 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     seen = np.flatnonzero(counts)
     observed = {dec.group_eigenvalue(g): int(counts[g]) for g in seen}
     mean = sum(value * counts[g] for value, g in zip(observed, seen)) / n
-    variance = sum(c * (value - mean) ** 2 for value, c in observed.items()) / n
-    return EnsembleReport(observed, n, float(mean), float(np.sqrt(variance)), int(seed))
+    deviations = [value - mean for value in observed]
+    # the deviations are scaled by 2**-e and the std back by 2**e, both exactly, so the
+    # squares cannot overflow while the std is finite: (2**480)**2 * MAX_SAMPLES is finite
+    e = max(0, math.frexp(max(map(abs, deviations)))[1] - 480)
+    variance = sum(c * math.ldexp(d, -e) ** 2 for d, c in zip(deviations, observed.values())) / n
+    return EnsembleReport(observed, n, float(mean), math.ldexp(math.sqrt(variance), e), int(seed))
 
 
 def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:

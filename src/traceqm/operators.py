@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, GridError, NotHermitianError, NumericalError, StateError
 from .scalars import TraceScalar, trace
 # STATE_NORM_TOL is defined in states and stays importable from here
-from .states import STATE_NORM_TOL, GridMeta, StateVector, _raw_inner, _raw_norm  # noqa: F401
+from .states import STATE_NORM_TOL, GridMeta, StateVector, _raw_inner, _raw_norm, _require_same_space  # noqa: F401
 
 __all__ = [
     "Operator",
@@ -74,16 +74,13 @@ class Operator:
         return self.matrix.shape[0]
 
     def apply(self, state: StateVector) -> StateVector:
-        _require_match(self, state)
+        _require_same_space(self, state, "operator and state")
         return StateVector(self.matrix @ state.coeffs, self.grid)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.grid != other.grid:
-            raise GridError("operators are bound to different grids")
+        _require_same_space(self, other, "operators")
         return Operator(self.matrix @ other.matrix, self.grid)
 
     def __repr__(self):
@@ -110,13 +107,6 @@ class AvResult(NamedTuple):
     alpha: float
     beta: float
     perp: StateVector | None
-
-
-def _require_match(a: Operator, state: StateVector):
-    if a.dim != state.dim:
-        raise DimensionError(f"dimension mismatch: operator {a.dim} vs state {state.dim}")
-    if a.grid != state.grid:
-        raise GridError("operator and state are bound to different grids")
 
 
 def _require_normalized(state: StateVector):
@@ -175,7 +165,7 @@ def sym_antisym_split(a: HermitianOperator, b: HermitianOperator) -> tuple[Hermi
 
 
 def _raw_value(a: Operator, psi: StateVector) -> tuple[complex, np.ndarray]:
-    _require_match(a, psi)
+    _require_same_space(a, psi, "operator and state")
     _require_normalized(psi)
     image = a.matrix @ psi.coeffs
     return _raw_inner(psi.coeffs, image, psi.grid), image

@@ -18,7 +18,9 @@ An operator whose matrix has an exactly zero imaginary part is solved in
 real arithmetic (the real symmetric LAPACK routine rather than the complex
 hermitian one), which is several times faster and needs half the memory;
 the conventions above and the complex128 ``basis`` are the same on both
-paths.  :func:`eigenvalues` returns the ascending spectrum alone, without
+paths.  :func:`eigendecompose`, :func:`eigenvalues` and the first member of
+:func:`simultaneous_diagonalize` all take this one rule (``_hermitian_solve``).
+:func:`eigenvalues` returns the ascending spectrum alone, without
 eigenvectors, for callers that need only the levels.
 
 A basis is dispersion-free for an observable when every basis vector gives
@@ -38,16 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    FunctionDomainError,
-    GridError,
-    InputError,
-    NotCommutingError,
-)
+from .errors import ConvergenceError, FunctionDomainError, InputError, NotCommutingError
 from .operators import HermitianOperator, Operator, certify_hermitian
-from .states import GridMeta, StateVector, _orthonormal_rows, _weight
+from .states import GridMeta, StateVector, _orthonormal_rows, _require_same_space, _weight
 
 __all__ = [
     "SpectralDecomposition",
@@ -187,10 +182,7 @@ class SpectralDecomposition:
 
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
-        if state.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs state {state.dim}")
-        if state.grid != self.grid:
-            raise GridError("state and decomposition are bound to different grids")
+        _require_same_space(self, state, "decomposition and state")
         return np.sqrt(_weight(self.grid)) * (self._adjoint @ state.coeffs)
 
     def group_eigenvalue(self, g: int) -> float:
@@ -315,12 +307,8 @@ def _check_family(family) -> list[HermitianOperator]:
     for a in family:
         if not isinstance(a, HermitianOperator):
             raise InputError("family members must be certified HermitianOperators")
-    first = family[0]
     for a in family[1:]:
-        if a.dim != first.dim:
-            raise DimensionError(f"dimension mismatch in family: {first.dim} vs {a.dim}")
-        if a.grid != first.grid:
-            raise GridError("family members are bound to different grids")
+        _require_same_space(family[0], a, "family members")
     return family
 
 
@@ -347,9 +335,9 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
         raise NotCommutingError(pair, worst)
 
     first = family[0]
-    # the complex solver even for a real family: vn_generator's artifacts
-    # depend on this basis bit for bit
-    values, basis = _solve(np.linalg.eigh, first.matrix)
+    values, basis = _hermitian_solve(np.linalg.eigh, first, "simultaneous_diagonalize")
+    # complex, so a later member's rotation inside a degenerate block keeps its imaginary part
+    basis = basis.astype(np.complex128, copy=False)
     blocks = _cluster_sorted(values, _group_tol(values))
 
     for a in family[1:]:

@@ -21,6 +21,7 @@ measurement enforce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,19 +149,20 @@ def _raw_inner(a: np.ndarray, b: np.ndarray, grid: GridMeta | None) -> complex:
 
 
 def _raw_norm(a: np.ndarray, grid: GridMeta | None) -> float:
-    return float(np.linalg.norm(a)) * np.sqrt(_weight(grid))
+    return float(np.linalg.norm(a)) * math.sqrt(_weight(grid))
 
 
-def _require_compatible(f: StateVector, g: StateVector):
-    if f.dim != g.dim:
-        raise DimensionError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.grid != g.grid:
-        raise GridError("states are bound to different grids")
+def _require_same_space(a, b, what: str):
+    """Refuse two operands (anything with ``dim`` and ``grid``) of different spaces."""
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.grid != b.grid:
+        raise GridError(f"{what} are bound to different grids")
 
 
 def complex_inner(f: StateVector, g: StateVector) -> TraceScalar:
     """Sesquilinear inner product, conjugate-linear in ``f``."""
-    _require_compatible(f, g)
+    _require_same_space(f, g, "states")
     raw = _raw_inner(f.coeffs, g.coeffs, f.grid)
     return TraceScalar(raw.real, raw.imag)
 
@@ -188,7 +190,7 @@ def superpose(states, weights) -> StateVector:
         raise DimensionError(f"{len(states)} states but {len(weights)} weights")
     first = states[0]
     for s in states[1:]:
-        _require_compatible(first, s)
+        _require_same_space(first, s, "states")
     if all(w == 0 for w in weights):
         raise ZeroVectorError("all superposition weights are zero")
     acc = np.zeros(first.dim, dtype=np.complex128)
@@ -210,7 +212,7 @@ def gram_schmidt(states) -> list[StateVector]:
         return []
     first = states[0]
     for s in states[1:]:
-        _require_compatible(first, s)
+        _require_same_space(first, s, "states")
     rows = _orthonormal_rows(np.array([s.coeffs for s in states]), first.grid)
     return [StateVector(row, first.grid) for row in rows]
 

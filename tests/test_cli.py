@@ -136,6 +136,30 @@ def test_exit_one_on_failed_check(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode, bound", [("max", np.inf), ("min", -np.inf)])
+def test_check_with_infinite_bound_fails(mode, bound):
+    """An overflowed bound guards nothing, so it never reads as a pass."""
+    assert Check("c", 0.0, bound, mode).passed is False
+
+
+def test_cat_huge_outcomes_pass_without_warnings(tmp_path):
+    """Outcomes +-1e154 have a finite std and finite bounds; its squares overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(["cat", "--a1", "1e154", "--a2", "-1e154"], tmp_path)
+    assert code == 0
+
+
+def test_cat_overflowed_bound_reads_fail(tmp_path, capsys):
+    """At --a1 1e200 the dispersion, and so every derived bound, is inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the dispersion's own overflow
+        code, _ = run_cli(["cat", "--a1", "1e200"], tmp_path)
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "FAIL mean: " in text and "PASS mean" not in text
+
+
 def test_exit_two_on_usage_error(capsys):
     assert main(["teleport"]) == 2
     err = capsys.readouterr().err

@@ -221,6 +221,34 @@ def test_mean_and_std_track_alpha_beta():
         assert abs(report.empirical_std - 1.0) <= std_band
 
 
+def test_std_of_huge_outcomes_does_not_overflow():
+    """At outcomes +-1e154 the squared deviations overflow while the std is finite;
+    the std is 1e154 times the std at +-1 from the same draws."""
+    huge = certify_hermitian(np.diag([1e154, -1e154]))
+    unit = certify_hermitian(np.diag([1.0, -1.0]))
+    with np.errstate(all="raise"):
+        report = repeat_experiment(cat_state, huge, 1000, seed=SEED + 16)
+    scaled = repeat_experiment(cat_state, unit, 1000, seed=SEED + 16)
+    assert report.empirical_std == pytest.approx(1e154 * scaled.empirical_std, rel=4 * np.finfo(float).eps)
+    # the first seed whose two draws differ: mean 0 and std exactly 1e154
+    with np.errstate(all="raise"):
+        two = next(r for r in (repeat_experiment(cat_state, huge, 2, seed) for seed in range(100))
+                   if len(r.counts) == 2)
+    assert two.empirical_std == 1e154
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_std_is_bit_identical_to_the_unscaled_formula(seed):
+    rng = np.random.default_rng(SEED + 17 + seed)
+    dim = int(rng.integers(2, 9))
+    a = certify_hermitian(np.diag(rng.uniform(-100.0, 100.0, dim)))
+    psi = random_state(rng, dim)
+    report = repeat_experiment(lambda: psi, a, int(rng.integers(1, 5000)), seed=seed)
+    mean = np.float64(report.empirical_mean)
+    variance = sum(c * (value - mean) ** 2 for value, c in report.counts.items()) / report.n
+    assert report.empirical_std == float(np.sqrt(variance))
+
+
 # ---------------------------------------------------------------- cat experiment
 
 

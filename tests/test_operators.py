@@ -29,6 +29,19 @@ from traceqm import (
     sym_antisym_split,
 )
 
+from traceqm import (
+    build_grid_model,
+    build_oscillator_ladder,
+    commute_check,
+    eigendecompose,
+    evolve_operator,
+    evolve_state,
+    gram_schmidt,
+    measure_once,
+    sample_rng,
+    simultaneous_diagonalize,
+    superpose,
+)
 from traceqm.operators import STATE_NORM_TOL, _require_normalized
 
 SEED = 3303
@@ -206,6 +219,52 @@ def test_operator_grid_mismatch_rejected():
         a.apply(StateVector(np.ones(8)))
     with pytest.raises(DimensionError):
         Operator(np.eye(8)).apply(StateVector([1.0, 0.0]))
+
+
+GRID_8 = GridMeta(length=1.0, npoints=8)
+
+
+def _space_state(space, power=1):
+    dim, grid = space
+    return normalize(StateVector(np.arange(1.0, dim + 1.0) ** power, grid))
+
+
+def _space_op(space):
+    dim, grid = space
+    return certify_hermitian(np.diag(np.arange(1.0, dim + 1.0)), grid=grid)
+
+
+def _space_model(space):
+    dim, grid = space
+    return build_oscillator_ladder(dim) if grid is None else build_grid_model(grid)
+
+
+#: every entry point that takes two operands of one space, called on an
+#: operand of the first space and one of the second
+SAME_SPACE_CALLS = {
+    "apply": lambda a, b: _space_op(a).apply(_space_state(b)),
+    "matmul": lambda a, b: _space_op(a) @ _space_op(b),
+    "complex_inner": lambda a, b: complex_inner(_space_state(a), _space_state(b)),
+    "superpose": lambda a, b: superpose([_space_state(a), _space_state(b)], [1.0, 1.0]),
+    "gram_schmidt": lambda a, b: gram_schmidt([_space_state(a), _space_state(b, 2)]),
+    "expect_c": lambda a, b: expect_c(_space_op(a), _space_state(b)),
+    "measure_once": lambda a, b: measure_once(eigendecompose(_space_op(a)), _space_state(b), sample_rng(0, 0)),
+    "evolve_state": lambda a, b: evolve_state(_space_model(a), _space_state(b), 0.1),
+    "evolve_operator": lambda a, b: evolve_operator(_space_model(a), _space_op(b), 0.1),
+    "commute_check": lambda a, b: commute_check([_space_op(a), _space_op(b)]),
+    "simultaneous_diagonalize": lambda a, b: simultaneous_diagonalize([_space_op(a), _space_op(b)]),
+}
+
+
+@pytest.mark.parametrize("call", SAME_SPACE_CALLS.values(), ids=SAME_SPACE_CALLS.keys())
+@pytest.mark.parametrize("other, error", [
+    pytest.param((9, None), DimensionError, id="dim"),
+    pytest.param((8, GridMeta(length=2.0, npoints=8)), GridError, id="grid"),
+])
+def test_same_space_entry_points_refuse_other_spaces(call, other, error):
+    call((8, GRID_8), (8, GridMeta(length=1.0, npoints=8)))  # an equal grid is the same space
+    with pytest.raises(error):
+        call((8, GRID_8), other)
 
 
 # ---------------------------------------------------------------- expectations

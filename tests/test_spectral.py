@@ -1,5 +1,7 @@
 """Spectral engine: decomposition, commuting families, single generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,21 @@ def test_simultaneous_diagonalize_common_eigenvectors():
             assert float(np.max(np.abs(residual))) <= 1e-8 * scale
         gram = joint.basis.conj().T @ joint.basis
         assert float(np.max(np.abs(gram - np.eye(dim)))) <= ORTH_TOL
+
+
+def test_simultaneous_diagonalize_complex_member_mixes_a_real_degenerate_block():
+    """A real first member takes the real solver; the complex member's rotation
+    inside its degenerate block must keep its imaginary part."""
+    first = certify_hermitian(np.diag([1.0, 1.0, 2.0]))
+    second = certify_hermitian(np.array([[0.0, 1j, 0.0], [-1j, 0.0, 0.0], [0.0, 0.0, 5.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        joint = simultaneous_diagonalize([first, second])
+    for i, op in enumerate((first, second)):
+        m = joint.basis.conj().T @ op.matrix @ joint.basis
+        assert float(np.max(np.abs(m - np.diag(np.diag(m))))) <= 1e-12
+        np.testing.assert_allclose(np.diag(m).real, joint.eigenvalue_lists[i], atol=1e-12)
+    np.testing.assert_allclose(joint.eigenvalue_lists[1], [-1.0, 1.0, 5.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------- generator

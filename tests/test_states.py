@@ -177,6 +177,13 @@ def test_normalize_unit_norm():
     assert v.normalized
 
 
+@pytest.mark.parametrize("grid", [None, GridMeta(length=1.0, npoints=8)], ids=["bare", "grid"])
+def test_norm_and_normalized_are_python_scalars(grid):
+    s = normalize(StateVector(np.arange(1.0, 9.0), grid))
+    assert type(s.norm()) is float
+    assert type(s.normalized) is bool
+
+
 def test_normalize_zero_vector_raises():
     with pytest.raises(ZeroVectorError):
         normalize(StateVector([0.0, 0.0]))

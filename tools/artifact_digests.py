@@ -3,7 +3,8 @@
 Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
 ``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
-9001 and ``well-spectrum --hbar 1e-100``, into a temporary directory, and
+9001, ``well-spectrum --hbar 1e-100`` and ``cat`` at the huge outcomes
+``--a1 1e154 --a2 -1e154`` and ``--a1 1e200``, into a temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -38,6 +39,10 @@ EXTRA = (
     ("claims-seed9001", ("claims", "--seed", "9001")),
     # a tiny hbar, where the unscaled bands' squared coupling underflowed
     ("well-spectrum-hbar1e-100", ("well-spectrum", "--hbar", "1e-100")),
+    # outcomes whose squared deviations overflow while the std is finite
+    ("cat-a1e154", ("cat", "--a1", "1e154", "--a2", "-1e154")),
+    # outcomes whose dispersion, and so the derived bounds, overflow
+    ("cat-a1e200", ("cat", "--a1", "1e200")),
 )
 
 
