@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MIN_LADDER_DIM
 from .errors import InputError, UsageError, ValidationError, WorkbenchError
 from .experiments import (
     EXPERIMENT_DEFAULTS,
@@ -29,6 +30,7 @@ from .experiments import (
     TOL_KEYS,
     ExperimentConfig,
 )
+from .states import MIN_GRID_POINTS
 
 __all__ = [
     "parse_config",
@@ -148,12 +150,12 @@ def _to_format(key: str, raw) -> str:
 PARSERS = {
     "n": partial(_to_int, minimum=1),
     "seed": partial(_to_int, minimum=0),
-    "grid_n": partial(_to_int, minimum=8),
+    "grid_n": partial(_to_int, minimum=MIN_GRID_POINTS),
     "length": partial(_to_float, positive=True),
     "mass": partial(_to_float, positive=True),
     "omega": partial(_to_float, positive=True),
     "hbar": partial(_to_float, positive=True),
-    "d": partial(_to_int, minimum=4),
+    "d": partial(_to_int, minimum=MIN_LADDER_DIM),
     "times": _to_times,
     "a1": _to_float,
     "a2": _to_float,
@@ -164,8 +166,8 @@ PARSERS = {
 FIELD_OF_KEY = {name.replace("_", "-"): name for name in PARSERS}
 
 
-def parse_config(args, file: str | None = None) -> ExperimentConfig:
-    """Resolve an argument list (and optional config file) into a config.
+def parse_config(args) -> ExperimentConfig:
+    """Resolve an argument list (and the config file it names) into a config.
 
     Raises :class:`UsageError` for unknown experiments, flags, or keys, and
     :class:`ValidationError` for values that fail validation.
@@ -178,7 +180,7 @@ def parse_config(args, file: str | None = None) -> ExperimentConfig:
         raise UsageError(f"unknown experiment {experiment!r}")
 
     flags = _parse_flags(args[1:])
-    config_path = flags.pop("config", None) or file
+    config_path = flags.pop("config", None)
     file_values = _read_config_file(config_path) if config_path is not None else {}
 
     merged: dict[str, str] = {}

@@ -210,7 +210,7 @@ class PolynomialObservable:
 
 
 class ModelSystem:
-    """A concrete model: position, momentum, Hamiltonian, and parameters.
+    """A concrete model: position, momentum, Hamiltonian, and ``hbar``.
 
     ``kind`` is one of ``grid_well``, ``grid_free``, ``oscillator_ladder``.
     The Hamiltonian eigendecomposition is computed once on demand and
@@ -218,15 +218,12 @@ class ModelSystem:
     """
 
     def __init__(self, kind: str, q: HermitianOperator, p: HermitianOperator,
-                 hamiltonian: HermitianOperator, mass: float, hbar: float,
-                 omega: float | None = None, grid: GridMeta | None = None):
+                 hamiltonian: HermitianOperator, hbar: float, grid: GridMeta | None = None):
         self.kind = kind
         self.q = q
         self.p = p
         self.hamiltonian = hamiltonian
-        self.mass = float(mass)
         self.hbar = float(hbar)
-        self.omega = None if omega is None else float(omega)
         self.grid = grid
         self._spectrum: SpectralDecomposition | None = None
 
@@ -348,7 +345,7 @@ def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelS
     off = grid.hbar / (2.0 * grid.spacing)
     p = certify_hermitian(Operator(_tridiagonal(grid.npoints, 0.0, -1j * off, 1j * off), grid))
     kind = "grid_well" if potential == "infinite_well" else "grid_free"
-    return ModelSystem(kind, q, p, grid_hamiltonian(grid), mass=grid.mass, hbar=grid.hbar, grid=grid)
+    return ModelSystem(kind, q, p, grid_hamiltonian(grid), hbar=grid.hbar, grid=grid)
 
 
 def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
@@ -372,7 +369,7 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
     p = certify_hermitian(Operator(p_matrix))
     h_matrix = p_matrix @ p_matrix / (2.0 * mass) + 0.5 * mass * omega * omega * (q_matrix @ q_matrix)
     hamiltonian = certify_hermitian(Operator(h_matrix))
-    return ModelSystem("oscillator_ladder", q, p, hamiltonian, mass=mass, hbar=hbar, omega=omega)
+    return ModelSystem("oscillator_ladder", q, p, hamiltonian, hbar=hbar)
 
 
 def oscillator_hamiltonian_poly(mass: float = 1.0, omega: float = 1.0) -> PolynomialObservable:

@@ -111,19 +111,6 @@ _XSHIFT = 16
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 
 
-def _seed_words(seed: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative seed, as SeedSequence splits it."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    seed >>= 32
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    return words
-
-
 def _hashmix(value, hash_const: int, mult: int = _MULT_A) -> tuple:
     """SeedSequence's hashmix on an int or a uint64 array of uint32 values; returns the next constant."""
     value = value ^ hash_const
@@ -177,27 +164,19 @@ def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
 
     Reproduces ``SeedSequence(entropy=seed, spawn_key=(i,))``, its
     ``generate_state(4, uint64)``, PCG64 seeding and one ``random()`` draw
-    with array arithmetic.  The hash constants do not depend on the data, so
-    the seed words are mixed once here and only the spawn word ``i`` (one
-    uint32, hence ``hi <= 2**32``) is mixed across the array.  Every array
-    has length ``hi - lo`` and at most a dozen are alive at once.
+    with array arithmetic.  The seed's words come first in the entropy, so
+    the pool after mixing them is ``SeedSequence(seed).pool``; the hash
+    constant then depends only on how many hashmix calls numpy made (4 to
+    fill the pool, 12 to cross-mix it, 4 per seed word beyond the fourth).
+    Only the spawn word ``i`` (one uint32, hence ``hi <= 2**32``) is mixed
+    across the array.  Every array has length ``hi - lo`` and at most a
+    dozen are alive at once.
     """
-    words = _seed_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))  # padded because a spawn key follows
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
+    seed = int(seed)
+    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
+    words = max(1, -(-seed.bit_length() // 32))
+    hashes = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
+    hash_const = (_INIT_A * pow(_MULT_A, hashes, 1 << 32)) & _MASK32
     # the spawn word, in uint64 lanes holding uint32 values
     spawn = np.arange(lo, hi, dtype=np.uint64)
     for dst in range(_POOL_SIZE):
@@ -344,7 +323,7 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
         raise ValueError(f"need at least one sample, got {n}")
     if n > MAX_SAMPLES:
         raise InputError(f"at most {MAX_SAMPLES} samples per experiment, got {n}")
-    _seed_words(seed)  # a negative seed fails here as in sample_rng, before any sample
+    np.random.SeedSequence(int(seed))  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
     counts = np.zeros(len(dec.groups), dtype=np.int64)
     bounds = None
@@ -369,13 +348,14 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
 
     seen = np.flatnonzero(counts)
     observed = {dec.group_eigenvalue(g): int(counts[g]) for g in seen}
-    mean = sum(value * counts[g] for value, g in zip(observed, seen)) / n
-    deviations = [value - mean for value in observed]
-    # the deviations are scaled by 2**-e and the std back by 2**e, both exactly, so the
-    # squares cannot overflow while the std is finite: (2**480)**2 * MAX_SAMPLES is finite
-    e = max(0, math.frexp(max(map(abs, deviations)))[1] - 480)
-    variance = sum(c * math.ldexp(d, -e) ** 2 for d, c in zip(deviations, observed.values())) / n
-    return EnsembleReport(observed, n, float(mean), math.ldexp(math.sqrt(variance), e), int(seed))
+    # the outcomes are scaled by 2**-e and the mean and std back by 2**e, all exactly, so
+    # neither the mean's products nor the squared deviations overflow while the mean and
+    # std are finite: 2**480 * MAX_SAMPLES and (2**481)**2 * MAX_SAMPLES are finite
+    e = max(0, math.frexp(max(map(abs, observed)))[1] - 480)
+    scaled = [math.ldexp(value, -e) for value in observed]
+    mean = float(sum(value * counts[g] for value, g in zip(scaled, seen)) / n)
+    variance = sum(c * (value - mean) ** 2 for value, c in zip(scaled, observed.values())) / n
+    return EnsembleReport(observed, n, math.ldexp(mean, e), math.ldexp(math.sqrt(variance), e), int(seed))
 
 
 def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:

@@ -19,6 +19,7 @@ norm within ``STATE_NORM_TOL`` (defined in :mod:`traceqm.states`) of one.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
     "av_decompose",
 ]
 
-#: default relative bound for hermiticity certification.
+#: relative bound for hermiticity certification.
 CERT_TOL = 1e-10
 
 #: relative bound on the imaginary part of a hermitian expectation.
@@ -119,18 +120,16 @@ def adjoint(a: Operator) -> Operator:
     return Operator(a.matrix.conj().T, a.grid)
 
 
-def certify_hermitian(a, tol: float = CERT_TOL, grid: GridMeta | None = None) -> HermitianOperator:
-    """Check max|A - adjoint(A)| against ``tol`` scaled by (1 + max|A|).
+def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
+    """Check max|A - adjoint(A)| against ``CERT_TOL`` scaled by (1 + max|A|).
 
     Accepts an :class:`Operator` or a bare matrix.  Returns a
     :class:`HermitianOperator` carrying the measured deviation as its
     certificate, or raises :class:`NotHermitianError` (also for a matrix
     with a non-finite entry).
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
     probe = a if isinstance(a, Operator) else Operator(a, grid)
-    bound = tol * (1.0 + float(np.max(np.abs(probe.matrix))))
+    bound = CERT_TOL * (1.0 + float(np.max(np.abs(probe.matrix))))
     # an inf or NaN entry makes the bound inf or NaN; refuse before the
     # subtraction, where inf - inf would make numpy warn, and whose worst
     # entry would be non-finite too
@@ -204,12 +203,15 @@ def dispersion(a: HermitianOperator, psi: StateVector) -> float:
     """Standard deviation sqrt(<A^2> - <A>^2), clipped at zero.
 
     The second moment is computed as the squared norm of A @ psi, an
-    independent route from the expectation itself.
+    independent route from the expectation itself.  Both moments are scaled
+    exactly by the power of two that brings that norm into [0.5, 1), so
+    neither square overflows or underflows.
     """
     raw, image = _raw_expectation(a, psi)
-    second = _raw_norm(image, psi.grid) ** 2
-    variance = second - raw.real**2
-    return float(np.sqrt(max(0.0, variance)))
+    norm = _raw_norm(image, psi.grid)
+    e = math.frexp(norm)[1]
+    norm, mean = math.ldexp(norm, -e), math.ldexp(raw.real, -e)
+    return math.ldexp(math.sqrt(max(0.0, norm**2 - mean**2)), e)
 
 
 def av_decompose(a: HermitianOperator, psi: StateVector) -> AvResult:

@@ -63,7 +63,7 @@ GROUP_TOL_FACTOR = 1e-8
 #: smallest component magnitude eligible to anchor the phase convention.
 PHASE_FLOOR = 1e-8
 
-#: default scaled tolerance for pairwise commutators.
+#: scaled tolerance for pairwise commutators.
 COMMUTE_TOL = 1e-8
 
 
@@ -197,18 +197,16 @@ class JointDecomposition:
     """Common eigenbasis of a commuting family with per-operator eigenvalues.
 
     ``eigenvalue_lists[i, k]`` is the eigenvalue of family member i on basis
-    vector k (a Rayleigh quotient in the refined basis).  ``blocks`` groups
-    indices that remain jointly degenerate across the whole family.
+    vector k (a Rayleigh quotient in the refined basis).
     """
 
-    def __init__(self, basis, eigenvalue_lists, blocks, grid: GridMeta | None = None):
+    def __init__(self, basis, eigenvalue_lists, grid: GridMeta | None = None):
         basis = np.asarray(basis, dtype=np.complex128)
         eigenvalue_lists = np.asarray(eigenvalue_lists, dtype=np.float64)
         basis.setflags(write=False)
         eigenvalue_lists.setflags(write=False)
         self.basis = basis
         self.eigenvalue_lists = eigenvalue_lists
-        self.blocks = tuple(tuple(int(i) for i in b) for b in blocks)
         self.grid = grid
 
     @property
@@ -312,16 +310,16 @@ def _check_family(family) -> list[HermitianOperator]:
     return family
 
 
-def commute_check(family, tol: float = COMMUTE_TOL) -> bool:
-    """True when every pairwise commutator vanishes within ``tol`` (scaled)."""
+def commute_check(family) -> bool:
+    """True when every pairwise commutator vanishes within ``COMMUTE_TOL`` (scaled)."""
     family = _check_family(family)
     if len(family) < 2:
         return True
     _, worst = _worst_commutator(family)
-    return worst <= tol
+    return worst <= COMMUTE_TOL
 
 
-def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposition:
+def simultaneous_diagonalize(family) -> JointDecomposition:
     """Common eigenbasis of a commuting family by sequential refinement.
 
     The first operator is diagonalized outright; every further operator is
@@ -331,7 +329,7 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
     """
     family = _check_family(family)
     pair, worst = _worst_commutator(family)
-    if worst > tol:
+    if worst > COMMUTE_TOL:
         raise NotCommutingError(pair, worst)
 
     first = family[0]
@@ -362,7 +360,7 @@ def simultaneous_diagonalize(family, tol: float = COMMUTE_TOL) -> JointDecomposi
     lists = np.empty((len(family), first.dim), dtype=np.float64)
     for i, a in enumerate(family):
         lists[i] = np.einsum("ij,ij->j", basis.conj(), a.matrix @ basis).real
-    return JointDecomposition(basis, lists, blocks, first.grid)
+    return JointDecomposition(basis, lists, first.grid)
 
 
 def _representatives(values: np.ndarray) -> np.ndarray:

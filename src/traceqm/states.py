@@ -58,6 +58,9 @@ DEPENDENT_TOL = 1e-10
 
 MIN_GRID_POINTS = 8
 
+#: a sum of squares below this may have lost bits to underflow (smallest normal / eps).
+SQUARES_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class GridMeta:
@@ -65,16 +68,15 @@ class GridMeta:
 
     With ``npoints`` interior points the spacing is ``length/(npoints + 1)``
     and the sample positions are ``x_j = j*spacing`` for j = 1..npoints; the
-    walls at 0 and length are not stored (the state vanishes there).
-    ``mass`` and ``hbar`` travel with the grid so model builders and
-    analytic references agree on units.
+    walls at 0 and length are not stored (the state vanishes there), so the
+    boundary is always dirichlet.  ``mass`` and ``hbar`` travel with the grid
+    so model builders and analytic references agree on units.
     """
 
     length: float
     npoints: int
     mass: float = 1.0
     hbar: float = 1.0
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if not (isinstance(self.npoints, (int, np.integer)) and not isinstance(self.npoints, bool)):
@@ -87,8 +89,6 @@ class GridMeta:
                 raise GridError(f"{name} must be positive and finite, got {value!r}")
         if self.npoints < MIN_GRID_POINTS:
             raise GridError(f"need at least {MIN_GRID_POINTS} grid points, got {self.npoints}")
-        if self.boundary != "dirichlet":
-            raise GridError(f"unsupported boundary {self.boundary!r}")
 
     @property
     def spacing(self) -> float:
@@ -148,8 +148,21 @@ def _raw_inner(a: np.ndarray, b: np.ndarray, grid: GridMeta | None) -> complex:
     return complex(np.vdot(a, b)) * _weight(grid)
 
 
+def _squares(a: np.ndarray) -> float:
+    re, im = a.real, a.imag
+    return float(np.vdot(re, re)) + float(np.vdot(im, im))  # Python floats: an overflow sets no warning
+
+
 def _raw_norm(a: np.ndarray, grid: GridMeta | None) -> float:
-    return float(np.linalg.norm(a)) * math.sqrt(_weight(grid))
+    """Complex norm with the grid weight: ``np.linalg.norm``'s arithmetic, bit for bit,
+    unless the squares overflow or lose bits to underflow; then the entries are scaled by
+    a power of two first (in the same memory layout, so the same summation runs), and a
+    finite nonzero norm is always finite and nonzero."""
+    squares, e = _squares(a), 0
+    if not SQUARES_FLOOR <= squares < math.inf:
+        e = math.frexp(float(max(np.abs(a.real).max(), np.abs(a.imag).max())))[1]
+        squares = _squares(np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(a.dtype))
+    return math.ldexp(math.sqrt(squares), e) * math.sqrt(_weight(grid))
 
 
 def _require_same_space(a, b, what: str):

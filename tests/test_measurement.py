@@ -347,8 +347,9 @@ def test_sample_rng_streams_are_independent_and_stable():
 
 # ---------------------------------------------------------------- batched variates
 
-#: seeds of one, two, three and five uint32 words
-SEEDS = (0, 1, 42, 109, 110, 9001, 1275887881, 2**32 + 5, 2**70 + 3, 2**130 + 11)
+#: seeds of one, two, three, four, five and seven uint32 words
+SEEDS = (0, 1, 42, 109, 110, 9001, 1275887881, 2**32 + 5, 2**70 + 3, 2**127 + 1, 2**130 + 11,
+         2**200 + 3)
 
 
 def per_sample_uniforms(seed, lo, hi):

@@ -64,10 +64,6 @@ class TestGridMeta:
         with pytest.raises(GridError):
             GridMeta(**kwargs)
 
-    def test_unsupported_boundary_rejected(self):
-        with pytest.raises(GridError):
-            GridMeta(length=1.0, npoints=16, boundary="periodic")
-
     def test_is_immutable(self):
         g = GridMeta(length=1.0, npoints=16)
         with pytest.raises(Exception):

@@ -3,8 +3,9 @@
 Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
 ``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
-9001, ``well-spectrum --hbar 1e-100`` and ``cat`` at the huge outcomes
-``--a1 1e154 --a2 -1e154`` and ``--a1 1e200``, into a temporary directory, and
+9001, ``well-spectrum --hbar 1e-100`` and ``cat`` at the extreme outcomes
+``--a1 1e154 --a2 -1e154``, ``--a1 1e200``, ``--a1 1e308 --a2 1e307 --n 1000``
+and ``--a1 1e-300 --a2 -1e-300``, into a temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -41,8 +42,12 @@ EXTRA = (
     ("well-spectrum-hbar1e-100", ("well-spectrum", "--hbar", "1e-100")),
     # outcomes whose squared deviations overflow while the std is finite
     ("cat-a1e154", ("cat", "--a1", "1e154", "--a2", "-1e154")),
-    # outcomes whose dispersion, and so the derived bounds, overflow
+    # outcomes whose dispersion's squared entries overflow
     ("cat-a1e200", ("cat", "--a1", "1e200")),
+    # outcomes whose mean's products overflow while the mean is finite
+    ("cat-a1e308", ("cat", "--a1", "1e308", "--a2", "1e307", "--n", "1000")),
+    # outcomes whose dispersion's squared entries underflow
+    ("cat-a1e-300", ("cat", "--a1", "1e-300", "--a2", "-1e-300")),
 )
 
 
