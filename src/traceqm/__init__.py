@@ -51,6 +51,7 @@ from .states import (
 )
 from .operators import (
     AvResult,
+    BandOperator,
     HermitianOperator,
     Operator,
     adjoint,

@@ -7,8 +7,10 @@ compiled defaults.  The same configuration and seed always produce byte
 identical artifacts.
 
 Exit codes: 0 all checks passed, 1 a check failed (or the run errored),
-2 usage or validation problem, or an input the run refuses up front (such
-as a grid too large for physical memory), 3 could not write output.
+2 usage or validation problem, or an input too large for this machine
+(a grid refused up front by arithmetic on its size, or a run that ran out
+of memory anyway), 3 could not write output.  Every error is one
+``error:`` line on stderr, without a traceback.
 """
 
 from __future__ import annotations
@@ -295,6 +297,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         rows, checks = EXPERIMENTS[cfg.experiment](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {cfg.experiment} ran out of memory{detail}", file=sys.stderr)
         return 2
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,15 +4,18 @@ Two model families are provided:
 
 * grid models on a hard-wall interval (a particle in a box, with or without
   the box read as a free stretch), built from a three-point kinetic stencil
-  and a central-difference momentum; :func:`grid_hamiltonian` builds the
-  kinetic stencil alone as a dense matrix, and :func:`grid_levels` (the
-  band path) returns its lowest levels from its two bands alone, a
-  diagonal of 2k and an off-diagonal of -k with k = hbar^2/(2 m h^2), by
-  Sturm-sequence bisection (scipy's ``eigvalsh_tridiagonal`` with LAPACK
-  ``?stebz``) in O(N) memory; scipy is imported inside that function, so
-  callers that never ask for levels never load it.  Each builder refuses
-  a grid whose working set would not fit in physical memory before
-  allocating any of it;
+  and a central-difference momentum.  Position, momentum and the kinetic
+  Hamiltonian are :class:`~traceqm.operators.BandOperator` objects that
+  hold their bands, so a model costs O(N) memory; a dense matrix is built
+  only for a caller that reads ``.matrix``, and the spectral routines
+  solve the real ones from their bands.  :func:`grid_hamiltonian` builds
+  the kinetic stencil alone, a diagonal of 2k and an off-diagonal of -k
+  with k = hbar^2/(2 m h^2), and :func:`grid_levels` returns its lowest
+  levels from the same bands by Sturm-sequence bisection (scipy's
+  ``eigvalsh_tridiagonal`` with LAPACK ``?stebz``) in O(N) memory; scipy
+  is imported inside that function, so callers that never ask for levels
+  never load it.  Each builder refuses a grid whose working set would not
+  fit in physical memory before allocating any of it;
 * a truncated oscillator ladder, built from the usual raising and lowering
   matrices.  Truncation lives entirely in the last row and column, so
   identities like [q, p] = i*hbar hold exactly on the leading block.
@@ -34,7 +37,6 @@ to roundoff.
 
 from __future__ import annotations
 
-import os
 from math import comb
 from typing import NamedTuple
 
@@ -42,17 +44,18 @@ import numpy as np
 
 from .errors import (
     DegreeError,
-    InputError,
     NotHermitianError,
     NumericalError,
     TruncationError,
 )
 from .operators import (
+    BandOperator,
     HermitianOperator,
     Operator,
     certify_hermitian,
     dispersion,
     expect_c,
+    _require_fits,
     _require_normalized,
 )
 from .spectral import SpectralDecomposition, _solve, eigendecompose
@@ -87,19 +90,15 @@ TOP_LEVEL_OCCUPANCY_TOL = 1e-6
 
 MIN_LADDER_DIM = 4
 
-#: bytes of one dense N x N complex128 matrix, per matrix element.
-DENSE_ELEMENT_BYTES = 16
+#: bytes per grid point alive at once inside :func:`grid_hamiltonian`: its
+#: two float64 bands, the copies :class:`BandOperator` keeps of them, and
+#: the float64 magnitudes of its finiteness check.
+STENCIL_BYTES_PER_POINT = 2 * 2 * 8 + 8
 
-#: N x N matrices alive at once inside :func:`grid_hamiltonian`: the
-#: :class:`Operator` copy of the stencil (the stencil itself is a temporary,
-#: freed once copied), and the adjoint-difference and its magnitude that
-#: :func:`certify_hermitian` forms, 1.5 matrices, rounded up (the certified
-#: operator shares the :class:`Operator` copy).
-HAMILTONIAN_MATRICES = 3
-
-#: N x N matrices alive at once inside :func:`build_grid_model`: the
-#: certified q and p, held while the Hamiltonian is built with its own three.
-GRID_MODEL_MATRICES = 2 + HAMILTONIAN_MATRICES
+#: bytes per grid point alive at once inside :func:`build_grid_model`: the
+#: bands q keeps (16) and p keeps (a float64 diagonal and a complex128
+#: superdiagonal, 24), held while the Hamiltonian is built with its own.
+GRID_MODEL_BYTES_PER_POINT = 16 + 24 + STENCIL_BYTES_PER_POINT
 
 #: bytes per grid point alive at once inside :func:`grid_levels`: seven
 #: float64 vectors (the diagonal and off-diagonal bands, the eigenvalue
@@ -248,36 +247,6 @@ class BracketCheck(NamedTuple):
     gap: float
 
 
-def _require_fits(grid: GridMeta, need: int, what: str):
-    """Refuse a grid whose working set of ``need`` bytes exceeds physical memory.
-
-    Pure arithmetic on N: nothing is allocated, so an absurd grid size is
-    refused at once instead of exhausting the machine.
-    """
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise InputError(
-            f"a grid of {grid.npoints} points needs {need / 1e9:.3g} GB for {what}, "
-            f"more than the {have / 1e9:.3g} GB of physical memory"
-        )
-
-
-def _require_dense_fits(grid: GridMeta, matrices: int):
-    """Refuse a grid whose ``matrices`` dense N x N matrices exceed physical memory."""
-    n = grid.npoints
-    _require_fits(grid, matrices * DENSE_ELEMENT_BYTES * n * n, f"{matrices} dense {n}x{n} complex matrices")
-
-
-def _tridiagonal(n: int, diagonal, upper, lower) -> np.ndarray:
-    """Dense n x n complex matrix with constant diagonal, super- and subdiagonal."""
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    np.fill_diagonal(matrix, diagonal)
-    j = np.arange(n - 1)
-    matrix[j, j + 1] = upper
-    matrix[j + 1, j] = lower
-    return matrix
-
-
 def _kinetic_coupling(grid: GridMeta) -> float:
     """Coupling k = hbar^2/(2 m h^2) of the three-point stencil (bands 2k and -k).
 
@@ -292,15 +261,20 @@ def _kinetic_coupling(grid: GridMeta) -> float:
     return k
 
 
-def grid_hamiltonian(grid: GridMeta) -> HermitianOperator:
+def _stencil_bands(npoints: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 2k and off-diagonal -k of the three-point stencil with coupling ``k``."""
+    return np.full(npoints, 2.0 * k), np.full(npoints - 1, -k)
+
+
+def grid_hamiltonian(grid: GridMeta) -> BandOperator:
     """Kinetic Hamiltonian -hbar^2/(2m) d^2/dx^2 from the three-point stencil.
 
     Inside the hard walls the potential is zero, so this is the whole
-    Hamiltonian of both grid models; it is real symmetric and tridiagonal.
+    Hamiltonian of both grid models; it is real symmetric and tridiagonal,
+    and is returned as its bands.
     """
-    _require_dense_fits(grid, HAMILTONIAN_MATRICES)
-    k = _kinetic_coupling(grid)
-    return certify_hermitian(Operator(_tridiagonal(grid.npoints, 2.0 * k, -k, -k), grid))
+    _require_fits(grid, STENCIL_BYTES_PER_POINT * grid.npoints, "its bands")
+    return BandOperator(*_stencil_bands(grid.npoints, _kinetic_coupling(grid)), grid)
 
 
 def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
@@ -316,8 +290,7 @@ def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
         raise ValueError(f"count must lie in [1, {grid.npoints}], got {count!r}")
     _require_fits(grid, BAND_BYTES_PER_POINT * grid.npoints, "its band working set")
     unit, exponent = np.frexp(_kinetic_coupling(grid))
-    diagonal = np.full(grid.npoints, 2.0 * unit)
-    off_diagonal = np.full(grid.npoints - 1, -unit)
+    diagonal, off_diagonal = _stencil_bands(grid.npoints, unit)
     # scipy costs a fresh interpreter about 0.3 s to import: only callers
     # that ask for levels pay it
     from scipy.linalg import eigvalsh_tridiagonal
@@ -340,10 +313,10 @@ def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelS
     """
     if potential not in ("infinite_well", "free"):
         raise ValueError(f"unknown potential {potential!r}")
-    _require_dense_fits(grid, GRID_MODEL_MATRICES)
-    q = certify_hermitian(Operator(np.diag(grid.positions.astype(np.complex128)), grid))
-    off = grid.hbar / (2.0 * grid.spacing)
-    p = certify_hermitian(Operator(_tridiagonal(grid.npoints, 0.0, -1j * off, 1j * off), grid))
+    n = grid.npoints
+    _require_fits(grid, GRID_MODEL_BYTES_PER_POINT * n, "its bands")
+    q = BandOperator(grid.positions, np.zeros(n - 1), grid)
+    p = BandOperator(np.zeros(n), np.full(n - 1, -1j * (grid.hbar / (2.0 * grid.spacing))), grid)
     kind = "grid_well" if potential == "infinite_well" else "grid_free"
     return ModelSystem(kind, q, p, grid_hamiltonian(grid), hbar=grid.hbar, grid=grid)
 

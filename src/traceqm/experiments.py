@@ -26,9 +26,9 @@ from .dynamics import (
 )
 from .errors import NumericalError
 from .measurement import cat_experiment, reconstruct_density, repeat_experiment
-from .operators import Operator, av_decompose, certify_hermitian, expect_r
+from .operators import Operator, _require_fits, av_decompose, certify_hermitian, expect_r
 from .scalars import IMAG_UNIT, TraceScalar, minimal_poly_residual, trace
-from .spectral import apply_function, eigendecompose, verify_dispersion_free, vn_generator
+from .spectral import _band_eigenbasis_bytes, apply_function, eigendecompose, verify_dispersion_free, vn_generator
 from .states import GridMeta, StateVector, grid_sample, normalize
 
 __all__ = [
@@ -119,6 +119,15 @@ def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return normalize(StateVector(raw))
 
 
+def _grid_model(cfg: ExperimentConfig):
+    """The hard-wall grid model of ``cfg``, refused up front, before its bands
+    exist, when its energy eigenbasis would not fit in physical memory: every
+    caller decomposes the Hamiltonian."""
+    grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
+    _require_fits(grid, _band_eigenbasis_bytes(grid.npoints), "its energy eigenbasis")
+    return build_grid_model(grid)
+
+
 # ---------------------------------------------------------------------------
 # cat
 # ---------------------------------------------------------------------------
@@ -191,10 +200,10 @@ def run_well_spectrum(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_spread(cfg: ExperimentConfig):
-    grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
     # "free" and "infinite_well" grid models have the same q, p and H and
     # differ only in their recorded kind, so one model evolves both series
-    model = build_grid_model(grid)
+    model = _grid_model(cfg)
+    grid = model.grid
 
     sigma0 = cfg.length / 40.0
     tau = 2.0 * cfg.mass * sigma0 * sigma0 / cfg.hbar
@@ -292,7 +301,7 @@ def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
         dec = eigendecompose(res.generator)
         for member, table in zip(family, res.tables):
             rebuilt = apply_function(dec, lambda lam: table[round(lam)])
-            worst = max(worst, float(np.max(np.abs(rebuilt.matrix - member.matrix))))
+            worst = max(worst, float(abs(rebuilt.matrix - member.matrix).max()))
     return worst
 
 
@@ -316,8 +325,8 @@ def run_vn_generator(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_ensemble_density(cfg: ExperimentConfig):
-    grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
-    model = build_grid_model(grid, "infinite_well")
+    model = _grid_model(cfg)
+    grid = model.grid
     ground = model.energy_spectrum().eigenvector(0)
 
     report = repeat_experiment(lambda: ground, model.q, cfg.n, cfg.seed)

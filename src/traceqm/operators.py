@@ -15,16 +15,22 @@ part along the state and a dispersion part orthogonal to it.
 
 Every routine taking a state requires :attr:`StateVector.normalized`: its
 norm within ``STATE_NORM_TOL`` (defined in :mod:`traceqm.states`) of one.
+
+A grid operator that is tridiagonal by construction (the grid position,
+momentum and kinetic Hamiltonian) is a :class:`BandOperator`: it keeps its
+bands, is certified from them in O(N), and builds its dense matrix only
+when a caller asks for it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, GridError, NotHermitianError, NumericalError, StateError
+from .errors import DimensionError, GridError, InputError, NotHermitianError, NumericalError, StateError
 from .scalars import TraceScalar, trace
 # STATE_NORM_TOL is defined in states and stays importable from here
 from .states import STATE_NORM_TOL, GridMeta, StateVector, _raw_inner, _raw_norm, _require_same_space  # noqa: F401
@@ -32,6 +38,7 @@ from .states import STATE_NORM_TOL, GridMeta, StateVector, _raw_inner, _raw_norm
 __all__ = [
     "Operator",
     "HermitianOperator",
+    "BandOperator",
     "AvResult",
     "adjoint",
     "certify_hermitian",
@@ -50,6 +57,9 @@ IMAG_EXPECT_TOL = 1e-10
 
 #: dispersion below which no orthogonal component is returned.
 BETA_FLOOR = 1e-10
+
+#: bytes of one complex128 matrix entry.
+COMPLEX_ENTRY_BYTES = 16
 
 
 class Operator:
@@ -102,6 +112,84 @@ class HermitianOperator(Operator):
         object.__setattr__(self, "certificate", float(certificate))
 
 
+def _require_fits(grid: GridMeta, need: int, what: str):
+    """Refuse a grid whose working set of ``need`` bytes exceeds physical memory.
+
+    Pure arithmetic on N: nothing is allocated, so an absurd grid size is
+    refused at once instead of exhausting the machine.
+    """
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InputError(
+            f"a grid of {grid.npoints} points needs {need / 1e9:.3g} GB for {what}, "
+            f"more than the {have / 1e9:.3g} GB of physical memory"
+        )
+
+
+#: the slot a band operator keeps its dense matrix in, once built.
+_DENSE = Operator.matrix
+
+
+class BandOperator(HermitianOperator):
+    """Certified hermitian tridiagonal operator on a grid, held as its bands.
+
+    ``diagonal`` is real and ``upper``, the superdiagonal, real or complex;
+    the subdiagonal is the conjugate of ``upper``.  Hermitian by
+    construction, the operator is certified by checking that its bands are
+    finite, in O(N), with certificate 0 and :func:`certify_hermitian`'s
+    bound and message.  ``matrix`` is the dense N x N complex128 matrix,
+    built on first access (and refused first if it cannot fit in physical
+    memory) and then kept, so only the callers that use it pay for it.
+    """
+
+    __slots__ = ("diagonal", "upper")
+
+    def __init__(self, diagonal, upper, grid: GridMeta):
+        diagonal = np.array(diagonal, dtype=np.float64)
+        upper = np.array(upper, dtype=np.complex128 if np.iscomplexobj(upper) else np.float64)
+        if diagonal.shape != (grid.npoints,) or upper.shape != (grid.npoints - 1,):
+            raise GridError(f"bands of shapes {diagonal.shape} and {upper.shape} do not fit "
+                            f"a grid of {grid.npoints} points")
+        bound = CERT_TOL * (1.0 + float(np.max([abs(diagonal).max(), abs(upper).max()])))
+        if not bound < np.inf:
+            raise NotHermitianError(np.nan, bound, "matrix has non-finite entries")
+        diagonal.setflags(write=False)
+        upper.setflags(write=False)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "certificate", 0.0)
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        try:
+            return _DENSE.__get__(self)
+        except AttributeError:
+            pass
+        n = self.dim
+        _require_fits(self.grid, COMPLEX_ENTRY_BYTES * n * n, f"a dense {n}x{n} complex matrix")
+        matrix = self._dense(np.complex128)
+        matrix.setflags(write=False)
+        _DENSE.__set__(self, matrix)
+        return matrix
+
+    def _dense(self, dtype) -> np.ndarray:
+        """A new N x N array of ``dtype`` holding the bands."""
+        n = self.dim
+        out = np.zeros((n, n), dtype=dtype)
+        np.fill_diagonal(out, self.diagonal)
+        j = np.arange(n - 1)
+        out[j, j + 1] = self.upper
+        # conj(-1j*x) has real part -0.0 where 1j*x has +0.0: adding 0.0 makes
+        # it +0.0, so the subdiagonal holds the bytes of 1j*x
+        out[j + 1, j] = self.upper.conj() + 0.0
+        return out
+
+
 class AvResult(NamedTuple):
     """Mean-plus-deviation split of an observable acting on a state."""
 
@@ -129,7 +217,7 @@ def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     with a non-finite entry).
     """
     probe = a if isinstance(a, Operator) else Operator(a, grid)
-    bound = CERT_TOL * (1.0 + float(np.max(np.abs(probe.matrix))))
+    bound = CERT_TOL * (1.0 + float(abs(probe.matrix).max()))
     # an inf or NaN entry makes the bound inf or NaN; refuse before the
     # subtraction, where inf - inf would make numpy warn, and whose worst
     # entry would be non-finite too
@@ -138,7 +226,7 @@ def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     # the one N x N temporary, the adjoint in C order so the in-place difference runs contiguously
     diff = np.conjugate(probe.matrix.T, order="C")
     np.subtract(probe.matrix, diff, out=diff)
-    deviation = float(np.max(np.abs(diff)))
+    deviation = float(abs(diff).max())
     if not deviation <= bound:
         raise NotHermitianError(deviation, bound)
     # the probe's matrix is already a private read-only copy: share it rather

@@ -195,6 +195,42 @@ def test_exit_two_on_grid_too_large_for_memory(experiment, npoints, tmp_path, ca
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("experiment, npoints", [("spread", 30_000), ("ensemble-density", 100_000)])
+def test_exit_two_on_eigenbasis_too_large_for_memory(experiment, npoints, tmp_path, capsys):
+    """The grid model's bands fit; the energy eigenbasis the run needs does not,
+    and is refused before the bands are built."""
+    from traceqm import spectral
+
+    if spectral._band_eigenbasis_bytes(npoints) <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip(f"this machine's physical memory holds the eigenbasis of {npoints} points")
+    code, out = run_cli([experiment, "--grid-n", str(npoints)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a grid of {npoints} points") and err.count("\n") == 1
+    assert "its energy eigenbasis" in err and "physical memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.45 GiB for an array with shape (1000, 1000000) and data type float64",
+     "error: spread ran out of memory: Unable to allocate 7.45 GiB for an array with shape "
+     "(1000, 1000000) and data type float64\n"),
+    ("", "error: spread ran out of memory\n"),
+])
+def test_memory_error_exits_two_with_one_line(message, line, tmp_path, capsys, monkeypatch):
+    """An allocation that fails anyway is one error line naming the experiment, not a traceback."""
+    from traceqm import experiments
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "build_grid_model", exhausted)
+    code, out = run_cli(["spread"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mass", ["1e-305", "1e-320"])
 @pytest.mark.parametrize("experiment", ["well-spectrum", "spread", "ensemble-density"])
 def test_exit_one_on_mass_too_small_for_the_stencil(experiment, mass, tmp_path, capsys):

@@ -157,20 +157,23 @@ def test_grid_stencils_bit_identical_to_loop_reference():
     assert hamiltonian.certificate == model.hamiltonian.certificate == 0.0
 
 
-@pytest.mark.parametrize("build, matrices", [
-    (grid_hamiltonian, dynamics.HAMILTONIAN_MATRICES),
-    (build_grid_model, dynamics.GRID_MODEL_MATRICES),
+@pytest.mark.parametrize("build, bytes_per_point", [
+    (grid_hamiltonian, dynamics.STENCIL_BYTES_PER_POINT),
+    (build_grid_model, dynamics.GRID_MODEL_BYTES_PER_POINT),
 ])
-def test_declared_dense_working_set_bounds_traced_peak(build, matrices):
-    """The matrix counts behind the memory refusal cover what the builders allocate."""
-    g = GridMeta(length=1.0, npoints=300)
+def test_declared_band_working_set_of_builders_bounds_traced_peak(build, bytes_per_point):
+    """The byte counts behind the builders' memory refusal cover what they
+    allocate, O(N) with no N x N matrix, at a grid whose dense matrix alone
+    would need 160 GB."""
+    g = GridMeta(length=1.0, npoints=100_000)
     tracemalloc.start()
     try:
-        build(g)
+        built = build(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (matrices + 0.25) * dynamics.DENSE_ELEMENT_BYTES * g.npoints**2
+    assert built.dim == g.npoints
+    assert peak <= bytes_per_point * g.npoints + 2**16
 
 
 def test_grid_model_rejects_unknown_potential():

@@ -1,5 +1,6 @@
 """Spectral engine: decomposition, commuting families, single generator."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,23 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceqm import experiments, spectral
+from traceqm import experiments, operators, spectral
 from traceqm import (
+    BandOperator,
     ConvergenceError,
     FunctionDomainError,
+    GridError,
     GridMeta,
     HermitianOperator,
     InputError,
     NotCommutingError,
+    NotHermitianError,
     Operator,
     SpectralDecomposition,
     StateVector,
     apply_function,
+    build_grid_model,
     certify_hermitian,
     commute_check,
     complex_inner,
     eigendecompose,
     eigenvalues,
+    grid_hamiltonian,
     normalize,
     simultaneous_diagonalize,
     verify_dispersion_free,
@@ -659,3 +665,135 @@ def test_group_means_equal_np_mean_bit_for_bit():
         reference = [float(np.mean(values[list(group)])) for group in groups]
         assert all(type(mean) is float for mean in means)
         assert np.array(means).tobytes() == np.array(reference).tobytes()
+
+
+# ---------------------------------------------------------------- band operators
+
+#: a grid just above the crossover, solved by ?stemr
+ABOVE_CROSSOVER = spectral.STEMR_CROSSOVER + 64
+
+
+def grid_band_operators(npoints):
+    """The grid model's q, p and H, each held as its bands."""
+    model = build_grid_model(GridMeta(length=1.0, npoints=npoints))
+    return {"q": model.q, "p": model.p, "H": model.hamiltonian}
+
+
+@pytest.mark.parametrize("npoints", [16, 128, 512])
+@pytest.mark.parametrize("name", ["q", "p", "H"])
+def test_band_solve_below_crossover_keeps_the_dense_bytes(name, npoints):
+    """Up to the crossover a band operator is solved to the bytes of its certified dense matrix."""
+    op = grid_band_operators(npoints)[name]
+    assert isinstance(op, BandOperator)
+    band = eigendecompose(op)
+    values = eigenvalues(op)
+    dense = certify_hermitian(op.matrix)
+    reference = eigendecompose(dense)
+    assert band.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert band.basis.tobytes() == reference.basis.tobytes()
+    assert band.groups == reference.groups
+    assert values.tobytes() == eigenvalues(dense).tobytes()
+
+
+def band_norm(op):
+    """Gershgorin bound on the 2-norm of a hermitian tridiagonal."""
+    return float(np.max(np.abs(op.diagonal))) + 2.0 * float(np.max(np.abs(op.upper)))
+
+
+def band_image(op, vectors):
+    """The band operator applied to real columns, in O(N) per column."""
+    image = op.diagonal[:, None] * vectors
+    image[:-1] += op.upper[:, None] * vectors[1:]
+    image[1:] += op.upper[:, None] * vectors[:-1]
+    return image
+
+
+@pytest.mark.parametrize("name", ["q", "H"])
+def test_band_solve_above_crossover_is_backward_stable(name):
+    """?stemr's levels lie within N*eps*||A|| of the dense solve's, as both are
+    backward stable; its basis is orthonormal to N*eps, each eigenpair's
+    residual is within N*eps*||A||, and the conventions hold."""
+    op = grid_band_operators(ABOVE_CROSSOVER)[name]
+    n, norm = op.dim, band_norm(op)
+    dec = eigendecompose(op)
+    dense = np.linalg.eigvalsh(op._dense(np.float64))
+    assert np.max(np.abs(dec.eigenvalues - dense)) <= n * EPS * norm
+    assert np.max(np.abs(eigenvalues(op) - dense)) <= n * EPS * norm
+    assert dec.basis.dtype == np.complex128 and not dec.basis.imag.any()
+    vectors = dec.basis.real
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= n * EPS
+    residual = band_image(op, vectors) - vectors * dec.eigenvalues
+    assert np.max(np.linalg.norm(residual, axis=0)) <= n * EPS * norm
+    assert dec.groups == tuple((i,) for i in range(n))
+    pivots = vectors[np.argmax(np.abs(vectors) > PHASE_FLOOR, axis=0), np.arange(n)]
+    assert np.all(pivots > 0)
+
+
+@pytest.mark.parametrize("npoints, bytes_per_entry", [
+    (512, spectral.DENSE_BAND_BYTES_PER_ENTRY),
+    (ABOVE_CROSSOVER, spectral.STEMR_BYTES_PER_ENTRY),
+])
+def test_band_solve_declares_what_it_allocates(npoints, bytes_per_entry, monkeypatch):
+    """Each band path refuses by its own byte count, and that count covers the
+    traced peak of the decomposition, up to 32 float64 vectors of O(N) workspace."""
+    import scipy.linalg  # noqa: F401  (imported outside the trace)
+
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
+    declared = []
+    monkeypatch.setattr(spectral, "_require_fits", lambda grid, need, what: declared.append(need))
+    tracemalloc.start()
+    try:
+        eigendecompose(hamiltonian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert declared == [bytes_per_entry * npoints**2]
+    assert peak <= declared[0] + 32 * 8 * npoints
+
+
+def test_band_paths_refuse_before_allocating():
+    """At 10^5 points the bands fit and the dense matrix and eigenbasis do not."""
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=100_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="solving its 100000x100000 tridiagonal.*physical memory"):
+            eigendecompose(hamiltonian)
+        with pytest.raises(InputError, match="a dense 100000x100000 complex matrix.*physical memory"):
+            hamiltonian.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_band_operator_builds_its_matrix_once_on_demand():
+    model = build_grid_model(GridMeta(length=1.0, npoints=64))
+    eigendecompose(model.hamiltonian)
+    eigendecompose(model.q)
+    for op in (model.q, model.p, model.hamiltonian):
+        with pytest.raises(AttributeError):
+            operators._DENSE.__get__(op)  # solved from its bands alone
+        assert op.dim == 64
+        assert op.matrix is op.matrix
+        assert not op.matrix.flags.writeable
+        assert certify_hermitian(op.matrix).certificate == op.certificate == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_band_operator_refuses_non_finite_bands_as_certify_hermitian_does(bad):
+    g = GridMeta(length=1.0, npoints=8)
+    diagonal = np.arange(8.0)
+    diagonal[3] = bad
+    with pytest.raises(NotHermitianError) as band:
+        BandOperator(diagonal, np.ones(7), g)
+    dense = np.diag(diagonal) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1)
+    with pytest.raises(NotHermitianError) as reference:
+        certify_hermitian(dense)
+    assert str(band.value) == str(reference.value)
+
+
+def test_band_operator_refuses_bands_that_do_not_fit_its_grid():
+    g = GridMeta(length=1.0, npoints=8)
+    for diagonal, upper in ((np.zeros(8), np.zeros(8)), (np.zeros(9), np.zeros(8)), (np.zeros((8, 1)), np.zeros(7))):
+        with pytest.raises(GridError):
+            BandOperator(diagonal, upper, g)

@@ -2,7 +2,8 @@
 
 Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
-``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
+``spread --grid-n 1600 --times 0,0.001`` (a grid above the band solver's
+crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
 9001, ``well-spectrum --hbar 1e-100`` and ``cat`` at the extreme outcomes
 ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``, ``--a1 1e308 --a2 1e307 --n 1000``
 and ``--a1 1e-300 --a2 -1e-300``, into a temporary directory, and
@@ -33,6 +34,8 @@ EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ens
 #: extra runs beyond the defaults: (label, arguments).
 EXTRA = (
     ("spread-times", ("spread", "--times", "0,0.001")),
+    # a grid above spectral.STEMR_CROSSOVER, decomposed from its bands by ?stemr
+    ("spread-n1600", ("spread", "--grid-n", "1600", "--times", "0,0.001")),
     ("cat-seed7", ("cat", "--seed", "7")),
     # the small-algebra benchmark workload's inputs
     ("vn-generator-n1000", ("vn-generator", "--n", "1000")),
