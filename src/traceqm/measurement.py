@@ -17,17 +17,23 @@ Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
 named seed split into per-sample substreams: sample i's variate is the
 first draw of ``sample_rng(seed, i)``, so it depends on (seed, i) alone and
-never on how samples are batched or ordered.  :func:`repeat_experiment`
-draws the variates a fixed-size chunk at a time with array arithmetic that
-reproduces numpy's SeedSequence and PCG64 exactly, so a batch yields the
-per-sample substreams' variates bit for bit, every outcome can be replayed
-with :func:`measure_once`, and the working memory does not grow with the
-number of samples.
+never on how samples are batched or ordered.  One function,
+:func:`_seed_words`, reproduces numpy's SeedSequence hash with array
+arithmetic for a range of sample indices.  :func:`repeat_experiment` runs
+PCG64 seeding and one draw on those words a fixed-size chunk at a time, so
+a batch yields the per-sample substreams' variates bit for bit, every
+outcome can be replayed with :func:`measure_once`, and the working memory
+does not grow with the number of samples.  ``sample_rng`` seeds numpy's
+own PCG64 from a row of a small cache of such word blocks instead of
+hashing a new SeedSequence per call; the generator is numpy's in state,
+stream, spawning and pickling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -59,6 +65,18 @@ POSITION_MATCH_TOL = 1e-9
 #: states and (state, outcome group) collapses one decomposition remembers
 #: for measure_once; each entry holds a few dimension-length arrays.
 MEMO_ENTRIES = 16
+
+#: samples whose variates are drawn and binned together; bounds the working
+#: set.  Also the rows of one cached block of ``sample_rng`` seed words.
+SAMPLE_CHUNK = 4096
+
+#: more samples than this are refused: every sample index must fit the one
+#: uint32 spawn word that ``_seed_words`` mixes.
+MAX_SAMPLES = 2**32 - 1
+
+#: blocks of ``SAMPLE_CHUNK`` seed words ``sample_rng`` keeps, 128 KiB each;
+#: at least two, so two seeds read in turn do not evict each other.
+SEED_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -92,12 +110,6 @@ class CatResult(NamedTuple):
     report: EnsembleReport
     alpha: float
     beta: float
-
-
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent substream for sample ``index`` of experiment ``seed``."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
 
 
 # numpy's SeedSequence hash (pool of four uint32 words) and PCG64 constants,
@@ -159,20 +171,19 @@ def _pcg_step(high: np.ndarray, low: np.ndarray, inc_high: np.ndarray, inc_low: 
     high += low < inc_low
 
 
-def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    """``sample_rng(seed, i).random()`` for every i in [lo, hi), bit for bit.
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for every i in [lo, hi), as the rows of a ``(hi - lo, 4)`` uint64 array.
 
-    Reproduces ``SeedSequence(entropy=seed, spawn_key=(i,))``, its
-    ``generate_state(4, uint64)``, PCG64 seeding and one ``random()`` draw
-    with array arithmetic.  The seed's words come first in the entropy, so
-    the pool after mixing them is ``SeedSequence(seed).pool``; the hash
-    constant then depends only on how many hashmix calls numpy made (4 to
-    fill the pool, 12 to cross-mix it, 4 per seed word beyond the fourth).
-    Only the spawn word ``i`` (one uint32, hence ``hi <= 2**32``) is mixed
-    across the array.  Every array has length ``hi - lo`` and at most a
-    dozen are alive at once.
+    Reproduces numpy's hash with array arithmetic.  The seed's words come
+    first in the entropy, so the pool after mixing them is
+    ``SeedSequence(seed).pool``; the hash constant then depends only on how
+    many hashmix calls numpy made (4 to fill the pool, 12 to cross-mix it, 4
+    per seed word beyond the fourth).  Only the spawn word ``i`` (one
+    uint32, hence ``hi <= 2**32``) is mixed across the array.  The array is
+    column-major, each of the four words one contiguous column, and at most
+    a dozen arrays of length ``hi - lo`` are alive at once.
     """
-    seed = int(seed)
     pool = [int(word) for word in np.random.SeedSequence(seed).pool]
     words = max(1, -(-seed.bit_length() // 32))
     hashes = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
@@ -185,19 +196,27 @@ def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     del spawn, value
 
     # generate_state(4, uint64): eight uint32 words, paired little-endian
-    # into initstate (high, low) and initseq (high, low)
+    out = np.empty((_POOL_SIZE, hi - lo), dtype=np.uint64)
     hash_const = _INIT_B
-    halves = []
     for k in range(2 * _POOL_SIZE):
         value, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
         if k % 2:
             value <<= 32
-            halves[-1] |= value
+            out[k // 2] |= value
         else:
-            halves.append(value)
-    del pool, value
-    high, low, inc_high, inc_low = halves
-    del halves
+            out[k // 2] = value
+    return out.T
+
+
+def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``sample_rng(seed, i).random()`` for every i in [lo, hi), bit for bit.
+
+    PCG64 seeding and one ``random()`` draw on the rows of
+    :func:`_seed_words`, with array arithmetic; the seed words are the
+    initial state (high, low) and sequence (high, low).  Every array has
+    length ``hi - lo`` and at most a dozen are alive at once.
+    """
+    high, low, inc_high, inc_low = _seed_words(seed, lo, hi).T
 
     # PCG64 seeding: inc = initseq << 1 | 1, state = (inc + initstate) * M + inc
     inc_high <<= 1
@@ -218,6 +237,69 @@ def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
     low |= high
     low >>= 11
     return low.astype(np.float64) * 2.0**-53
+
+
+class _SeedWords:
+    """``SeedSequence(entropy=seed, spawn_key=(index,))`` holding its PCG64 seed words.
+
+    The first ``generate_state(4, np.uint64)``, the one request PCG64
+    makes, returns a copy of ``row``.  ``spawn`` and every other request go
+    to the real SeedSequence, built on first use; the object pickles as it.
+    """
+
+    __slots__ = ("entropy", "spawn_key", "_row", "_real")
+
+    def __init__(self, seed: int, index: int, row: np.ndarray):
+        self.entropy, self.spawn_key, self._row, self._real = seed, (index,), row, None
+
+    def _sequence(self) -> np.random.SeedSequence:
+        if self._real is None:
+            self._real = np.random.SeedSequence(entropy=self.entropy, spawn_key=self.spawn_key)
+        return self._real
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # the row is dropped once used, so a generator does not keep its block alive
+        row, self._row = self._row, None
+        if row is not None and n_words == 4 and dtype is np.uint64:
+            return row.copy()
+        return self._sequence().generate_state(n_words, dtype)
+
+    def __getattr__(self, name):
+        return getattr(self._sequence(), name)
+
+    def __reduce__(self):
+        return self._sequence().__reduce__()
+
+
+@functools.lru_cache(maxsize=SEED_BLOCKS)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """Read-only :func:`_seed_words` of ``seed`` for samples ``block * SAMPLE_CHUNK`` on.
+
+    Also registers :class:`_SeedWords` as numpy's spawnable seed sequence,
+    which every ``sample_rng`` generator needs first; doing it at import
+    would load ``numpy.random`` with ``traceqm``.
+    """
+    np.random.bit_generator.ISpawnableSeedSequence.register(_SeedWords)
+    words = _seed_words(seed, block * SAMPLE_CHUNK, (block + 1) * SAMPLE_CHUNK)
+    words.flags.writeable = False
+    return words
+
+
+def sample_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent substream for sample ``index`` of experiment ``seed``.
+
+    The generator is ``Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(index,))))`` in state, stream, spawned children and pickle.
+    For ``index`` in [0, 2**32) its seed words come from a cached block
+    (:func:`_seed_block`) instead of a fresh SeedSequence hash; any other
+    index is built as written.  ``seed`` and ``index`` must be integers: a
+    float raises ``TypeError`` rather than being truncated.
+    """
+    seed, index = operator.index(seed), operator.index(index)
+    if 0 <= index < 2**32:  # one uint32 spawn word
+        row = _seed_block(seed, index // SAMPLE_CHUNK)[index % SAMPLE_CHUNK]
+        return np.random.Generator(np.random.PCG64(_SeedWords(seed, index, row)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
 def _group_probabilities(dec: SpectralDecomposition, amps: np.ndarray) -> np.ndarray:
@@ -300,14 +382,6 @@ def measure_once(dec: SpectralDecomposition, psi: StateVector,
     return outcome
 
 
-#: samples whose variates are drawn and binned together; bounds the working set.
-SAMPLE_CHUNK = 4096
-
-#: more samples than this are refused: every sample index must fit the one
-#: uint32 spawn word that ``_first_uniforms`` mixes.
-MAX_SAMPLES = 2**32 - 1
-
-
 def repeat_experiment(preparation: Callable[[], StateVector], observable: HermitianOperator,
                       n: int, seed: int) -> EnsembleReport:
     """Run n independent prepare-measure-discard cycles.
@@ -323,7 +397,8 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
         raise ValueError(f"need at least one sample, got {n}")
     if n > MAX_SAMPLES:
         raise InputError(f"at most {MAX_SAMPLES} samples per experiment, got {n}")
-    np.random.SeedSequence(int(seed))  # a negative seed fails here as in sample_rng, before any sample
+    seed = operator.index(seed)
+    np.random.SeedSequence(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
     counts = np.zeros(len(dec.groups), dtype=np.int64)
     bounds = None
@@ -355,7 +430,7 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     scaled = [math.ldexp(value, -e) for value in observed]
     mean = float(sum(value * counts[g] for value, g in zip(scaled, seen)) / n)
     variance = sum(c * (value - mean) ** 2 for value, c in zip(scaled, observed.values())) / n
-    return EnsembleReport(observed, n, math.ldexp(mean, e), math.ldexp(math.sqrt(variance), e), int(seed))
+    return EnsembleReport(observed, n, math.ldexp(mean, e), math.ldexp(math.sqrt(variance), e), seed)
 
 
 def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:

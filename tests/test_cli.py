@@ -464,6 +464,14 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
+def test_importing_the_package_does_not_load_numpy_random():
+    """numpy.random is loaded on first use, so importing the workbench stays cheap."""
+    script = "import sys, traceqm, traceqm.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(traceqm.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_checks_csv_carries_config_echo(tmp_path):
     code, out = run_cli(["cat", "--n", "50", "--seed", "11"], tmp_path)
     assert code == 0

@@ -1,9 +1,12 @@
 """Born sampling, collapse, ensembles, and density reconstruction."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceqm import (
     DegenerateSpectrumError,
@@ -352,8 +355,13 @@ SEEDS = (0, 1, 42, 109, 110, 9001, 1275887881, 2**32 + 5, 2**70 + 3, 2**127 + 1,
          2**200 + 3)
 
 
+def numpy_rng(seed, i):
+    """numpy's own per-sample construction, the reference ``sample_rng`` must equal."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+
+
 def per_sample_uniforms(seed, lo, hi):
-    return np.array([sample_rng(seed, i).random() for i in range(lo, hi)])
+    return np.array([numpy_rng(seed, i).random() for i in range(lo, hi)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -370,6 +378,111 @@ def test_first_uniforms_match_per_sample_streams(seed):
 def test_first_uniforms_match_on_any_range(lo, hi):
     for seed in (3, 2**70 + 3):
         assert np.array_equal(_first_uniforms(seed, lo, hi), per_sample_uniforms(seed, lo, hi))
+
+
+def seed_sequence_fields(rng):
+    seq = rng.bit_generator.seed_seq
+    return seq.entropy, seq.spawn_key, seq.n_children_spawned
+
+
+def draws(rng):
+    return rng.random(5), rng.integers(0, 2**40, 5), rng.normal(size=5)
+
+
+def assert_same_generator(got, want):
+    """Equal state, seed sequence, spawned children, pickle round-trip and draws."""
+    assert got.bit_generator.state == want.bit_generator.state
+    assert seed_sequence_fields(got) == seed_sequence_fields(want)
+    for child, expected in zip(got.spawn(2), want.spawn(2), strict=True):
+        assert child.bit_generator.state == expected.bit_generator.state
+    restored = pickle.loads(pickle.dumps(got))
+    assert restored.bit_generator.state == want.bit_generator.state
+    assert seed_sequence_fields(restored) == seed_sequence_fields(want)
+    expected = draws(want)
+    for rng in (got, restored):
+        assert all(np.array_equal(a, b) for a, b in zip(draws(rng), expected, strict=True))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_rng_is_numpys_construction(seed):
+    """Across block edges and at the top of the uint32 spawn word."""
+    for index in (0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2**32 - 4, 2**32 - 3, 2**32 - 2, 2**32 - 1):
+        assert_same_generator(sample_rng(seed, index), numpy_rng(seed, index))
+
+
+@given(seed=st.integers(0, 2**256 - 1), index=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sample_rng_is_numpys_construction_for_any_seed_and_index(seed, index):
+    assert_same_generator(sample_rng(seed, index), numpy_rng(seed, index))
+
+
+@pytest.mark.parametrize("index", [2**32, 2**40])
+def test_sample_rng_beyond_one_spawn_word_is_numpys_construction(index):
+    for seed in (3, 2**70 + 3):
+        assert_same_generator(sample_rng(seed, index), numpy_rng(seed, index))
+
+
+@pytest.mark.parametrize("seed, index", [(5, -1), (-1, 0), (-1, 2**32)])
+def test_sample_rng_rejects_negative_seed_or_index_like_numpy(seed, index):
+    with pytest.raises(ValueError) as expected:
+        numpy_rng(seed, index)
+    with pytest.raises(ValueError) as got:
+        sample_rng(seed, index)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed, index", [(1.9, 2), (1, 2.7), (1.0, 2), (1, 2.0)])
+def test_sample_rng_refuses_a_non_integral_seed_or_index(seed, index):
+    with pytest.raises(TypeError):
+        sample_rng(seed, index)
+
+
+def test_repeat_and_cat_refuse_a_non_integral_seed():
+    def preparation():
+        raise AssertionError("preparation must not run")
+
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    with pytest.raises(TypeError):
+        repeat_experiment(preparation, a, 10, seed=7.9)
+    with pytest.raises(TypeError):
+        cat_experiment(1.0, -1.0, 10, seed=7.9)
+
+
+def test_numpy_integers_pass_as_seed_and_index():
+    assert_same_generator(sample_rng(np.int64(7), np.uint32(9)), numpy_rng(7, 9))
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    report = repeat_experiment(cat_state, a, 100, seed=np.int64(7))
+    assert type(report.seed) is int
+    assert report == repeat_experiment(cat_state, a, 100, seed=7)
+
+
+def test_sample_rng_builds_each_block_once_for_two_alternating_seeds(monkeypatch):
+    """Criterion 9's pattern: every index read at two seeds in turn."""
+    built = []
+    original = measurement._seed_words
+    monkeypatch.setattr(measurement, "_seed_words",
+                        lambda seed, lo, hi: built.append((seed, lo)) or original(seed, lo, hi))
+    cache = measurement._seed_block
+    cache.cache_clear()
+    assert cache.cache_info().maxsize == measurement.SEED_BLOCKS >= 2
+    n = 10**4
+    for i in range(n):
+        for seed in (109, 110):
+            sample_rng(seed, i)
+            assert cache.cache_info().currsize <= measurement.SEED_BLOCKS
+    assert len(built) <= 2 * -(-n // SAMPLE_CHUNK)
+    cache.cache_clear()  # drop the blocks built under the spy
+
+
+def test_writing_into_generated_words_leaves_later_streams_alone():
+    block = measurement._seed_block(5, 0)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[3, 0] = 0
+    words = measurement._SeedWords(5, 3, block[3]).generate_state(4, np.uint64)
+    assert words.flags.writeable
+    words[:] = 0
+    assert_same_generator(sample_rng(5, 3), numpy_rng(5, 3))
 
 
 def assert_repeat_matches_replay(a, schedule):
