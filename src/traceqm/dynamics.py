@@ -251,13 +251,16 @@ def _kinetic_coupling(grid: GridMeta) -> float:
     """Coupling k = hbar^2/(2 m h^2) of the three-point stencil (bands 2k and -k).
 
     A stencil with a non-finite entry is refused as :func:`certify_hermitian`
-    refuses its matrix, also when 2 m h^2 underflows to zero.
+    refuses its matrix, also when 2 m h^2 underflows to zero; a zero k, whose
+    Hamiltonian is zero, is refused unless hbar^2 underflows, which later steps refuse.
     """
     h = grid.spacing
     denominator = 2.0 * grid.mass * h * h
     k = grid.hbar * grid.hbar / denominator if denominator > 0.0 else np.inf
     if not 2.0 * k < np.inf:
         raise NotHermitianError(np.nan, np.inf, "matrix has non-finite entries")
+    if k == 0.0 < grid.hbar * grid.hbar:
+        raise NumericalError(f"the stencil coupling hbar^2/(2 m h^2) underflows to zero at spacing {h!r}")
     return k
 
 

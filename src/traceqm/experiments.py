@@ -141,7 +141,7 @@ def run_cat(cfg: ExperimentConfig):
         for value, count in sorted(report.counts.items())
     ]
 
-    match_tol = 1e-12 * (1.0 + max(abs(cfg.a1), abs(cfg.a2)))
+    match_tol = 1e-12 * max(abs(cfg.a1), abs(cfg.a2))
     alien = sum(
         count for value, count in report.counts.items()
         if min(abs(value - cfg.a1), abs(value - cfg.a2)) > match_tol

@@ -59,7 +59,7 @@ __all__ = [
 #: a distribution whose largest probability is below this is unusable.
 PROB_FLOOR = 1e-14
 
-#: measured values must sit this close (scaled) to a grid position to bin.
+#: measured values must sit this close, relative to the grid length, to a grid position to bin.
 POSITION_MATCH_TOL = 1e-9
 
 #: states and (state, outcome group) collapses one decomposition remembers
@@ -423,10 +423,10 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
 
     seen = np.flatnonzero(counts)
     observed = {dec.group_eigenvalue(g): int(counts[g]) for g in seen}
-    # the outcomes are scaled by 2**-e and the mean and std back by 2**e, all exactly, so
-    # neither the mean's products nor the squared deviations overflow while the mean and
-    # std are finite: 2**480 * MAX_SAMPLES and (2**481)**2 * MAX_SAMPLES are finite
-    e = max(0, math.frexp(max(map(abs, observed)))[1] - 480)
+    # the outcomes are scaled by the power of two 2**-e that brings the largest into
+    # [0.5, 1) and the mean and std back by 2**e, all exactly, so the mean's products
+    # and the squared deviations stay in range whatever the outcomes' scale
+    e = math.frexp(max(map(abs, observed)))[1]
     scaled = [math.ldexp(value, -e) for value in observed]
     mean = float(sum(value * counts[g] for value, g in zip(scaled, seen)) / n)
     variance = sum(c * (value - mean) ** 2 for value, c in zip(scaled, observed.values())) / n
@@ -446,7 +446,7 @@ def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:
     if not reports:
         raise InputError("no reports to reconstruct from")
     positions = grid.positions
-    tol = POSITION_MATCH_TOL * max(1.0, grid.length)
+    tol = POSITION_MATCH_TOL * grid.length
     tally = np.zeros(grid.npoints, dtype=np.int64)
     total = 0
     for report in reports:

@@ -49,13 +49,13 @@ __all__ = [
     "av_decompose",
 ]
 
-#: relative bound for hermiticity certification.
+#: hermiticity bound, relative to the operator's scale max|A|.
 CERT_TOL = 1e-10
 
-#: relative bound on the imaginary part of a hermitian expectation.
+#: bound on the imaginary part of a hermitian expectation, relative to |A psi|.
 IMAG_EXPECT_TOL = 1e-10
 
-#: dispersion below which no orthogonal component is returned.
+#: dispersion, relative to |A psi|, at or below which no orthogonal component is returned.
 BETA_FLOOR = 1e-10
 
 #: bytes of one complex128 matrix entry.
@@ -102,14 +102,22 @@ class HermitianOperator(Operator):
     """Operator whose hermiticity has been certified.
 
     ``certificate`` records the worst entry deviation max|A - adjoint(A)|
-    found at certification time.
+    found at certification time, and ``scale`` max|A|, which its bounds are relative to.
     """
 
-    __slots__ = ("certificate",)
+    __slots__ = ("certificate", "scale")
 
     def __init__(self, matrix, grid: GridMeta | None = None, certificate: float = 0.0):
         super().__init__(matrix, grid)
         object.__setattr__(self, "certificate", float(certificate))
+        object.__setattr__(self, "scale", float(abs(self.matrix).max()))
+
+
+def _cert_bound(scale: float) -> float:
+    """``CERT_TOL * scale``; an inf or NaN scale (a non-finite entry) is refused before inf - inf warns."""
+    if not scale < np.inf:
+        raise NotHermitianError(np.nan, CERT_TOL * scale, "matrix has non-finite entries")
+    return CERT_TOL * scale
 
 
 def _require_fits(grid: GridMeta, need: int, what: str):
@@ -150,9 +158,8 @@ class BandOperator(HermitianOperator):
         if diagonal.shape != (grid.npoints,) or upper.shape != (grid.npoints - 1,):
             raise GridError(f"bands of shapes {diagonal.shape} and {upper.shape} do not fit "
                             f"a grid of {grid.npoints} points")
-        bound = CERT_TOL * (1.0 + float(np.max([abs(diagonal).max(), abs(upper).max()])))
-        if not bound < np.inf:
-            raise NotHermitianError(np.nan, bound, "matrix has non-finite entries")
+        object.__setattr__(self, "scale", float(np.max([abs(diagonal).max(), abs(upper).max()])))
+        _cert_bound(self.scale)
         diagonal.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "diagonal", diagonal)
@@ -209,20 +216,16 @@ def adjoint(a: Operator) -> Operator:
 
 
 def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
-    """Check max|A - adjoint(A)| against ``CERT_TOL`` scaled by (1 + max|A|).
+    """Check max|A - adjoint(A)| against ``CERT_TOL`` times the scale max|A|.
 
     Accepts an :class:`Operator` or a bare matrix.  Returns a
     :class:`HermitianOperator` carrying the measured deviation as its
-    certificate, or raises :class:`NotHermitianError` (also for a matrix
-    with a non-finite entry).
+    certificate and max|A| as its scale, or raises :class:`NotHermitianError`
+    (also for a matrix with a non-finite entry).  A zero matrix passes.
     """
     probe = a if isinstance(a, Operator) else Operator(a, grid)
-    bound = CERT_TOL * (1.0 + float(abs(probe.matrix).max()))
-    # an inf or NaN entry makes the bound inf or NaN; refuse before the
-    # subtraction, where inf - inf would make numpy warn, and whose worst
-    # entry would be non-finite too
-    if not bound < np.inf:
-        raise NotHermitianError(np.nan, bound, "matrix has non-finite entries")
+    scale = float(abs(probe.matrix).max())
+    bound = _cert_bound(scale)
     # the one N x N temporary, the adjoint in C order so the in-place difference runs contiguously
     diff = np.conjugate(probe.matrix.T, order="C")
     np.subtract(probe.matrix, diff, out=diff)
@@ -235,6 +238,7 @@ def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     object.__setattr__(certified, "matrix", probe.matrix)
     object.__setattr__(certified, "grid", probe.grid)
     object.__setattr__(certified, "certificate", deviation)
+    object.__setattr__(certified, "scale", scale)
     return certified
 
 
@@ -258,21 +262,21 @@ def _raw_value(a: Operator, psi: StateVector) -> tuple[complex, np.ndarray]:
     return _raw_inner(psi.coeffs, image, psi.grid), image
 
 
-def _raw_expectation(a: HermitianOperator, psi: StateVector) -> tuple[complex, np.ndarray]:
+def _raw_expectation(a: HermitianOperator, psi: StateVector) -> tuple[complex, np.ndarray, float]:
     raw, image = _raw_value(a, psi)
-    bound = IMAG_EXPECT_TOL * (1.0 + _raw_norm(image, psi.grid))
+    norm = _raw_norm(image, psi.grid)
+    bound = IMAG_EXPECT_TOL * norm
     if abs(raw.imag) > bound:
         raise NumericalError(
             f"hermitian expectation has imaginary part {raw.imag:.3e} beyond bound {bound:.3e}",
             value=raw.imag, bound=bound,
         )
-    return raw, image
+    return raw, image, norm
 
 
 def expect_c(a: HermitianOperator, psi: StateVector) -> float:
     """Complex-form expectation Re <psi|A psi>; the imaginary part is checked to vanish."""
-    raw, _ = _raw_expectation(a, psi)
-    return raw.real
+    return _raw_expectation(a, psi)[0].real
 
 
 def expect_r(a: Operator, psi: StateVector) -> float:
@@ -295,8 +299,7 @@ def dispersion(a: HermitianOperator, psi: StateVector) -> float:
     exactly by the power of two that brings that norm into [0.5, 1), so
     neither square overflows or underflows.
     """
-    raw, image = _raw_expectation(a, psi)
-    norm = _raw_norm(image, psi.grid)
+    raw, _, norm = _raw_expectation(a, psi)
     e = math.frexp(norm)[1]
     norm, mean = math.ldexp(norm, -e), math.ldexp(raw.real, -e)
     return math.ldexp(math.sqrt(max(0.0, norm**2 - mean**2)), e)
@@ -306,15 +309,18 @@ def av_decompose(a: HermitianOperator, psi: StateVector) -> AvResult:
     """Split A psi = alpha*psi + beta*perp with perp a unit vector orthogonal to psi.
 
     alpha is the expectation and beta the dispersion of A in psi.  When beta
-    falls at or below ``BETA_FLOOR`` (psi is an eigenvector to working
-    precision) no orthogonal direction is defined and ``perp`` is None.
+    falls at or below ``BETA_FLOOR`` times |A psi| (psi is an eigenvector to
+    working precision) no orthogonal direction is defined and ``perp`` is
+    None; else residual and beta are scaled into [0.5, 1) exactly to divide.
     """
-    raw, image = _raw_expectation(a, psi)
+    raw, image, norm = _raw_expectation(a, psi)
     alpha = raw.real
     residual = image - alpha * psi.coeffs
     # scrub the roundoff component along psi so orthogonality survives tiny beta
     residual = residual - psi.coeffs * _raw_inner(psi.coeffs, residual, psi.grid)
     beta = _raw_norm(residual, psi.grid)
-    if beta <= BETA_FLOOR:
+    if beta <= BETA_FLOOR * norm:
         return AvResult(alpha, beta, None)
-    return AvResult(alpha, beta, StateVector(residual / beta, psi.grid))
+    unit, e = math.frexp(beta)
+    perp = np.ldexp(residual.view(np.float64), -e).view(np.complex128) / unit
+    return AvResult(alpha, beta, StateVector(perp, psi.grid))

@@ -42,6 +42,7 @@ member through :func:`apply_function` and the member's table.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from functools import cached_property
 from typing import NamedTuple
@@ -65,13 +66,13 @@ __all__ = [
     "apply_function",
 ]
 
-#: degenerate-group width is this factor times max(1, spectral range).
+#: degenerate-group width is this factor times the spectral range, or n*eps*max|eigenvalue| if larger.
 GROUP_TOL_FACTOR = 1e-8
 
 #: smallest component magnitude eligible to anchor the phase convention.
 PHASE_FLOOR = 1e-8
 
-#: scaled tolerance for pairwise commutators.
+#: bound on max|AB - BA| / (max|A| * max|B|) for every pair of a commuting family.
 COMMUTE_TOL = 1e-8
 
 #: real band operators of more points than this are solved by ``?stemr`` on
@@ -93,8 +94,8 @@ STEMR_BYTES_PER_ENTRY = 8 + 16
 
 
 def _group_tol(values: np.ndarray) -> float:
-    spread = float(values[-1] - values[0]) if values.size else 0.0
-    return GROUP_TOL_FACTOR * max(1.0, spread)
+    low, high = float(values[0]), float(values[-1])
+    return max(GROUP_TOL_FACTOR * (high - low), values.size * math.ulp(1.0) * max(-low, high))
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -264,11 +265,12 @@ def _band_eigenbasis_bytes(n: int) -> int:
     return (DENSE_BAND_BYTES_PER_ENTRY if n <= STEMR_CROSSOVER else STEMR_BYTES_PER_ENTRY) * n * n
 
 
-def _band_solve(a: BandOperator, vectors: bool):
-    """Solve a band operator with real bands from its bands (see the module notes)."""
+def _band_solve(a: BandOperator, vectors: bool, e: int):
+    """Solve a band operator with real bands, scaled by 2**-e, from its bands (see the module notes)."""
     n = a.dim
     if vectors or n <= STEMR_CROSSOVER:
         _require_fits(a.grid, _band_eigenbasis_bytes(n), f"solving its {n}x{n} tridiagonal")
+    a = BandOperator(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e), a.grid)
     if n <= STEMR_CROSSOVER:
         return _solve(np.linalg.eigh if vectors else np.linalg.eigvalsh, a._dense(np.float64))
     # scipy costs a fresh interpreter about 0.3 s to import: only grids this
@@ -285,14 +287,20 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
     A band operator with real bands is solved from its bands.  Any other is
     solved in real arithmetic when its imaginary part is exactly zero, so a
     matrix with any nonzero imaginary entry, however small, keeps the
-    complex solver.
+    complex solver.  Both solve 2**-e A, with max|A| in [0.5, 1), and scale the
+    eigenvalues back, exactly, where LAPACK would rescale a norm outside about
+    [1.5e-146, 6.7e145] by a factor that is not a power of two.
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")
+    e = math.frexp(a.scale)[1]
     if isinstance(a, BandOperator) and not np.iscomplexobj(a.upper):
-        return _band_solve(a, vectors)
-    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    return _solve(solver, a.matrix.real if not a.matrix.imag.any() else a.matrix)
+        result = _band_solve(a, vectors, e)
+    else:
+        scaled = np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128)
+        result = _solve(np.linalg.eigh if vectors else np.linalg.eigvalsh,
+                        scaled.real if not a.matrix.imag.any() else scaled)
+    return (np.ldexp(result[0], e), result[1]) if vectors else np.ldexp(result, e)
 
 
 def eigenvalues(a: HermitianOperator) -> np.ndarray:
@@ -330,20 +338,18 @@ def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> 
     return float(np.max(np.linalg.norm(centered, axis=0)))
 
 
-def _maxabs(a: Operator) -> float:
-    return float(abs(a.matrix).max())
-
-
 def _worst_commutator(family) -> tuple[tuple[int, int], float]:
-    scales = [_maxabs(a) for a in family]
+    # each member scaled exactly into [0.5, 1), so no product overflows or underflows
+    units = [math.frexp(a.scale) for a in family]
+    scaled = [np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128) for a, (_, e) in zip(family, units)]
     worst_pair, worst = (0, 0), 0.0
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            ai, aj = family[i].matrix, family[j].matrix
+            ai, aj = scaled[i], scaled[j]
             deviation = float(abs(ai @ aj - aj @ ai).max())
-            scaled = deviation / max(1.0, scales[i] * scales[j])
-            if scaled > worst:
-                worst_pair, worst = (i, j), scaled
+            relative = deviation / (units[i][0] * units[j][0]) if deviation else 0.0
+            if relative > worst:
+                worst_pair, worst = (i, j), relative
     return worst_pair, worst
 
 
@@ -360,7 +366,7 @@ def _check_family(family) -> list[HermitianOperator]:
 
 
 def commute_check(family) -> bool:
-    """True when every pairwise commutator vanishes within ``COMMUTE_TOL`` (scaled)."""
+    """True when every pairwise commutator vanishes within ``COMMUTE_TOL`` (relative to the members' scales)."""
     family = _check_family(family)
     if len(family) < 2:
         return True
@@ -389,14 +395,16 @@ def simultaneous_diagonalize(family) -> JointDecomposition:
 
     for a in family[1:]:
         refined: list[tuple[int, ...]] = []
-        scale_tol = GROUP_TOL_FACTOR * max(1.0, 2.0 * _maxabs(a))
+        unit, e = math.frexp(a.scale)
+        scale_tol = GROUP_TOL_FACTOR * 2.0 * unit
         for block in blocks:
             if len(block) == 1:
                 refined.append(block)
                 continue
             idx = list(block)
             sub = basis[:, idx]
-            m = sub.conj().T @ a.matrix @ sub
+            # compressed, as the first member is solved, scaled exactly by 2**-e: max|A| in [0.5, 1)
+            m = sub.conj().T @ np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128) @ sub
             m = (m + m.conj().T) / 2.0
             w, s = _solve(np.linalg.eigh, m)
             basis[:, idx] = sub @ s

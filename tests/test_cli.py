@@ -153,10 +153,14 @@ def test_cat_huge_outcomes_pass_without_warnings(tmp_path):
 @pytest.mark.parametrize("outcomes", [
     pytest.param(["--a1", "1e200"], id="dispersion-squares-overflow"),
     pytest.param(["--a1", "1e308", "--a2", "1e307", "--n", "1000"], id="mean-products-overflow"),
+    pytest.param(["--a1", "1e-300", "--a2", "-1e-300"], id="squares-underflow"),
+    pytest.param(["--a1", "1e-200", "--a2", "3e-200"], id="tiny-spectrum"),
+    pytest.param(["--a1", "3e-310", "--a2", "1e-310"], id="subnormal-outcomes"),
 ])
 def test_cat_extreme_outcomes_have_finite_bounds(outcomes, tmp_path, capsys):
-    """Norms and the ensemble mean are scaled by a power of two first, so an
-    intermediate overflow leaves every result and derived bound finite."""
+    """Every bound is relative to the outcomes' own scale, and norms and the
+    ensemble statistics are computed at its power of two, so an intermediate
+    overflow or underflow leaves every result and derived bound finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = run_cli(["cat"] + outcomes, tmp_path)
@@ -267,6 +271,25 @@ def test_well_spectrum_passes_at_tiny_hbar(tmp_path):
     code, out = run_cli(["well-spectrum", "--hbar", "1e-100"], tmp_path)
     assert code == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("hbar", ["1e-5", "1e-60"])
+def test_spread_passes_at_small_hbar(hbar, tmp_path):
+    """The grid Hamiltonian's levels stay distinct at any hbar: the group width reads their own scale."""
+    code, out = run_cli(["spread", "--hbar", hbar], tmp_path)
+    assert code == 0
+    assert out.exists()
+
+
+def test_exit_one_on_stencil_coupling_underflow(tmp_path, capsys):
+    """At length 1e200, 2 m h^2 overflows and k would be zero: one error line, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["ensemble-density", "--length", "1e200", "--n", "2000"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the stencil coupling") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_json_report_writes_numpy_scalars_as_python_values(tmp_path):

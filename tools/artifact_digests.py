@@ -4,9 +4,10 @@ Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
 ``spread --grid-n 1600 --times 0,0.001`` (a grid above the band solver's
 crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
-9001, ``well-spectrum --hbar 1e-100`` and ``cat`` at the extreme outcomes
-``--a1 1e154 --a2 -1e154``, ``--a1 1e200``, ``--a1 1e308 --a2 1e307 --n 1000``
-and ``--a1 1e-300 --a2 -1e-300``, into a temporary directory, and
+9001, ``well-spectrum --hbar 1e-100``, ``spread --hbar 1e-5`` and ``cat`` at
+the extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
+``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300`` and
+``--a1 1e-200 --a2 3e-200``, into a temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -43,6 +44,8 @@ EXTRA = (
     ("claims-seed9001", ("claims", "--seed", "9001")),
     # a tiny hbar, where the unscaled bands' squared coupling underflowed
     ("well-spectrum-hbar1e-100", ("well-spectrum", "--hbar", "1e-100")),
+    # a small hbar, whose lowest grid levels an absolute group width merged
+    ("spread-hbar1e-5", ("spread", "--hbar", "1e-5")),
     # outcomes whose squared deviations overflow while the std is finite
     ("cat-a1e154", ("cat", "--a1", "1e154", "--a2", "-1e154")),
     # outcomes whose dispersion's squared entries overflow
@@ -51,6 +54,8 @@ EXTRA = (
     ("cat-a1e308", ("cat", "--a1", "1e308", "--a2", "1e307", "--n", "1000")),
     # outcomes whose dispersion's squared entries underflow
     ("cat-a1e-300", ("cat", "--a1", "1e-300", "--a2", "-1e-300")),
+    # a tiny spectrum away from zero, held to bounds at its own scale
+    ("cat-a1e-200", ("cat", "--a1", "1e-200", "--a2", "3e-200")),
 )
 
 
