@@ -215,6 +215,30 @@ def adjoint(a: Operator) -> Operator:
     return Operator(a.matrix.conj().T, a.grid)
 
 
+def _certify_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scales max|A| and deviations max|A - adjoint(A)| of a (k, N, N) complex128 stack.
+
+    Refuses the first matrix, in stack order, that :func:`certify_hermitian`
+    would refuse, with its :class:`NotHermitianError`; no deviation is formed
+    for a matrix with a non-finite entry, nor for any after it.
+    """
+    scales = abs(matrices).max(axis=(1, 2))
+    finite = scales < np.inf
+    count = finite.size if finite.all() else int(finite.argmin())
+    # the one stack-sized temporary, the adjoints in C order so the in-place difference runs contiguously
+    diff = np.conjugate(matrices[:count].transpose(0, 2, 1), order="C")
+    np.subtract(matrices[:count], diff, out=diff)
+    deviations = abs(diff).max(axis=(1, 2))
+    bounds = CERT_TOL * scales[:count]
+    passed = deviations <= bounds
+    if not passed.all():
+        first = int(passed.argmin())
+        raise NotHermitianError(float(deviations[first]), float(bounds[first]))
+    if count < finite.size:
+        _cert_bound(float(scales[count]))
+    return scales, deviations
+
+
 def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     """Check max|A - adjoint(A)| against ``CERT_TOL`` times the scale max|A|.
 
@@ -222,23 +246,17 @@ def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     :class:`HermitianOperator` carrying the measured deviation as its
     certificate and max|A| as its scale, or raises :class:`NotHermitianError`
     (also for a matrix with a non-finite entry).  A zero matrix passes.
+    The check is the stack of one of ``_certify_stack``.
     """
     probe = a if isinstance(a, Operator) else Operator(a, grid)
-    scale = float(abs(probe.matrix).max())
-    bound = _cert_bound(scale)
-    # the one N x N temporary, the adjoint in C order so the in-place difference runs contiguously
-    diff = np.conjugate(probe.matrix.T, order="C")
-    np.subtract(probe.matrix, diff, out=diff)
-    deviation = float(abs(diff).max())
-    if not deviation <= bound:
-        raise NotHermitianError(deviation, bound)
+    scales, deviations = _certify_stack(probe.matrix[None])
     # the probe's matrix is already a private read-only copy: share it rather
     # than copy it again through Operator.__init__
     certified = object.__new__(HermitianOperator)
     object.__setattr__(certified, "matrix", probe.matrix)
     object.__setattr__(certified, "grid", probe.grid)
-    object.__setattr__(certified, "certificate", deviation)
-    object.__setattr__(certified, "scale", scale)
+    object.__setattr__(certified, "certificate", float(deviations[0]))
+    object.__setattr__(certified, "scale", float(scales[0]))
     return certified
 
 

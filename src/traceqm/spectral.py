@@ -14,11 +14,24 @@ The last two steps are one canonicalization, ``_canonicalize``, shared by
 :func:`eigendecompose` and :func:`simultaneous_diagonalize`; a degenerate
 group's representative eigenvalue is its mean (``_group_means``).
 
+The dense steps are kernels on a stack of same-dimension matrices
+``(k, N, N)``: the solve (``_dense_solve``), the group widths and gap masks,
+the canonicalization, the commutator check, the joint refinement, the
+representatives, the generators' labels and tables, and the spectral sum.
+Each works on the whole stack at once, except that the re-orthonormalization
+of degenerate groups and the joint refinement loop over the (matrix, group)
+pairs that have more than one member.  The public functions are the stack
+of one; ``_eigendecompose_stack`` and ``_vn_generator_stack`` run
+:func:`eigendecompose` and :func:`vn_generator` on many matrices or
+families at once, to the same bytes for each as alone, which is how the
+``recon`` checks rebuild thousands of small families.
+
 An operator whose matrix has an exactly zero imaginary part is solved in
 real arithmetic (the real symmetric LAPACK routine rather than the complex
 hermitian one), which is several times faster and needs half the memory;
 the conventions above and the complex128 ``basis`` are the same on both
-paths.  A :class:`~traceqm.operators.BandOperator` with real bands (the grid
+paths, and in a stack each matrix takes the solver it would take alone.  A
+:class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
 dense complex matrix: up to ``STEMR_CROSSOVER`` points as the real dense
 tridiagonal, by the same LAPACK routine and to the same bytes as its
@@ -93,24 +106,46 @@ DENSE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
 STEMR_BYTES_PER_ENTRY = 8 + 16
 
 
-def _group_tol(values: np.ndarray) -> float:
-    low, high = float(values[0]), float(values[-1])
-    return max(GROUP_TOL_FACTOR * (high - low), values.size * math.ulp(1.0) * max(-low, high))
+def _group_tol(values: np.ndarray) -> np.ndarray:
+    """Degenerate-group width of each ascending row of ``values`` (any leading stack axes).
+
+    A range beyond float range is taken at half scale, exactly, and scaled back.
+    """
+    low, high = values[..., 0], values[..., -1]
+    with np.errstate(over="ignore"):
+        width = GROUP_TOL_FACTOR * (high - low)
+    wide = np.isinf(width)
+    if wide.any():
+        width = np.where(wide, np.ldexp(GROUP_TOL_FACTOR * (np.ldexp(high, -1) - np.ldexp(low, -1)), 1), width)
+    return np.maximum(width, values.shape[-1] * math.ulp(1.0) * np.maximum(-low, high))
+
+
+def _breaks(values: np.ndarray, tol) -> np.ndarray:
+    """Gap mask of ascending rows: True between adjacent values more than their row's ``tol`` apart.
+
+    A gap beyond float range reads inf, which is a break."""
+    with np.errstate(over="ignore"):
+        return values[..., 1:] - values[..., :-1] > np.asarray(tol)[..., None]
+
+
+def _bounds(breaks: np.ndarray) -> list[int]:
+    """First index of every group of one row's gap mask, then the row's length."""
+    return [0, *(np.flatnonzero(breaks) + 1).tolist(), breaks.size + 1]
 
 
 def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
     """Partition indices of an ascending float64 array into runs with adjacent gap <= tol."""
-    values = values.tolist()  # float64 arithmetic without numpy's per-element overhead
-    groups = []
-    current = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append(tuple(current))
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(tuple(current))
-    return tuple(groups)
+    bounds = _bounds(_breaks(values, tol))
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+
+
+def _tied_runs(breaks: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(row, start, stop)`` of every group of more than one index in a (k, N - 1) gap mask."""
+    runs = []
+    for row in np.flatnonzero(~breaks.all(axis=-1)).tolist():
+        bounds = _bounds(breaks[row])
+        runs.extend((row, a, b) for a, b in zip(bounds, bounds[1:]) if b - a > 1)
+    return runs
 
 
 def _group_means(values: np.ndarray, groups) -> tuple[float, ...]:
@@ -129,22 +164,32 @@ def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
 
 
 def _phase_fix(basis: np.ndarray) -> np.ndarray:
-    rows = np.argmax(np.abs(basis) > PHASE_FLOOR, axis=0)
-    pivots = basis[rows, np.arange(basis.shape[1])]
+    """Apply the phase convention in place to every column of a basis or a stack of bases."""
+    rows = np.argmax(np.abs(basis) > PHASE_FLOOR, axis=-2)
+    pivots = np.take_along_axis(basis, rows[..., None, :], axis=-2)
     # hypot, as abs() of one complex scalar computes it; np.abs on a complex
     # array takes a vectorized route that can differ in the last bit
     basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
     return basis
 
 
-def _canonicalize(basis: np.ndarray, groups) -> np.ndarray:
-    """Apply the module's basis conventions in place: every degenerate group
-    is reordered and re-orthonormalized, then every column's phase is fixed."""
-    for group in groups:
-        if len(group) > 1:
-            idx = list(group)
-            basis[:, idx] = _orthonormalize_block(basis[:, idx])
+def _canonicalize(basis: np.ndarray, runs) -> np.ndarray:
+    """Apply the module's basis conventions in place to a (k, N, N) stack: every
+    degenerate group ``(row, start, stop)`` of ``runs`` is reordered and
+    re-orthonormalized, then every column's phase is fixed."""
+    for row, a, b in runs:
+        basis[row, :, a:b] = _orthonormalize_block(basis[row, :, a:b])
     return _phase_fix(basis)
+
+
+def _complex_stack(parts, shape) -> np.ndarray:
+    """One complex128 stack of ``shape`` from the ``(rows, basis)`` parts of a solve."""
+    if len(parts) == 1:
+        return parts[0][1].astype(np.complex128, copy=False)
+    out = np.empty(shape, dtype=np.complex128)
+    for rows, basis in parts:
+        out[rows] = basis
+    return out
 
 
 class SpectralDecomposition:
@@ -281,39 +326,84 @@ def _band_solve(a: BandOperator, vectors: bool, e: int):
                   a.diagonal)
 
 
-def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
-    """Eigenvalues, and with ``vectors`` eigenvectors, of a certified hermitian ``a``.
+def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True):
+    """Eigenvalues, and with ``vectors`` eigenvectors, of a certified hermitian (k, N, N) stack.
 
-    A band operator with real bands is solved from its bands.  Any other is
-    solved in real arithmetic when its imaginary part is exactly zero, so a
-    matrix with any nonzero imaginary entry, however small, keeps the
-    complex solver.  Both solve 2**-e A, with max|A| in [0.5, 1), and scale the
-    eigenvalues back, exactly, where LAPACK would rescale a norm outside about
-    [1.5e-146, 6.7e145] by a factor that is not a power of two.
+    Each matrix is solved as 2**-e A, with max|A| (its ``scales`` entry) in
+    [0.5, 1), and its eigenvalues are scaled back exactly.  The matrices with
+    an exactly zero imaginary part are solved together in real arithmetic,
+    the rest together by the complex solver.  The eigenvectors come as
+    ``[(rows, basis)]``: one part for each solver used, ``rows`` selecting
+    its matrices and ``basis`` float64 or complex128 accordingly.
+    """
+    e = np.frexp(scales)[1]
+    scaled = np.ldexp(matrices.view(np.float64), -e[:, None, None]).view(np.complex128)
+    real = ~matrices.imag.any(axis=(1, 2))
+    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    values = np.empty(matrices.shape[:2])
+    parts = []
+    for rows, stack in ((real, scaled.real), (~real, scaled)):
+        if rows.all():
+            rows = slice(None)
+        elif rows.any():
+            stack = stack[rows]
+        else:
+            continue
+        result = _solve(solver, stack)
+        if vectors:
+            values[rows], basis = result
+            parts.append((rows, basis))
+        else:
+            values[rows] = result
+    values = np.ldexp(values, e[:, None])
+    return (values, parts) if vectors else values
+
+
+def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
+    """:func:`_dense_solve` of a certified hermitian ``a`` as a stack of one.
+
+    A band operator with real bands is instead solved from its bands, at the
+    same exact power-of-two scale.  Either way a matrix with any nonzero
+    imaginary entry, however small, keeps the complex solver.  The scaling
+    avoids LAPACK's own rescale of a norm outside about [1.5e-146, 6.7e145]
+    by a factor that is not a power of two.
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")
+    if not (isinstance(a, BandOperator) and not np.iscomplexobj(a.upper)):
+        return _dense_solve(a.matrix[None], np.array([a.scale]), vectors)
     e = math.frexp(a.scale)[1]
-    if isinstance(a, BandOperator) and not np.iscomplexobj(a.upper):
-        result = _band_solve(a, vectors, e)
-    else:
-        scaled = np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128)
-        result = _solve(np.linalg.eigh if vectors else np.linalg.eigvalsh,
-                        scaled.real if not a.matrix.imag.any() else scaled)
-    return (np.ldexp(result[0], e), result[1]) if vectors else np.ldexp(result, e)
+    result = _band_solve(a, vectors, e)
+    if not vectors:
+        return np.ldexp(result, e)[None]
+    return np.ldexp(result[0], e)[None], [(slice(None), result[1][None])]
+
+
+def _canonical(values: np.ndarray, parts):
+    """Group widths and canonical complex128 bases of a solved (k, N) stack."""
+    tol = _group_tol(values)
+    breaks = _breaks(values, tol)
+    parts = [(rows, _canonicalize(basis, _tied_runs(breaks[rows]))) for rows, basis in parts]
+    return tol, _complex_stack(parts, values.shape + values.shape[-1:])
+
+
+def _eigendecompose_stack(matrices: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigendecompose` of every matrix of a certified hermitian (k, N, N)
+    stack with max|A| ``scales``: the (k, N) eigenvalues and (k, N, N) bases."""
+    values, parts = _dense_solve(matrices, scales)
+    return values, _canonical(values, parts)[1]
 
 
 def eigenvalues(a: HermitianOperator) -> np.ndarray:
     """Ascending eigenvalues of a certified hermitian operator, without eigenvectors."""
-    return _hermitian_solve(a, "eigenvalues", vectors=False)
+    return _hermitian_solve(a, "eigenvalues", vectors=False)[0]
 
 
 def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     """Decompose a certified hermitian operator with canonical conventions."""
-    values, basis = _hermitian_solve(a, "eigendecompose")
-    tol = _group_tol(values)
-    groups = _cluster_sorted(values, tol)
-    return SpectralDecomposition(values, _canonicalize(basis, groups), groups, tol, a.grid)
+    values, parts = _hermitian_solve(a, "eigendecompose")
+    tol, basis = _canonical(values, parts)
+    return SpectralDecomposition(values[0], basis[0], _cluster_sorted(values[0], tol[0]), tol[0], a.grid)
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:
@@ -338,19 +428,35 @@ def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> 
     return float(np.max(np.linalg.norm(centered, axis=0)))
 
 
-def _worst_commutator(family) -> tuple[tuple[int, int], float]:
+def _family_stack(family) -> tuple[list[np.ndarray], np.ndarray]:
+    """A family as the members' (1, N, N) stacks of one and their (m, 1) scales."""
+    return [a.matrix[None] for a in family], np.array([[a.scale] for a in family])
+
+
+def _worst_commutator(members, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Worst pair (i, j) and scaled commutator of each of k families, given as
+    m member stacks (k, N, N) and their (m, k) scales; pair (0, 0) where every
+    commutator vanishes."""
     # each member scaled exactly into [0.5, 1), so no product overflows or underflows
-    units = [math.frexp(a.scale) for a in family]
-    scaled = [np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128) for a, (_, e) in zip(family, units)]
-    worst_pair, worst = (0, 0), 0.0
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
+    units, exps = np.frexp(scales)
+    scaled = [np.ldexp(a.view(np.float64), -e[:, None, None]).view(np.complex128) for a, e in zip(members, exps)]
+    worst_pair, worst = np.zeros((scales.shape[1], 2), dtype=int), np.zeros(scales.shape[1])
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
             ai, aj = scaled[i], scaled[j]
-            deviation = float(abs(ai @ aj - aj @ ai).max())
-            relative = deviation / (units[i][0] * units[j][0]) if deviation else 0.0
-            if relative > worst:
-                worst_pair, worst = (i, j), relative
+            deviation = abs(ai @ aj - aj @ ai).max(axis=(1, 2))
+            relative = np.divide(deviation, units[i] * units[j], out=np.zeros_like(deviation), where=deviation != 0)
+            worse = relative > worst
+            worst_pair[worse], worst[worse] = (i, j), relative[worse]
     return worst_pair, worst
+
+
+def _require_commuting(members, scales):
+    """Refuse the first of k families whose worst scaled commutator exceeds ``COMMUTE_TOL``."""
+    pair, worst = _worst_commutator(members, scales)
+    failed = np.flatnonzero(worst > COMMUTE_TOL)
+    if failed.size:
+        raise NotCommutingError(tuple(pair[failed[0]].tolist()), float(worst[failed[0]]))
 
 
 def _check_family(family) -> list[HermitianOperator]:
@@ -370,8 +476,33 @@ def commute_check(family) -> bool:
     family = _check_family(family)
     if len(family) < 2:
         return True
-    _, worst = _worst_commutator(family)
-    return worst <= COMMUTE_TOL
+    _, worst = _worst_commutator(*_family_stack(family))
+    return bool(worst[0] <= COMMUTE_TOL)
+
+
+def _joint_stack(members, scales, values: np.ndarray, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Common eigenbases (k, N, N) and eigenvalue lists (k, m, N) of k commuting
+    families, given as m member stacks, their (m, k) scales and the first
+    member's solve (``values``, ``parts``)."""
+    # complex, so a later member's rotation inside a degenerate block keeps its imaginary part
+    basis = _complex_stack(parts, values.shape + values.shape[-1:])
+    blocks = _tied_runs(_breaks(values, _group_tol(values)))
+    units, exps = np.frexp(scales)
+    for a, unit, e in zip(members[1:], units[1:], exps[1:]):
+        refined = []
+        for row, start, stop in blocks:
+            sub = basis[row, :, start:stop].copy()
+            # compressed, as the first member is solved, scaled exactly by 2**-e: max|A| in [0.5, 1)
+            m = sub.conj().T @ np.ldexp(a[row].view(np.float64), -e[row]).view(np.complex128) @ sub
+            m = (m + m.conj().T) / 2.0
+            w, s = _solve(np.linalg.eigh, m)
+            basis[row, :, start:stop] = sub @ s
+            refined.extend((row, start + i, start + j)
+                           for _, i, j in _tied_runs(_breaks(w, GROUP_TOL_FACTOR * 2.0 * unit[row])[None]))
+        blocks = refined
+    basis = _canonicalize(basis, blocks)
+    lists = np.stack([np.einsum("kij,kij->kj", basis.conj(), a @ basis).real for a in members], axis=1)
+    return basis, lists
 
 
 def simultaneous_diagonalize(family) -> JointDecomposition:
@@ -383,52 +514,53 @@ def simultaneous_diagonalize(family) -> JointDecomposition:
     canonical phase convention.
     """
     family = _check_family(family)
-    pair, worst = _worst_commutator(family)
-    if worst > COMMUTE_TOL:
-        raise NotCommutingError(pair, worst)
-
-    first = family[0]
-    values, basis = _hermitian_solve(first, "simultaneous_diagonalize")
-    # complex, so a later member's rotation inside a degenerate block keeps its imaginary part
-    basis = basis.astype(np.complex128, copy=False)
-    blocks = _cluster_sorted(values, _group_tol(values))
-
-    for a in family[1:]:
-        refined: list[tuple[int, ...]] = []
-        unit, e = math.frexp(a.scale)
-        scale_tol = GROUP_TOL_FACTOR * 2.0 * unit
-        for block in blocks:
-            if len(block) == 1:
-                refined.append(block)
-                continue
-            idx = list(block)
-            sub = basis[:, idx]
-            # compressed, as the first member is solved, scaled exactly by 2**-e: max|A| in [0.5, 1)
-            m = sub.conj().T @ np.ldexp(a.matrix.view(np.float64), -e).view(np.complex128) @ sub
-            m = (m + m.conj().T) / 2.0
-            w, s = _solve(np.linalg.eigh, m)
-            basis[:, idx] = sub @ s
-            for sub_block in _cluster_sorted(w, scale_tol):
-                refined.append(tuple(idx[t] for t in sub_block))
-        blocks = refined
-
-    basis = _canonicalize(basis, blocks)
-
-    lists = np.empty((len(family), first.dim), dtype=np.float64)
-    for i, a in enumerate(family):
-        lists[i] = np.einsum("ij,ij->j", basis.conj(), a.matrix @ basis).real
-    return JointDecomposition(basis, lists, first.grid)
+    members, scales = _family_stack(family)
+    _require_commuting(members, scales)
+    basis, lists = _joint_stack(members, scales, *_hermitian_solve(family[0], "simultaneous_diagonalize"))
+    return JointDecomposition(basis[0], lists[0], family[0].grid)
 
 
 def _representatives(values: np.ndarray) -> np.ndarray:
-    """Snap a list of eigenvalues to cluster representatives (cluster means)."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    clusters = _cluster_sorted(ordered, _group_tol(ordered))
+    """Snap every row of eigenvalue lists (any leading axes) to cluster representatives (cluster means)."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    flat = ordered.reshape(-1, ordered.shape[-1])
+    # every index a singleton first, by _group_means' rule; then each larger cluster's mean
+    means = flat + 0.0
+    for row, a, b in _tied_runs(_breaks(flat, _group_tol(flat))):
+        means[row, a:b] = _group_means(flat[row], [range(a, b)])[0]
     reps = np.empty_like(values)
-    for cluster, mean in zip(clusters, _group_means(ordered, clusters)):
-        reps[order[list(cluster)]] = mean
+    np.put_along_axis(reps, order, means.reshape(values.shape), axis=-1)
     return reps
+
+
+def _generators(basis: np.ndarray, lists: np.ndarray):
+    """Generator matrices (k, N, N), tables (k, m, N) and label counts (k,) of
+    k joint decompositions; family f's labels are 0 .. counts[f] - 1, and
+    ``tables[f, i, label]`` is member i's value on that label."""
+    reps = _representatives(lists)
+    # index columns in lexicographic order of their tuples, stably: each
+    # distinct tuple's table entries come from its lowest index
+    order = np.lexsort(reps.transpose(1, 0, 2)[::-1], axis=-1)
+    ordered = np.take_along_axis(reps, order[:, None, :], axis=-1)
+    first = np.ones(order.shape, dtype=bool)
+    first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=1)
+    label_sorted = np.cumsum(first, axis=-1) - 1
+    labels = np.empty(order.shape)
+    np.put_along_axis(labels, order, label_sorted, axis=-1)
+    tables = np.zeros(reps.shape)
+    row, col = np.nonzero(first)
+    tables[row, :, label_sorted[row, col]] = ordered[row, :, col]
+    generators = (basis * labels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+    return generators, tables, label_sorted[:, -1] + 1
+
+
+def _vn_generator_stack(members, scales):
+    """:func:`vn_generator` of k commuting families given as m member stacks
+    (k, N, N) and their (m, k) scales: the uncertified generator matrices,
+    tables and label counts of :func:`_generators`."""
+    _require_commuting(members, scales)
+    return _generators(*_joint_stack(members, scales, *_dense_solve(members[0], scales[0])))
 
 
 def vn_generator(family) -> GeneratorResult:
@@ -440,17 +572,16 @@ def vn_generator(family) -> GeneratorResult:
     a relabeling of the generator through its returned table.
     """
     joint = simultaneous_diagonalize(family)
-    reps = np.array([_representatives(joint.eigenvalue_lists[i]) for i in range(len(joint.eigenvalue_lists))])
-    tuples = list(zip(*reps.tolist()))
-    distinct = sorted(set(tuples))
-    label_of = {t: float(i) for i, t in enumerate(distinct)}
-    label_per_index = np.array([label_of[t] for t in tuples], dtype=np.float64)
+    matrix, tables, counts = _generators(joint.basis[None], joint.eigenvalue_lists[None])
+    generator = certify_hermitian(Operator(matrix[0], joint.grid))
+    labels = list(range(int(counts[0])))
+    return GeneratorResult(generator, [float(label) for label in labels],
+                           [dict(zip(labels, table[labels].tolist())) for table in tables[0]])
 
-    matrix = (joint.basis * label_per_index) @ joint.basis.conj().T
-    generator = certify_hermitian(Operator(matrix, joint.grid))
-    tables = [{label: float(t[i]) for label, t in enumerate(distinct)} for i in range(reps.shape[0])]
-    labels = [float(i) for i in range(len(distinct))]
-    return GeneratorResult(generator, labels, tables)
+
+def _spectral_sum(basis: np.ndarray, values: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """``sum_k values[k] |basis_k><basis_k|`` of a basis or a stack of bases with their adjoints."""
+    return (basis * values[..., None, :]) @ adjoint
 
 
 def apply_function(dec: SpectralDecomposition, fn) -> Operator:
@@ -462,5 +593,4 @@ def apply_function(dec: SpectralDecomposition, fn) -> Operator:
     values = np.array([complex(fn(lam)) for lam in dec.eigenvalues.tolist()], dtype=np.complex128)
     if not np.isfinite(values).all():
         raise FunctionDomainError("function produced non-finite values on the spectrum")
-    matrix = (dec.basis * values) @ dec._adjoint
-    return Operator(matrix, dec.grid)
+    return Operator(_spectral_sum(dec.basis, values, dec._adjoint), dec.grid)

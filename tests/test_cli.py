@@ -156,6 +156,7 @@ def test_cat_huge_outcomes_pass_without_warnings(tmp_path):
     pytest.param(["--a1", "1e-300", "--a2", "-1e-300"], id="squares-underflow"),
     pytest.param(["--a1", "1e-200", "--a2", "3e-200"], id="tiny-spectrum"),
     pytest.param(["--a1", "3e-310", "--a2", "1e-310"], id="subnormal-outcomes"),
+    pytest.param(["--a1", "1e308", "--a2", "-1e308"], id="range-overflows"),
 ])
 def test_cat_extreme_outcomes_have_finite_bounds(outcomes, tmp_path, capsys):
     """Every bound is relative to the outcomes' own scale, and norms and the

@@ -1,5 +1,6 @@
 """Operator certification, expectation values, and the alpha/beta split."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -44,7 +45,7 @@ from traceqm import (
     simultaneous_diagonalize,
     superpose,
 )
-from traceqm.operators import STATE_NORM_TOL, _require_normalized
+from traceqm.operators import STATE_NORM_TOL, _certify_stack, _require_normalized
 
 SEED = 3303
 ORTH_TOL = 1e-10
@@ -78,6 +79,28 @@ def test_certify_rejects_nonhermitian():
     with pytest.raises(NotHermitianError) as exc:
         certify_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert exc.value.deviation > exc.value.bound
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
+def test_certify_stack_refuses_its_first_failing_matrix_as_certify_hermitian_does(order):
+    """A stack's scales and deviations are each matrix's own, and its first
+    failing matrix is refused with certify_hermitian's error for it, whether
+    skewed or non-finite, and with no warning from the non-finite one."""
+    rng = np.random.default_rng(SEED + 30)
+    good = random_hermitian(rng, 3)
+    skewed = good.matrix.copy()
+    skewed[0, 1] += 1.0
+    infinite = good.matrix.copy()
+    infinite[1, 1] = np.inf
+    stack = np.stack([(good.matrix, skewed, infinite)[i] for i in order])
+    with pytest.raises(NotHermitianError) as single:
+        certify_hermitian(stack[[i for i in range(3) if order[i]][0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitianError, match=re.escape(str(single.value))):
+            _certify_stack(stack)
+    scales, deviations = _certify_stack(good.matrix[None])
+    assert (scales[0], deviations[0]) == (good.scale, good.certificate)
 
 
 @pytest.mark.parametrize("entries", [
@@ -325,6 +348,25 @@ def test_weak_commutativity_of_real_expectations():
         psi = random_state(rng, dim)
         gap = expect_r(a @ b, psi) - expect_r(b @ a, psi)
         assert abs(gap) <= ORTH_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-200, 200))
+def test_weak_commutativity_at_any_dimension_seed_and_scale(dim, seed, exponent):
+    """tr<psi|AB psi> = tr<psi|BA psi> up to roundoff at the operands' own scale.
+
+    AB and BA, their images of psi and the inner products each carry at most
+    about dim*eps of |A||B| in every entry, and the trace form doubles the
+    real part, so the gap is bounded by 8*dim*eps*|A|_F*|B|_F for unit psi.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** exponent
+    a = certify_hermitian(random_hermitian(rng, dim).matrix * scale)
+    b = certify_hermitian(random_hermitian(rng, dim).matrix * scale)
+    psi = random_state(rng, dim)
+    gap = expect_r(a @ b, psi) - expect_r(b @ a, psi)
+    eps = np.finfo(np.float64).eps
+    assert abs(gap) <= 8 * dim * eps * np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
 
 
 def test_expect_r_of_product_is_symmetrized_expectation():

@@ -23,7 +23,7 @@ from traceqm import (
     repeat_experiment,
     simultaneous_diagonalize,
 )
-from traceqm.spectral import _worst_commutator
+from traceqm.spectral import _family_stack, _worst_commutator
 
 TINY = np.finfo(np.float64).tiny
 
@@ -81,7 +81,8 @@ def test_results_scale_exactly_with_the_operand(seed, dim, complex_entries, plan
         assume(scales_exactly(b, k))
         family, big_family = [a, certify_hermitian(b)], [big, certify_hermitian(ldexp(b, k))]
         assert commute_check(big_family) == commute_check(family)
-        assert _worst_commutator(big_family) == _worst_commutator(family)
+        (big_pair, big_worst), (pair, worst) = (_worst_commutator(*_family_stack(f)) for f in (big_family, family))
+        assert big_pair.tolist() == pair.tolist() and big_worst.tolist() == worst.tolist()
 
     # certify_hermitian: the same verdict on a skewed matrix, its certificate 2**k times
     skewed = m.copy()

@@ -19,6 +19,7 @@ from traceqm import (
     InputError,
     NotCommutingError,
     NotHermitianError,
+    NumericalError,
     Operator,
     SpectralDecomposition,
     StateVector,
@@ -646,10 +647,71 @@ def test_worst_family_recon_equals_per_member_rebuild(seed):
 
 
 def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(experiments, "eigendecompose", lambda a: calls.append(a) or eigendecompose(a))
+    """One generator decomposition per family, counted in matrices at the stacked entry point."""
+    solved = []
+
+    def counted(matrices, scales):
+        solved.append(len(matrices))
+        return spectral._eigendecompose_stack(matrices, scales)
+
+    monkeypatch.setattr(experiments, "_eigendecompose_stack", counted)
     experiments._worst_family_recon(np.random.default_rng(SEED + 61), 25)
-    assert len(calls) == 25
+    assert sum(solved) == 25
+
+
+@pytest.mark.parametrize("chunk, trials", [(1, 9), (7, 30), (16, 16), (16, 17)])
+def test_worst_family_recon_equals_per_member_rebuild_across_chunks(chunk, trials, monkeypatch):
+    monkeypatch.setattr(experiments, "RECON_CHUNK", chunk)
+    worst = experiments._worst_family_recon(np.random.default_rng(SEED + 62 + chunk), trials)
+    assert worst == loop_worst_family_recon(np.random.default_rng(SEED + 62 + chunk), trials)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_worst_family_recon_refuses_a_label_outside_the_tables(shift, monkeypatch):
+    """A generator eigenvalue that rounds below label 0 or past the last label
+    is refused, never read from another label's table entry."""
+    def shifted(matrices, scales):
+        values, basis = spectral._eigendecompose_stack(matrices, scales)
+        return values + shift, basis
+
+    monkeypatch.setattr(experiments, "_eigendecompose_stack", shifted)
+    with pytest.raises(NumericalError, match="outside the labels 0 .. "):
+        experiments._worst_family_recon(np.random.default_rng(SEED + 63), 5)
+
+
+def stacked_family_results(families):
+    """Generators, tables, label counts, joint bases and generator bases of
+    same-dimension families solved as one stack."""
+    members = [np.stack([family[i].matrix for family in families]) for i in range(len(families[0]))]
+    scales = np.array([[family[i].scale for family in families] for i in range(len(families[0]))])
+    joint, _ = spectral._joint_stack(members, scales, *spectral._dense_solve(members[0], scales[0]))
+    generators, tables, counts = spectral._vn_generator_stack(members, scales)
+    _, basis = spectral._eigendecompose_stack(generators, operators._certify_stack(generators)[0])
+    return generators, tables, counts, joint, basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), count=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(["diagonal", "rotated", "polynomial"]), min_size=1, max_size=6),
+       data=st.data())
+def test_stacked_generators_do_not_depend_on_the_stack(seed, dim, count, kinds, data):
+    """A family's generator, labels, tables, joint basis and generator basis are
+    the same bytes alone, anywhere in a stack of real and complex families,
+    and through vn_generator."""
+    rng = np.random.default_rng(seed)
+    families = [planted_degenerate_family(rng, dim, count, rotate=kind == "rotated") if kind != "polynomial"
+                else random_commuting_family(rng, dim, count) for kind in kinds]
+    order = data.draw(st.permutations(range(len(families))))
+    stacked = stacked_family_results([families[f] for f in order])
+    for position, f in enumerate(order):
+        alone = stacked_family_results([families[f]])
+        for together, single in zip(stacked, alone):
+            assert together[position].tobytes() == single[0].tobytes()
+        result = vn_generator(families[f])
+        generators, tables, counts = alone[:3]
+        assert result.generator.matrix.tobytes() == generators[0].tobytes()
+        assert result.labels == [float(label) for label in range(counts[0])]
+        assert result.tables == [dict(enumerate(table[: counts[0]].tolist())) for table in tables[0]]
 
 
 def test_group_means_equal_np_mean_bit_for_bit():

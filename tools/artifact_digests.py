@@ -3,11 +3,14 @@
 Runs the seven experiments at their default configs in csv and in json,
 plus ``spread --times 0,0.001`` (a tuple-valued config echo),
 ``spread --grid-n 1600 --times 0,0.001`` (a grid above the band solver's
-crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000``, ``claims`` at seeds 1 and
-9001, ``well-spectrum --hbar 1e-100``, ``spread --hbar 1e-5`` and ``cat`` at
-the extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
-``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300`` and
-``--a1 1e-200 --a2 3e-200``, into a temporary directory, and
+crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000``,
+``vn-generator --n 5000`` (many ``RECON_CHUNK`` chunks of families),
+``vn-generator --n 1000 --seed 9001``, ``claims`` at seeds 1 and 9001,
+``well-spectrum --hbar 1e-100``, ``spread --hbar 1e-5`` and ``cat`` at the
+extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
+``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300``,
+``--a1 1e-200 --a2 3e-200`` and ``--a1 1e308 --a2 -1e308``, into a
+temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -56,6 +59,12 @@ EXTRA = (
     ("cat-a1e-300", ("cat", "--a1", "1e-300", "--a2", "-1e-300")),
     # a tiny spectrum away from zero, held to bounds at its own scale
     ("cat-a1e-200", ("cat", "--a1", "1e-200", "--a2", "3e-200")),
+    # families solved in many chunks of experiments.RECON_CHUNK
+    ("vn-generator-n5000", ("vn-generator", "--n", "5000")),
+    # the benchmark's held-out seed
+    ("vn-generator-n1000-seed9001", ("vn-generator", "--n", "1000", "--seed", "9001")),
+    # outcomes whose eigenvalue range and mean bound overflow while both are finite
+    ("cat-a1e308-a2-1e308", ("cat", "--a1", "1e308", "--a2", "-1e308")),
 )
 
 
