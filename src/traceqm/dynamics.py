@@ -58,7 +58,7 @@ from .operators import (
     _require_fits,
     _require_normalized,
 )
-from .spectral import SpectralDecomposition, _solve, eigendecompose
+from .spectral import SpectralDecomposition, _solve, _spectral_sum, eigendecompose
 from .states import GridMeta, StateVector, _require_same_space
 
 __all__ = [
@@ -339,11 +339,13 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
             raise ValueError(f"{name} must be positive, got {value!r}")
     lower = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     raise_ = lower.conj().T
-    q_matrix = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
-    p_matrix = 1j * np.sqrt(mass * omega * hbar / 2.0) * (raise_ - lower)
+    # a scale or product that overflows (inf, or inf * 0 = NaN) is refused by certification, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_matrix = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
+        p_matrix = 1j * np.sqrt(mass * omega * hbar / 2.0) * (raise_ - lower)
+        h_matrix = p_matrix @ p_matrix / (2.0 * mass) + 0.5 * mass * omega * omega * (q_matrix @ q_matrix)
     q = certify_hermitian(Operator(q_matrix))
     p = certify_hermitian(Operator(p_matrix))
-    h_matrix = p_matrix @ p_matrix / (2.0 * mass) + 0.5 * mass * omega * omega * (q_matrix @ q_matrix)
     hamiltonian = certify_hermitian(Operator(h_matrix))
     return ModelSystem("oscillator_ladder", q, p, hamiltonian, hbar=hbar)
 
@@ -391,9 +393,12 @@ def heisenberg_rhs(hamiltonian: HermitianOperator, a: HermitianOperator,
     """Operator-picture time derivative (i/hbar) * (H A - A H), hermitian."""
     if not (np.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive, got {hbar!r}")
-    ha = hamiltonian @ a
-    ah = a @ hamiltonian
-    return certify_hermitian(Operator((1j / hbar) * (ha.matrix - ah.matrix), a.grid))
+    # as in build_oscillator_ladder: certification refuses a non-finite commutator
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = hamiltonian @ a
+        ah = a @ hamiltonian
+        commutator = (1j / hbar) * (ha.matrix - ah.matrix)
+    return certify_hermitian(Operator(commutator, a.grid))
 
 
 def _check_truncation(model: ModelSystem, psi: StateVector):
@@ -439,7 +444,7 @@ def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector
     dec, phases = _propagator(model, t)
     _require_same_space(model.hamiltonian, psi0, "operator and state")
     _require_normalized(psi0)
-    amps = dec._adjoint @ psi0.coeffs
+    amps = (psi0.coeffs.conj() @ dec.basis).conj()
     return StateVector(dec.basis @ (phases * amps), psi0.grid)
 
 
@@ -447,7 +452,7 @@ def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> Hermi
     """Operator-picture evolution U(t)^dagger A U(t); spectrum is preserved."""
     dec, phases = _propagator(model, t)
     _require_same_space(a, model, "operator and model")
-    u = (dec.basis * phases) @ dec._adjoint
+    u = _spectral_sum(dec.basis, phases)
     return certify_hermitian(Operator(u.conj().T @ a.matrix @ u, a.grid))
 
 

@@ -196,7 +196,7 @@ def run_well_spectrum(cfg: ExperimentConfig):
     coarse, fine = (np.array([row["rel_err"] for row in _well_rows(npoints, cfg)])
                     for npoints in (base, 2 * base + 1))
     checks = [
-        _check(cfg, "spectrum", max(r["rel_err"] for r in rows), 0.005),
+        _check(cfg, "spectrum", float(np.max([r["rel_err"] for r in rows])), 0.005),
         _check(cfg, "convergence", float(np.min(coarse / fine)), 3.0, "min"),
     ]
     return rows, checks
@@ -239,8 +239,8 @@ def run_spread(cfg: ExperimentConfig):
         rows.append({"series": "stationary", "t": t, "width": width, "reference": base_width, "err": drift})
 
     checks = [
-        _check(cfg, "spread", max(free_errors), 0.01),
-        _check(cfg, "stationary", max(drifts), 1e-6),
+        _check(cfg, "spread", float(np.max(free_errors)), 0.01),
+        _check(cfg, "stationary", float(np.max(drifts)), 1e-6),
     ]
     return rows, checks
 
@@ -267,7 +267,7 @@ def run_poisson(cfg: ExperimentConfig):
         gaps.append(check.gap)
         rows.append({"observable": name, "lhs": check.lhs, "rhs": check.rhs, "gap": check.gap})
 
-    checks = [_check(cfg, "gap", max(gaps), 1e-9)]
+    checks = [_check(cfg, "gap", float(np.max(gaps)), 1e-9)]
     return rows, checks
 
 
@@ -318,7 +318,7 @@ def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
             drawn.setdefault(dim, []).append((rng.standard_normal((2, dim, dim)), rng.uniform(-2.0, 2.0, size=(3, 3))))
         for draws in drawn.values():
             normals, coeffs = (np.stack(column) for column in zip(*draws))
-            worst = max(worst, _family_recon_error(normals, coeffs))
+            worst = float(np.maximum(worst, _family_recon_error(normals, coeffs)))
     return worst
 
 
@@ -339,9 +339,8 @@ def _family_recon_error(normals: np.ndarray, coeffs: np.ndarray) -> float:
         raise NumericalError(f"generator eigenvalue {values[f, k]:.17g} rounds to {labels[f, k]:g}, "
                              f"outside the labels 0 .. {counts[f] - 1}")
     rebuilt_values = np.take_along_axis(tables, labels.astype(np.intp)[:, None, :], axis=-1)
-    adjoint = basis.conj().transpose(0, 2, 1)
-    return max(float(abs(_spectral_sum(basis, rebuilt_values[:, i], adjoint) - member).max())
-               for i, member in enumerate(members))
+    # all three members at once, on the (k, N, N) basis stack broadcast over them
+    return float(np.max(abs(_spectral_sum(basis, rebuilt_values.transpose(1, 0, 2)) - members)))
 
 
 def run_vn_generator(cfg: ExperimentConfig):
@@ -390,7 +389,7 @@ def run_ensemble_density(cfg: ExperimentConfig):
     top_mass = max(delta_report.counts.values()) / delta_report.n
 
     checks = [
-        _check(cfg, "envelope", float(max(sigmas)), 3.0),
+        _check(cfg, "envelope", float(np.max(sigmas)), 3.0),
         _check(cfg, "mass-one-cell", float(top_mass), 0.99, "min"),
     ]
     return rows, checks
@@ -435,7 +434,7 @@ def _worst_weak(rng: np.random.Generator, trials: int) -> float:
         _certify_stack(a)
         _certify_stack(b)
         values = _expect_r_stack(a @ b - b @ a, _unit_rows(re + 1j * im, None), None)
-        worst = max(worst, float(abs(values).max()))
+        worst = float(np.maximum(worst, abs(values).max()))
     return worst
 
 
@@ -450,13 +449,13 @@ def _worst_av_split(rng: np.random.Generator, trials: int) -> tuple[float, float
         _certify_stack(a)
         psi = _unit_rows(re + 1j * im, None)
         alpha, beta, perp, defined, images = _av_stack(a, psi, None)
-        min_beta = min(min_beta, float(beta.min()))
+        min_beta = float(np.minimum(min_beta, beta.min()))
         recon = alpha[:, None] * psi + np.where(defined[:, None], beta[:, None] * perp, 0.0)
         # each row's np.linalg.norm
-        worst_residual = max(worst_residual, float(np.sqrt(_squares(images - recon)).max()))
+        worst_residual = float(np.maximum(worst_residual, np.sqrt(_squares(images - recon)).max()))
         inner = np.vecdot(psi[defined], perp[defined])
         # hypot, as abs() of one complex scalar computes it
-        worst_orth = max(worst_orth, float(np.hypot(inner.real, inner.imag).max(initial=0.0)))
+        worst_orth = float(np.maximum(worst_orth, np.hypot(inner.real, inner.imag).max(initial=0.0)))
     return worst_residual, worst_orth, min_beta
 
 
@@ -471,9 +470,9 @@ def _worst_dispersion_free(rng: np.random.Generator, trials: int) -> tuple[float
         a = _hermitian_part(a)
         values, basis = _eigendecompose_stack(a, _certify_stack(a)[0])
         norm = abs(values).max(axis=-1)
-        worst_spread = max(worst_spread, float((_worst_spread(a, basis) / np.sqrt(1.0 + norm * norm)).max()))
+        worst_spread = float(np.maximum(worst_spread, (_worst_spread(a, basis) / np.sqrt(1.0 + norm * norm)).max()))
         residual = abs(a @ basis - basis * values[:, None, :]).max(axis=(1, 2))
-        worst_eig = max(worst_eig, float((residual / (1.0 + norm)).max()))
+        worst_eig = float(np.maximum(worst_eig, (residual / (1.0 + norm)).max()))
     return worst_spread, worst_eig
 
 
@@ -510,9 +509,9 @@ def run_claims(cfg: ExperimentConfig):
 
     # single generator reconstructs a commuting family
     _, canned_dev, exact = _canned_generator()
-    worst_recon = max(canned_dev if exact else np.inf, _worst_family_recon(rng, 100))
-    rows.append({"claim": "single-generator", "trials": 100, "worst": float(worst_recon)})
-    checks.append(_check(cfg, "recon", float(worst_recon), 1e-9))
+    worst_recon = float(np.maximum(canned_dev if exact else np.inf, _worst_family_recon(rng, 100)))
+    rows.append({"claim": "single-generator", "trials": 100, "worst": worst_recon})
+    checks.append(_check(cfg, "recon", worst_recon, 1e-9))
 
     return rows, checks
 

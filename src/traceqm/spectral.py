@@ -228,10 +228,6 @@ class SpectralDecomposition:
     # The caches below are lazy: most decompositions are never sampled.
 
     @cached_property
-    def _adjoint(self) -> np.ndarray:
-        return self.basis.conj().T
-
-    @cached_property
     def _memo(self) -> OrderedDict:
         """The Born path's remembered results, oldest first (see ``measurement.MEMO_ENTRIES``)."""
         return OrderedDict()
@@ -255,7 +251,7 @@ class SpectralDecomposition:
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
         _require_same_space(self, state, "decomposition and state")
-        return np.sqrt(_weight(self.grid)) * (self._adjoint @ state.coeffs)
+        return np.sqrt(_weight(self.grid)) * (state.coeffs.conj() @ self.basis).conj()
 
     def group_eigenvalue(self, g: int) -> float:
         """Representative eigenvalue (mean) of degenerate group ``g``."""
@@ -557,8 +553,7 @@ def _generators(basis: np.ndarray, lists: np.ndarray):
     tables = np.zeros(reps.shape)
     row, col = np.nonzero(first)
     tables[row, :, label_sorted[row, col]] = ordered[row, :, col]
-    generators = (basis * labels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-    return generators, tables, label_sorted[:, -1] + 1
+    return _spectral_sum(basis, labels), tables, label_sorted[:, -1] + 1
 
 
 def _vn_generator_stack(members, scales):
@@ -585,9 +580,9 @@ def vn_generator(family) -> GeneratorResult:
                            [dict(zip(labels, table[labels].tolist())) for table in tables[0]])
 
 
-def _spectral_sum(basis: np.ndarray, values: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """``sum_k values[k] |basis_k><basis_k|`` of a basis or a stack of bases with their adjoints."""
-    return (basis * values[..., None, :]) @ adjoint
+def _spectral_sum(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_k values[..., k] |basis_k><basis_k|`` of a basis or a stack, broadcast over leading axes."""
+    return (basis * values[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
 def apply_function(dec: SpectralDecomposition, fn) -> Operator:
@@ -599,4 +594,4 @@ def apply_function(dec: SpectralDecomposition, fn) -> Operator:
     values = np.array([complex(fn(lam)) for lam in dec.eigenvalues.tolist()], dtype=np.complex128)
     if not np.isfinite(values).all():
         raise FunctionDomainError("function produced non-finite values on the spectrum")
-    return Operator(_spectral_sum(dec.basis, values, dec._adjoint), dec.grid)
+    return Operator(_spectral_sum(dec.basis, values), dec.grid)

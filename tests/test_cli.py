@@ -267,6 +267,54 @@ def test_exit_one_on_hbar_too_small(experiment, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    # 0.5 m omega^2 overflows, and inf times the zero entries of q @ q is NaN
+    ("--omega", "1e200"),
+    # H @ A overflows in the commutator
+    ("--hbar", "1e300"),
+])
+def test_poisson_exit_one_on_overflowing_matrix(flag, value, tmp_path, capsys):
+    """A ladder matrix that overflows ends in one error line, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["poisson", flag, value], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("(matrix has non-finite entries)\n")
+    assert not out.exists()
+
+
+def test_nan_check_value_fails(tmp_path, capsys):
+    """At t = 1e300 the free width's reference is inf and its error NaN; the
+    worst error is that NaN, which fails its check."""
+    code, out = run_cli(["spread", "--times", "0,1e300"], tmp_path)
+    assert code == 1
+    assert "FAIL spread: nan" in capsys.readouterr().out.splitlines()[0]
+    assert out.exists()
+
+
+def test_spread_holds_two_dense_arrays_at_its_peak():
+    """A grid run's traced peak is its eigenbasis plus the dense q that
+    dispersion builds, two N x N complex arrays, up to 32 float64 vectors of
+    O(N) working set."""
+    from traceqm.experiments import ExperimentConfig, run_spread
+    from traceqm.operators import COMPLEX_ENTRY_BYTES
+
+    npoints = 1600
+    cfg = ExperimentConfig("spread", grid_n=npoints)
+    # one run outside the trace imports scipy and fills the interpreter's free
+    # lists, so the trace counts what a run holds
+    run_spread(cfg)
+    tracemalloc.start()
+    try:
+        run_spread(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * COMPLEX_ENTRY_BYTES * npoints**2 + 32 * 8 * npoints
+
+
 def test_well_spectrum_passes_at_tiny_hbar(tmp_path):
     """The levels scale with hbar^2 however small it is, so every check passes."""
     code, out = run_cli(["well-spectrum", "--hbar", "1e-100"], tmp_path)

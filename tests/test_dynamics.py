@@ -13,12 +13,14 @@ from traceqm import (
     DegreeError,
     GridMeta,
     InputError,
+    ModelSystem,
     NotHermitianError,
     NumericalError,
     PolynomialObservable,
     StateError,
     StateVector,
     TruncationError,
+    apply_function,
     bracket_correspondence,
     build_grid_model,
     build_oscillator_ladder,
@@ -541,7 +543,7 @@ def test_evolution_refuses_a_time_over_hbar_that_overflows():
 
 
 def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
-    """The cached adjoint basis gives the same bytes as forming basis.conj().T per call."""
+    """Coordinates read off the basis give the same bytes as forming basis.conj().T per call."""
     g = GridMeta(length=1.0, npoints=40, mass=0.7, hbar=0.9)
     model = build_grid_model(g)
     psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
@@ -553,6 +555,47 @@ def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
         u = (dec.basis * phases) @ dec.basis.conj().T
         want_op = u.conj().T @ model.q.matrix @ u
         assert evolve_operator(model, model.q, t).matrix.tobytes() == want_op.tobytes()
+
+
+def random_model(rng, dim):
+    """A model whose Hamiltonian is random hermitian, with a complex eigenbasis."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = certify_hermitian((m + m.conj().T) / 2.0)
+    return ModelSystem("random", h, h, h, hbar=0.9)
+
+
+def assert_basis_reads_match_the_adjoint_forms(model, psi, t):
+    """amplitudes, apply_function, evolve_state and evolve_operator give the
+    bytes of ``basis.conj().T @ c`` and ``(basis * v) @ basis.conj().T``."""
+    dec = model.energy_spectrum()
+    adjoint = dec.basis.conj().T
+    weight = 1.0 if dec.grid is None else dec.grid.spacing
+    assert dec.amplitudes(psi).tobytes() == (np.sqrt(weight) * (adjoint @ psi.coeffs)).tobytes()
+    values = np.exp(0.7j * dec.eigenvalues)
+    applied = apply_function(dec, lambda lam: np.exp(0.7j * lam)).matrix
+    assert applied.tobytes() == ((dec.basis * values) @ adjoint).tobytes()
+    phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
+    want_state = dec.basis @ (phases * (adjoint @ psi.coeffs))
+    assert evolve_state(model, psi, t).coeffs.tobytes() == want_state.tobytes()
+    u = (dec.basis * phases) @ adjoint
+    want_op = u.conj().T @ model.q.matrix @ u
+    assert evolve_operator(model, model.q, t).matrix.tobytes() == want_op.tobytes()
+
+
+def test_basis_reads_on_random_complex_bases_are_bit_identical_to_the_adjoint_forms():
+    rng = np.random.default_rng(SEED + 16)
+    for dim in range(1, 65):
+        model = random_model(rng, dim)
+        psi = normalize(StateVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+        assert_basis_reads_match_the_adjoint_forms(model, psi, float(rng.uniform(0.0, 3.0)))
+
+
+@pytest.mark.parametrize("npoints", [128, 512, 1600])  # 1600 is decomposed by ?stemr
+def test_basis_reads_on_grid_hamiltonians_are_bit_identical_to_the_adjoint_forms(npoints):
+    g = GridMeta(length=1.0, npoints=npoints, mass=0.7, hbar=0.9)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
+    assert_basis_reads_match_the_adjoint_forms(model, psi0, 0.013)
 
 
 def test_evolve_state_eigenstate_gets_phase_only():

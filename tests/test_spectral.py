@@ -625,6 +625,25 @@ def test_vn_generator_tables_equal_per_index_loop():
         assert all(type(key) is int and type(value) is float for t in result.tables for key, value in t.items())
 
 
+def test_generators_of_a_stack_are_bit_identical_to_the_adjoint_form():
+    """Each family's generator is ``(basis * labels) @ basis.conj().T``, its
+    labels the ranks of its columns' representative tuples in lexicographic order."""
+    rng = np.random.default_rng(SEED + 61)
+    for dim, families in ((1, 3), (5, 40), (16, 7)):
+        basis = np.stack([eigendecompose(random_hermitian(rng, dim)).basis for _ in range(families)])
+        lists = rng.choice(rng.uniform(-2.0, 2.0, size=3), size=(families, 3, dim))
+        generators, tables, counts = spectral._generators(basis, lists)
+        reps = spectral._representatives(lists)
+        labels = np.empty((families, dim))
+        for f in range(families):
+            tuples = [tuple(reps[f, :, k]) for k in range(dim)]
+            distinct = sorted(set(tuples))
+            labels[f] = [distinct.index(t) for t in tuples]
+            assert counts[f] == len(distinct)
+        want = (basis * labels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        assert generators.tobytes() == want.tobytes()
+
+
 def drawn_hermitian(rng, dim):
     """The hermitian part of one standard_normal((2, dim, dim)) draw, as the experiments draw it."""
     return experiments._hermitian_part(rng.standard_normal((2, dim, dim)))

@@ -9,8 +9,9 @@ crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000`
 ``well-spectrum --hbar 1e-100``, ``spread --hbar 1e-5`` and ``cat`` at the
 extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
 ``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300``,
-``--a1 1e-200 --a2 3e-200`` and ``--a1 1e308 --a2 -1e308``, into a
-temporary directory, and
+``--a1 1e-200 --a2 3e-200`` and ``--a1 1e308 --a2 -1e308``,
+``spread --times 0,1e300``, ``poisson --omega 1e200`` and
+``poisson --hbar 1e300``, into a temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -65,6 +66,12 @@ EXTRA = (
     ("vn-generator-n1000-seed9001", ("vn-generator", "--n", "1000", "--seed", "9001")),
     # outcomes whose eigenvalue range and mean bound overflow while both are finite
     ("cat-a1e308-a2-1e308", ("cat", "--a1", "1e308", "--a2", "-1e308")),
+    # a time whose reference width is inf, so the free row's error is NaN
+    ("spread-times-1e300", ("spread", "--times", "0,1e300")),
+    # 0.5 m omega^2 overflows while building the ladder Hamiltonian
+    ("poisson-omega1e200", ("poisson", "--omega", "1e200")),
+    # the commutator's H @ A overflows
+    ("poisson-hbar1e300", ("poisson", "--hbar", "1e300")),
 )
 
 
