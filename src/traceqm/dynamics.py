@@ -252,15 +252,16 @@ def _kinetic_coupling(grid: GridMeta) -> float:
 
     A stencil with a non-finite entry is refused as :func:`certify_hermitian`
     refuses its matrix, also when 2 m h^2 underflows to zero; a zero k, whose
-    Hamiltonian is zero, is refused unless hbar^2 underflows, which later steps refuse.
+    Hamiltonian is zero, is refused, whether hbar^2 underflows or 2 m h^2 overflows.
     """
     h = grid.spacing
     denominator = 2.0 * grid.mass * h * h
     k = grid.hbar * grid.hbar / denominator if denominator > 0.0 else np.inf
     if not 2.0 * k < np.inf:
         raise NotHermitianError(np.nan, np.inf, "matrix has non-finite entries")
-    if k == 0.0 < grid.hbar * grid.hbar:
-        raise NumericalError(f"the stencil coupling hbar^2/(2 m h^2) underflows to zero at spacing {h!r}")
+    if k == 0.0:
+        raise NumericalError(f"the stencil coupling hbar^2/(2 m h^2) underflows to zero at spacing {h!r} "
+                             f"and hbar {grid.hbar!r}")
     return k
 
 
@@ -337,6 +338,9 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
     for name, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive, got {value!r}")
+    if 2.0 * mass * omega == 0.0:
+        raise NumericalError(f"2 m omega underflows to zero (mass {mass!r}, omega {omega!r}); "
+                             "the position scale sqrt(hbar/(2 m omega)) is undefined")
     lower = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     raise_ = lower.conj().T
     # a scale or product that overflows (inf, or inf * 0 = NaN) is refused by certification, unwarned
@@ -426,15 +430,21 @@ def bracket_correspondence(a_poly: PolynomialObservable, h_poly: PolynomialObser
     return BracketCheck(lhs, rhs, abs(lhs - rhs))
 
 
-def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it."""
+def _time_over_hbar(t: float, hbar: float) -> float:
+    """``t / hbar``, the propagator's phase rate, refused where ``t`` is not finite or the ratio overflows."""
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    scaled = t / model.hbar
+    scaled = t / hbar
     if not np.isfinite(scaled):
-        raise NumericalError(f"time {t!r} over hbar {model.hbar!r} overflows; "
+        raise NumericalError(f"time {t!r} over hbar {hbar!r} overflows; "
                              "the propagator's phases are undefined")
+    return scaled
+
+
+def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it."""
+    scaled = _time_over_hbar(t, model.hbar)
     dec = model.energy_spectrum()
     return dec, np.exp(-1j * dec.eigenvalues * scaled)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dynamics import (
     PolynomialObservable,
+    _time_over_hbar,
     build_grid_model,
     build_oscillator_ladder,
     bracket_correspondence,
@@ -170,21 +171,24 @@ def run_cat(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _well_rows(npoints: int, cfg: ExperimentConfig) -> list[dict]:
-    """The five lowest hard-wall levels on an ``npoints`` grid against the analytic law."""
+    """The five lowest hard-wall levels on an ``npoints`` grid against the analytic law.
+
+    An analytic level that underflows to zero is refused before the grid's
+    stencil, whose coupling then underflows too."""
+    analytic = [well_level_energy(level, cfg.length, cfg.mass, cfg.hbar) for level in range(1, 6)]
+    if 0.0 in analytic:
+        raise NumericalError(f"analytic level {analytic.index(0.0) + 1} underflows to zero; "
+                             f"its relative error is undefined (hbar {cfg.hbar!r}, "
+                             f"mass {cfg.mass!r}, length {cfg.length!r})")
     values = grid_levels(GridMeta(cfg.length, npoints, cfg.mass, cfg.hbar), 5)
     rows = []
-    for level in range(1, 6):
+    for level, exact in enumerate(analytic, start=1):
         numeric = float(values[level - 1])
-        analytic = well_level_energy(level, cfg.length, cfg.mass, cfg.hbar)
-        if analytic == 0.0:
-            raise NumericalError(f"analytic level {level} underflows to zero; "
-                                 f"its relative error is undefined (hbar {cfg.hbar!r}, "
-                                 f"mass {cfg.mass!r}, length {cfg.length!r})")
         rows.append({
             "n": level,
             "numeric": numeric,
-            "analytic": analytic,
-            "rel_err": abs(numeric - analytic) / analytic,
+            "analytic": exact,
+            "rel_err": abs(numeric - exact) / exact,
         })
     return rows
 
@@ -207,16 +211,20 @@ def run_well_spectrum(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_spread(cfg: ExperimentConfig):
-    # "free" and "infinite_well" grid models have the same q, p and H and
-    # differ only in their recorded kind, so one model evolves both series
-    model = _grid_model(cfg)
-    grid = model.grid
-
     sigma0 = cfg.length / 40.0
     tau = 2.0 * cfg.mass * sigma0 * sigma0 / cfg.hbar
     times = cfg.times
     if times is None:
         times = tuple(factor * tau for factor in (0.0, 0.5, 1.0, np.sqrt(3.0), 2.0))
+    # a time whose phase rate overflows is refused before the stencil, whose
+    # coupling underflows at the same tiny hbar
+    for t in times:
+        _time_over_hbar(t, cfg.hbar)
+
+    # "free" and "infinite_well" grid models have the same q, p and H and
+    # differ only in their recorded kind, so one model evolves both series
+    model = _grid_model(cfg)
+    grid = model.grid
 
     center = cfg.length / 2.0
     psi0 = grid_sample(lambda x: np.exp(-((x - center) ** 2) / (4.0 * sigma0 * sigma0)), grid)

@@ -31,14 +31,33 @@ An operator whose matrix has an exactly zero imaginary part is solved in
 real arithmetic (the real symmetric LAPACK routine rather than the complex
 hermitian one), which is several times faster and needs half the memory;
 the conventions above and the complex128 ``basis`` are the same on both
-paths, and in a stack each matrix takes the solver it would take alone.  A
-:class:`~traceqm.operators.BandOperator` with real bands (the grid
+paths, and in a stack each matrix takes the solver it would take alone.
+
+A real matrix equal to its reflection, A = JAJ with J the exchange matrix
+(centrosymmetric: the grid Hamiltonian commutes with x -> L - x), is block
+diagonal in J's +1 and -1 eigenspaces, and is solved from those two parity
+sectors of half its order (Cantoni and Butler, "Eigenvalues and
+eigenvectors of symmetric centrosymmetric matrices", Linear Algebra Appl.
+13, 275-288, 1976): with N = 2m or 2m + 1, B = A[:m, :m] and
+C = A[N - m:, :m], the even sector is B + JC (bordered for odd N by
+sqrt(2) A[:m, m] and A[m, m]) and the odd sector B - JC.  For even N the
+two go to LAPACK as one stack.  Their eigenvalues are merged by a stable
+ascending sort, and a tie across the parities is one degenerate group like
+any other.  This is the refinement :func:`simultaneous_diagonalize` would
+find with J first in the family, in closed form.  It rests only on the
+exact equality, so it has no option and no size threshold.
+
+A :class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
 dense complex matrix: up to ``STEMR_CROSSOVER`` points as the real dense
-tridiagonal, by the same LAPACK routine and to the same bytes as its
-matrix's real part; above it by scipy's ``eigh_tridiagonal`` with LAPACK
-``?stemr`` (Dhillon and Parlett's MRRR), in O(N^2) work instead of O(N^3).
-scipy is imported only there, so smaller grids never load it.  Each path
+tridiagonal (its half blocks, formed from its left half columns, when the
+bands are palindromic), by the same LAPACK routine and to the same bytes as
+its matrix's real part; above
+it by scipy's ``eigh_tridiagonal`` with LAPACK ``?stemr`` (Dhillon and
+Parlett's MRRR), in O(N^2) work instead of O(N^3), on the whole
+tridiagonal: on the half tridiagonals ``?stemr``'s eigenvectors lose
+orthogonality (1.2 to 1.8 N*eps at N = 1600 to 1700, against 0.3 to 0.6
+whole).  scipy is imported only there, so smaller grids never load it.  Each path
 refuses, before allocating, an operator whose working set would not fit
 in physical memory.  :func:`eigendecompose`, :func:`eigenvalues` and the
 first member of :func:`simultaneous_diagonalize` all take this one rule
@@ -90,20 +109,28 @@ PHASE_FLOOR = 1e-8
 COMMUTE_TOL = 1e-8
 
 #: real band operators of more points than this are solved by ``?stemr`` on
-#: their bands; up to it the dense solve of their real tridiagonal costs less
-#: than ``?stemr`` plus a cold scipy import (0.37 s).  Measured on 2 cores,
-#: best of 3, eigendecompose's solve and canonicalization, dense against
-#: ``?stemr``: 0.38 / 0.19 s at N = 1280, 0.60 / 0.23 s at 1536 and
-#: 0.88 / 0.32 s at 1792.
+#: their bands; up to it the dense solve of their real tridiagonal (of its two
+#: half blocks, for palindromic bands) costs less than ``?stemr`` plus a cold
+#: scipy import (0.37 s).  Measured on 2 cores, best of 3, eigendecompose of
+#: the grid Hamiltonian, dense half blocks against ``?stemr``: 0.11 / 0.12 s
+#: at N = 1280, 0.15 / 0.18 s at 1536 and 0.26 / 0.25 s at 1792.
 STEMR_CROSSOVER = 1536
 
-#: bytes per matrix entry alive at once while a real band operator is solved
-#: densely: the real tridiagonal, LAPACK's copy of it, the 2N^2-entry
-#: workspace of ``?syevd`` and the eigenvectors.
-DENSE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
+#: bytes per matrix entry alive at once while a real band operator with
+#: palindromic bands is solved densely: the assembled real eigenvectors and
+#: their complex128 copy.  The left half of the real tridiagonal, the two half
+#: blocks, LAPACK's copy of one, the 2(N/2)^2-entry workspace of ``?syevd``
+#: and the half eigenvectors come to 18 before them.
+DENSE_BAND_BYTES_PER_ENTRY = 8 + 16
+
+#: bytes per matrix entry alive at once while real bands that are not
+#: palindromic are solved densely: the real tridiagonal, LAPACK's copy of it,
+#: the 2N^2-entry workspace of ``?syevd`` and the eigenvectors.
+WHOLE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
 
 #: bytes per matrix entry alive at once while a real band operator is
-#: decomposed by ``?stemr``: the real eigenvectors and their complex128 copy.
+#: decomposed by ``?stemr``: the real eigenvectors and their complex128 copy
+#: (the half eigenvectors of palindromic bands, 4, are gone by then).
 STEMR_BYTES_PER_ENTRY = 8 + 16
 
 
@@ -302,25 +329,98 @@ def _solve(solver, matrix: np.ndarray):
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _band_eigenbasis_bytes(n: int) -> int:
-    """Bytes alive at once while a real band operator of ``n`` points is decomposed."""
-    return (DENSE_BAND_BYTES_PER_ENTRY if n <= STEMR_CROSSOVER else STEMR_BYTES_PER_ENTRY) * n * n
+def _band_eigenbasis_bytes(n: int, palindromic: bool = True) -> int:
+    """Bytes alive at once while a real band operator of ``n`` points is
+    decomposed; its bands are palindromic, as the grid Hamiltonian's are, unless said otherwise."""
+    if n > STEMR_CROSSOVER:
+        return STEMR_BYTES_PER_ENTRY * n * n
+    return (DENSE_BAND_BYTES_PER_ENTRY if palindromic else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
+
+
+def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (k, N, N) stack equals its reflection J A J exactly."""
+    return (matrices == matrices[:, ::-1, ::-1]).all(axis=(1, 2))
+
+
+def _sectors(s: np.ndarray) -> list[np.ndarray]:
+    """Even and odd parity sectors of a centrosymmetric real symmetric (k, N, N) stack.
+
+    With N = 2m or 2m + 1, B = A[:m, :m] and C = A[N - m:, :m], the even
+    sector is B + JC, bordered for odd N by sqrt(2) A[:m, m] and A[m, m], and
+    the odd sector B - JC.  For even N both are m x m and come as one
+    (2k, m, m) stack, even sectors first; for odd N as two stacks.  Only the
+    first N - m columns are read, so ``s`` may hold just those.
+    """
+    k, n = s.shape[:2]
+    m = n // 2
+    b, jc = s[:, :m, :m], s[:, n - m:, :m][:, ::-1]
+    if n % 2 == 0:
+        return [np.concatenate((b + jc, b - jc))]
+    even = np.empty((k, m + 1, m + 1))
+    np.add(b, jc, out=even[:, :m, :m])
+    np.multiply(math.sqrt(2.0), s[:, :m, m], out=even[:, :m, m])
+    np.multiply(math.sqrt(2.0), s[:, m, :m], out=even[:, m, :m])
+    even[:, m, m] = s[:, m, m]
+    return [even, b - jc]
+
+
+def _parity_solve(solver, sectors, n: int, vectors: bool):
+    """Eigenvalues (k, n), and with ``vectors`` real eigenvectors (k, n, n), of k
+    centrosymmetric matrices of order ``n`` from their parity sectors.
+
+    ``sectors``, stacked as :func:`_sectors` stacks them, are solved by
+    ``solver`` (``np.linalg.eigh`` or ``eigvalsh``), one LAPACK call per
+    stack.  Their eigenvalues are merged by a stable ascending sort, even
+    before odd where they tie; an even vector (x, xi) becomes
+    [x; sqrt(2) xi; Jx]/sqrt(2) and an odd vector x becomes [x; 0; -Jx]/sqrt(2),
+    the centre row existing only for odd n.
+    """
+    results = [_solve(solver, stack) for stack in sectors]
+    values, halves = zip(*results) if vectors else (results, None)
+    if len(sectors) == 1:  # the even-n pair, even sectors first
+        values = np.split(values[0], 2)
+        halves = halves and np.split(halves[0], 2)
+    merged = np.concatenate(values, axis=-1)
+    order = np.argsort(merged, axis=-1, kind="stable")
+    values = np.take_along_axis(merged, order, axis=-1)
+    if not vectors:
+        return values
+    even, odd = halves
+    m, r = n // 2, math.sqrt(0.5)
+    # the top half of every vector, in ascending order; the bottom half mirrors it
+    top = np.take_along_axis(np.concatenate((even[:, :m], odd), axis=-1), order[:, None, :], axis=-1)
+    basis = np.empty((len(order), n, n))
+    np.multiply(top, r, out=basis[:, :m])
+    np.multiply(top[:, ::-1], np.where(order < even.shape[-1], r, -r)[:, None, :], out=basis[:, n - m:])
+    if n % 2:
+        centre = np.concatenate((even[:, m], np.zeros((len(order), m))), axis=-1)
+        basis[:, m] = np.take_along_axis(centre, order, axis=-1)
+    return values, basis
 
 
 def _band_solve(a: BandOperator, vectors: bool, e: int):
-    """Solve a band operator with real bands, scaled by 2**-e, from its bands (see the module notes)."""
+    """Solve a band operator with real bands, scaled by 2**-e, from its bands (see the module notes).
+
+    Returns the (1, N) eigenvalues, and with ``vectors`` the (1, N, N) real eigenvectors.
+    """
     n = a.dim
+    palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
     if vectors or n <= STEMR_CROSSOVER:
-        _require_fits(a.grid, _band_eigenbasis_bytes(n), f"solving its {n}x{n} tridiagonal")
+        _require_fits(a.grid, _band_eigenbasis_bytes(n, palindromic), f"solving its {n}x{n} tridiagonal")
     a = BandOperator(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e), a.grid)
     if n <= STEMR_CROSSOVER:
-        return _solve(np.linalg.eigh if vectors else np.linalg.eigvalsh, a._dense(np.float64))
+        solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+        if palindromic:
+            # the sectors read the left N - m columns alone: the rest is never built
+            return _parity_solve(solver, _sectors(a._dense(np.float64, n - n // 2)[None]), n, vectors)
+        return _solve(solver, a._dense(np.float64)[None])
     # scipy costs a fresh interpreter about 0.3 s to import: only grids this
     # large pay it
     from scipy.linalg import eigh_tridiagonal
 
-    return _solve(lambda d: eigh_tridiagonal(d, a.upper, eigvals_only=not vectors, lapack_driver="stemr"),
-                  a.diagonal)
+    result = _solve(lambda d: eigh_tridiagonal(d, a.upper, eigvals_only=not vectors, lapack_driver="stemr"),
+                    a.diagonal)
+    return (result[0][None], result[1][None]) if vectors else result[None]
 
 
 def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True):
@@ -328,25 +428,31 @@ def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True)
 
     Each matrix is solved as 2**-e A, with max|A| (its ``scales`` entry) in
     [0.5, 1), and its eigenvalues are scaled back exactly.  The matrices with
-    an exactly zero imaginary part are solved together in real arithmetic,
-    the rest together by the complex solver.  The eigenvectors come as
-    ``[(rows, basis)]``: one part for each solver used, ``rows`` selecting
-    its matrices and ``basis`` float64 or complex128 accordingly.
+    an exactly zero imaginary part are solved in real arithmetic: those equal
+    to J A J together from their parity sectors (:func:`_parity_solve`), the
+    others together whole; the rest together by the complex solver.  The
+    eigenvectors come as ``[(rows, basis)]``: one part for each of these
+    groups used, ``rows`` selecting its matrices and ``basis`` float64 or
+    complex128 accordingly.
     """
     e = np.frexp(scales)[1]
     scaled = np.ldexp(matrices.view(np.float64), -e[:, None, None]).view(np.complex128)
     real = ~matrices.imag.any(axis=(1, 2))
+    split = real & _centrosymmetric(matrices.real) if real.any() else real
     solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    n = matrices.shape[-1]
     values = np.empty(matrices.shape[:2])
     parts = []
-    for rows, stack in ((real, scaled.real), (~real, scaled)):
+    for rows, stack, solve in ((split, scaled.real, lambda s: _parity_solve(solver, _sectors(s), n, vectors)),
+                               (real & ~split, scaled.real, lambda s: _solve(solver, s)),
+                               (~real, scaled, lambda s: _solve(solver, s))):
         if rows.all():
             rows = slice(None)
         elif rows.any():
             stack = stack[rows]
         else:
             continue
-        result = _solve(solver, stack)
+        result = solve(stack)
         if vectors:
             values[rows], basis = result
             parts.append((rows, basis))
@@ -360,10 +466,10 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
     """:func:`_dense_solve` of a certified hermitian ``a`` as a stack of one.
 
     A band operator with real bands is instead solved from its bands, at the
-    same exact power-of-two scale.  Either way a matrix with any nonzero
-    imaginary entry, however small, keeps the complex solver.  The scaling
-    avoids LAPACK's own rescale of a norm outside about [1.5e-146, 6.7e145]
-    by a factor that is not a power of two.
+    same exact power-of-two scale and by the same parity rule.  Either way a
+    matrix with any nonzero imaginary entry, however small, keeps the
+    complex solver.  The scaling avoids LAPACK's own rescale of a norm
+    outside about [1.5e-146, 6.7e145] by a factor that is not a power of two.
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")
@@ -372,8 +478,8 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
     e = math.frexp(a.scale)[1]
     result = _band_solve(a, vectors, e)
     if not vectors:
-        return np.ldexp(result, e)[None]
-    return np.ldexp(result[0], e)[None], [(slice(None), result[1][None])]
+        return np.ldexp(result, e)
+    return np.ldexp(result[0], e), [(slice(None), result[1])]
 
 
 def _canonical(values: np.ndarray, parts):

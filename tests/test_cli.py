@@ -285,6 +285,30 @@ def test_poisson_exit_one_on_overflowing_matrix(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_poisson_exit_one_on_underflowing_mass_times_omega(tmp_path, capsys):
+    """2 m omega underflows to zero, so hbar/(2 m omega) is undefined: one error line,
+    no warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["poisson", "--mass", "1e-300", "--omega", "1e-300"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2 m omega underflows to zero") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_exit_one_on_zero_grid_hamiltonian(tmp_path, capsys):
+    """hbar^2 underflows, so the stencil coupling and the whole Hamiltonian are
+    zero: refused with one error line instead of solved and passed vacuously."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["ensemble-density", "--hbar", "1e-200", "--n", "2000"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the stencil coupling") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_nan_check_value_fails(tmp_path, capsys):
     """At t = 1e300 the free width's reference is inf and its error NaN; the
     worst error is that NaN, which fails its check."""

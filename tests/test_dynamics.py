@@ -307,6 +307,24 @@ def test_non_finite_stencil_refused_by_both_paths(mass):
     assert len(set(messages)) == 1
 
 
+@pytest.mark.parametrize("grid", [GridMeta(length=1.0, npoints=64, hbar=1e-200),
+                                  GridMeta(length=1e200, npoints=64)], ids=["hbar-squared", "spacing-squared"])
+def test_zero_stencil_coupling_refused_by_every_builder(grid):
+    """hbar^2 underflowing or 2 m h^2 overflowing makes k, and the whole
+    Hamiltonian, zero: every builder refuses it with the same message."""
+    messages = []
+    for build in (lambda: grid_levels(grid, 5), lambda: grid_hamiltonian(grid), lambda: build_grid_model(grid)):
+        with pytest.raises(NumericalError, match="stencil coupling .* underflows to zero") as exc:
+            build()
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+def test_ladder_refuses_underflowing_mass_times_omega():
+    with pytest.raises(NumericalError, match="2 m omega underflows to zero"):
+        build_oscillator_ladder(6, mass=1e-300, omega=1e-300)
+
+
 def test_declared_band_working_set_bounds_traced_peak():
     """The byte count behind the band path's memory refusal covers what it allocates."""
     grid_levels(GridMeta(length=1.0, npoints=16), 5)  # import scipy outside the trace

@@ -934,12 +934,10 @@ def band_image(op, vectors):
     return image
 
 
-@pytest.mark.parametrize("name", ["q", "H"])
-def test_band_solve_above_crossover_is_backward_stable(name):
-    """?stemr's levels lie within N*eps*||A|| of the dense solve's, as both are
+def assert_band_solve_backward_stable(op):
+    """The band solve's levels lie within N*eps*||A|| of the dense solve's, as both are
     backward stable; its basis is orthonormal to N*eps, each eigenpair's
     residual is within N*eps*||A||, and the conventions hold."""
-    op = grid_band_operators(ABOVE_CROSSOVER)[name]
     n, norm = op.dim, band_norm(op)
     dec = eigendecompose(op)
     dense = np.linalg.eigvalsh(op._dense(np.float64))
@@ -953,6 +951,22 @@ def test_band_solve_above_crossover_is_backward_stable(name):
     assert dec.groups == tuple((i,) for i in range(n))
     pivots = vectors[np.argmax(np.abs(vectors) > PHASE_FLOOR, axis=0), np.arange(n)]
     assert np.all(pivots > 0)
+
+
+@pytest.mark.parametrize("name", ["q", "H"])
+def test_band_solve_above_crossover_is_backward_stable(name):
+    """?stemr's levels lie within N*eps*||A|| of the dense solve's, as both are
+    backward stable; its basis is orthonormal to N*eps, each eigenpair's
+    residual is within N*eps*||A||, and the conventions hold."""
+    assert_band_solve_backward_stable(grid_band_operators(ABOVE_CROSSOVER)[name])
+
+
+@pytest.mark.parametrize("npoints", [spectral.STEMR_CROSSOVER - 1, ABOVE_CROSSOVER + 1])
+@pytest.mark.parametrize("name", ["q", "H"])
+def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
+    """The same at odd N on both sides of the crossover: H's even sector there
+    has the centre row, and below the crossover it is solved from its sectors."""
+    assert_band_solve_backward_stable(grid_band_operators(npoints)[name])
 
 
 @pytest.mark.parametrize("npoints, bytes_per_entry", [
@@ -975,6 +989,21 @@ def test_band_solve_declares_what_it_allocates(npoints, bytes_per_entry, monkeyp
         tracemalloc.stop()
     assert declared == [bytes_per_entry * npoints**2]
     assert peak <= declared[0] + 32 * 8 * npoints
+
+
+def test_band_solve_declares_the_whole_tridiagonal_of_bands_that_are_not_palindromic(monkeypatch):
+    """Position's bands are not palindromic: it is solved whole, and refused by that count."""
+    position = grid_band_operators(512)["q"]
+    declared = []
+    monkeypatch.setattr(spectral, "_require_fits", lambda grid, need, what: declared.append(need))
+    tracemalloc.start()
+    try:
+        eigendecompose(position)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert declared == [spectral.WHOLE_BAND_BYTES_PER_ENTRY * 512**2]
+    assert peak <= declared[0] + 32 * 8 * 512
 
 
 def test_band_paths_refuse_before_allocating():
@@ -1023,3 +1052,157 @@ def test_band_operator_refuses_bands_that_do_not_fit_its_grid():
     for diagonal, upper in ((np.zeros(8), np.zeros(8)), (np.zeros(9), np.zeros(8)), (np.zeros((8, 1)), np.zeros(7))):
         with pytest.raises(GridError):
             BandOperator(diagonal, upper, g)
+
+
+# ---------------------------------------------------------------- parity sectors
+
+
+def centrosymmetric(rng, n, kind):
+    """A real symmetric matrix equal to its reflection J A J exactly.
+
+    ``decoupled`` has C = 0, so its two sectors are equal (every level a
+    planted tie across the parities); ``palindromic-diagonal`` ties each
+    entry with its mirror the same way, on the axes."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "palindromic-diagonal":
+        levels = rng.integers(-3, 4, size=n).astype(float)
+        return np.diag(levels + levels[::-1])
+    m = rng.standard_normal((n, n))
+    if kind == "decoupled":
+        half = n // 2
+        m[:half, n - half:] = m[n - half:, :half] = 0.0
+        m[half, :] = m[:, half] = 0.0 if n % 2 else m[half, :]
+    s = m + m[::-1, ::-1]
+    return (s + s.T) * 2.0 ** int(rng.integers(-30, 31))
+
+
+def assert_backward_stable_basis(a, dec, slack=1.0):
+    """Levels within slack*N*eps*||A|| of the whole matrix's, residuals within
+    that, orthonormality within slack*N*eps, and the order and phase conventions."""
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, 2))
+    assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(a))) <= slack * n * EPS * norm
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    assert dec.basis.dtype == np.complex128 and not dec.basis.imag.any()
+    vectors = dec.basis.real
+    assert np.max(np.linalg.norm(a @ vectors - vectors * dec.eigenvalues, axis=0)) <= slack * n * EPS * norm
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= slack * n * EPS
+    pivots = vectors[np.argmax(np.abs(vectors) > PHASE_FLOOR, axis=0), np.arange(n)]
+    assert np.all(pivots > 0)
+
+
+_PARITY_KINDS = ["random", "zero", "identity", "palindromic-diagonal", "decoupled"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), kind=st.sampled_from(_PARITY_KINDS))
+def test_parity_split_is_backward_stable(seed, n, kind):
+    """The split solve of a centrosymmetric matrix is as good as LAPACK's whole solve.
+
+    LAPACK bounds its own errors by p(N)*eps, p growing modestly: on these
+    matrices its whole solve reaches 3*N*eps orthogonality at N = 3 (60000
+    draws of orders 2 to 9), and the split, whose sectors are LAPACK solves of
+    order about N/2, 2*N*eps.  The split is held to these bounds with a factor of 4."""
+    a = centrosymmetric(np.random.default_rng(seed), n, kind)
+    assert np.array_equal(a, a[::-1, ::-1]) and np.array_equal(a, a.T)
+    op = certify_hermitian(a)
+    dec = eigendecompose(op)
+    assert_backward_stable_basis(a, dec, slack=4.0)
+    values = eigenvalues(op)
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.max(np.abs(values - dec.eigenvalues)) <= 4.0 * n * EPS * float(np.linalg.norm(a, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+       kinds=st.lists(st.sampled_from([*_PARITY_KINDS, "real", "complex"]), min_size=1, max_size=6),
+       data=st.data())
+def test_parity_split_does_not_depend_on_the_stack(seed, n, kinds, data):
+    """A matrix gives the same bytes alone as anywhere in a stack mixing
+    centrosymmetric, other real and complex matrices, and as eigendecompose."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for kind in kinds:
+        if kind == "real":
+            matrices.append(random_real_symmetric(rng, n).matrix)
+        elif kind == "complex":
+            matrices.append(random_hermitian(rng, n).matrix)
+        else:
+            matrices.append(certify_hermitian(centrosymmetric(rng, n, kind)).matrix)
+    order = data.draw(st.permutations(range(len(matrices))))
+    stack = np.array(matrices)[order]
+    scales = operators._certify_stack(stack)[0]
+    values, basis = spectral._eigendecompose_stack(stack, scales)
+    levels = spectral._dense_solve(stack, scales, vectors=False)
+    for position, f in enumerate(order):
+        alone = spectral._eigendecompose_stack(stack[position][None], scales[position][None])
+        assert values[position].tobytes() == alone[0][0].tobytes()
+        assert basis[position].tobytes() == alone[1][0].tobytes()
+        assert levels[position].tobytes() == spectral._dense_solve(stack[position][None], scales[position][None],
+                                                                   vectors=False)[0].tobytes()
+        dec = eigendecompose(certify_hermitian(matrices[f]))
+        assert dec.eigenvalues.tobytes() == values[position].tobytes()
+        assert dec.basis.tobytes() == basis[position].tobytes()
+
+
+def spy_on_lapack(monkeypatch):
+    """Record the shape and dtype of every np.linalg.eigh and eigvalsh call."""
+    seen = []
+
+    def spy(name):
+        solver = getattr(np.linalg, name)
+
+        def recorded(matrix):
+            seen.append((name, matrix.shape, matrix.dtype))
+            return solver(matrix)
+        return recorded
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    return seen
+
+
+@pytest.mark.parametrize("npoints, calls", [
+    (512, [("eigh", (2, 256, 256), np.float64)]),
+    (513, [("eigh", (1, 257, 257), np.float64), ("eigh", (1, 256, 256), np.float64)]),
+])
+def test_grid_hamiltonian_is_solved_in_its_parity_sectors(npoints, calls, monkeypatch):
+    """The even-N Hamiltonian's two half blocks go to LAPACK as one stack; at odd N
+    the even sector is one row and column larger, so the sectors take two calls."""
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
+    seen = spy_on_lapack(monkeypatch)
+    eigendecompose(hamiltonian)
+    assert seen == calls
+    seen.clear()
+    eigenvalues(hamiltonian)
+    assert seen == [("eigvalsh", shape, dtype) for _, shape, dtype in calls]
+
+
+def palindromic_bands(rng, n):
+    """Palindromic real bands with signed zeros among their entries."""
+    d, u = rng.standard_normal(n), rng.standard_normal(n - 1)
+    d[rng.random(n) < 0.2], u[rng.random(n - 1) < 0.3] = -0.0, -0.0
+    u[rng.random(n - 1) < 0.2] = 0.0
+    return np.where(np.arange(n) < n // 2, d, d[::-1]), np.where(np.arange(n - 1) < (n - 1) // 2, u, u[::-1])
+
+
+@pytest.mark.parametrize("npoints", [8, 9, 16, 33, 128, 129])
+def test_band_half_blocks_are_the_dense_half_blocks(npoints, monkeypatch):
+    """Palindromic bands feed LAPACK the half blocks the dense path forms from
+    the band operator's matrix, to the byte and down to the sign of a zero."""
+    rng = np.random.default_rng(SEED + 80 + npoints)
+    d, u = palindromic_bands(rng, npoints)
+    op = BandOperator(d, u, GridMeta(length=1.0, npoints=npoints))
+    inputs = []
+    solver = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: inputs.append(matrix.copy()) or solver(matrix))
+    band = eigendecompose(op)
+    reference = eigendecompose(certify_hermitian(op.matrix))
+    half = len(inputs) // 2
+    assert half and [x.tobytes() for x in inputs[:half]] == [x.tobytes() for x in inputs[half:]]
+    assert band.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert band.basis.tobytes() == reference.basis.tobytes()
+    assert_backward_stable_basis(op._dense(np.float64), band)

@@ -10,8 +10,11 @@ crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000`
 extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
 ``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300``,
 ``--a1 1e-200 --a2 3e-200`` and ``--a1 1e308 --a2 -1e308``,
-``spread --times 0,1e300``, ``poisson --omega 1e200`` and
-``poisson --hbar 1e300``, into a temporary directory, and
+``spread --times 0,1e300``, ``poisson --omega 1e200``,
+``poisson --hbar 1e300``, ``spread --grid-n 513`` (an odd grid, whose even
+parity sector has the centre row, solved densely) and
+``spread --grid-n 1601 --times 0,0.001`` (an odd grid above the crossover,
+solved by ``?stemr``), into a temporary directory, and
 prints one ``name sha256`` line per artifact file and one
 ``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
 
@@ -72,6 +75,10 @@ EXTRA = (
     ("poisson-omega1e200", ("poisson", "--omega", "1e200")),
     # the commutator's H @ A overflows
     ("poisson-hbar1e300", ("poisson", "--hbar", "1e300")),
+    # an odd grid: the Hamiltonian's even parity sector has the centre row
+    ("spread-n513", ("spread", "--grid-n", "513")),
+    # an odd grid above spectral.STEMR_CROSSOVER, decomposed by ?stemr
+    ("spread-n1601", ("spread", "--grid-n", "1601", "--times", "0,0.001")),
 )
 
 
