@@ -969,41 +969,35 @@ def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
     assert_band_solve_backward_stable(grid_band_operators(npoints)[name])
 
 
-@pytest.mark.parametrize("npoints, bytes_per_entry", [
-    (512, spectral.DENSE_BAND_BYTES_PER_ENTRY),
-    (ABOVE_CROSSOVER, spectral.STEMR_BYTES_PER_ENTRY),
-])
-def test_band_solve_declares_what_it_allocates(npoints, bytes_per_entry, monkeypatch):
+_DECLARED_BAND_SOLVES = [
+    ("H", 512, spectral.DENSE_BAND_BYTES_PER_ENTRY),
+    ("q", 512, spectral.WHOLE_BAND_BYTES_PER_ENTRY),
+    ("H", ABOVE_CROSSOVER, spectral.STEMR_BYTES_PER_ENTRY),
+]
+
+
+@pytest.mark.parametrize(
+    "name, npoints, bytes_per_entry", _DECLARED_BAND_SOLVES,
+    ids=[f"{npoints}-{bytes_per_entry}" for _, npoints, bytes_per_entry in _DECLARED_BAND_SOLVES],
+)
+def test_band_solve_declares_what_it_allocates(name, npoints, bytes_per_entry, monkeypatch):
     """Each band path refuses by its own byte count, and that count covers the
-    traced peak of the decomposition, up to 32 float64 vectors of O(N) workspace."""
+    traced peak of the decomposition, up to 32 float64 vectors of O(N) workspace.
+    H's palindromic bands are solved from their parity sectors below the
+    crossover; position's bands are not palindromic, so it is solved whole."""
     import scipy.linalg  # noqa: F401  (imported outside the trace)
 
-    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
+    op = grid_band_operators(npoints)[name]
     declared = []
     monkeypatch.setattr(spectral, "_require_fits", lambda grid, need, what: declared.append(need))
     tracemalloc.start()
     try:
-        eigendecompose(hamiltonian)
+        eigendecompose(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert declared == [bytes_per_entry * npoints**2]
     assert peak <= declared[0] + 32 * 8 * npoints
-
-
-def test_band_solve_declares_the_whole_tridiagonal_of_bands_that_are_not_palindromic(monkeypatch):
-    """Position's bands are not palindromic: it is solved whole, and refused by that count."""
-    position = grid_band_operators(512)["q"]
-    declared = []
-    monkeypatch.setattr(spectral, "_require_fits", lambda grid, need, what: declared.append(need))
-    tracemalloc.start()
-    try:
-        eigendecompose(position)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert declared == [spectral.WHOLE_BAND_BYTES_PER_ENTRY * 512**2]
-    assert peak <= declared[0] + 32 * 8 * 512
 
 
 def test_band_paths_refuse_before_allocating():
