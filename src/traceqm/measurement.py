@@ -3,15 +3,19 @@
 Outcome probabilities follow the squared-amplitude rule per degenerate
 group of the measured observable's decomposition: |amplitude|^2 summed over
 each group.  A single measurement draws one uniform variate, picks the group
-whose cumulative-probability interval holds it (the final group catches the
-roundoff sliver at the top), and collapses the state onto that eigenspace.
+whose cumulative-probability interval holds it (the last group of nonzero
+probability catches the roundoff sliver at the top), and collapses the state
+onto that eigenspace.
 Each decomposition remembers the outcome bounds of the last few states
 measured on it and every collapse built from them (at most ``MEMO_ENTRIES``
 entries, the oldest evicted first), found by one lookup in :func:`measure_once`
-and :func:`repeat_experiment`: the last state by identity, any other by its
-grid and coefficient bytes, so an equal copy reuses the entry.  A measurement
-whose state and outcome are known costs one variate and two lookups: replaying
-samples, or measuring a collapsed state again, repeats no Born computation.
+and :func:`repeat_experiment`.  The last ``MEMO_ENTRIES`` state objects looked
+up are known by identity, from a table that holds each of them so that its id
+is not reused; any other state is looked up by its grid and coefficient bytes,
+so an equal copy reuses the entry.  A measurement whose state and outcome are
+known costs one variate, one bisection of the bounds and two dict lookups:
+replaying samples, or measuring a collapsed state again, repeats no Born
+computation and hashes no coefficients.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
@@ -31,6 +35,7 @@ stream, spawning and pickling.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -317,15 +322,19 @@ def _outcome_bounds(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.nd
     """Amplitudes of a normalized state and the upper bounds of its outcome groups.
 
     The bounds are the cumulative group probabilities without the last, so
-    ``bounds.searchsorted(u, side="right")`` picks group g for a variate u
-    and the final group catches the roundoff sliver at the top: it equals
-    the full cumulative search clamped to the last group.
+    ``bisect.bisect_right(bounds, u)`` (or ``bounds.searchsorted(u,
+    side="right")``, the same index) picks group g for a variate u.  The
+    last group of nonzero probability catches the roundoff sliver between
+    the total and one: its bound and the bounds after it are infinite, so
+    a variate never lands in a trailing group of probability zero.
     """
     amps, probs = _born_weights(dec, psi)
     # array methods rather than np.max/np.cumsum: same result, less dispatch
     if probs.max() < PROB_FLOOR:
         raise NumericalError("all outcome probabilities vanish; state is numerically unusable")
-    return amps, probs.cumsum()[:-1]
+    bounds = probs.cumsum()[:-1]
+    bounds[probs.nonzero()[0][-1]:] = np.inf
+    return amps, bounds
 
 
 def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tuple[float, float]]:
@@ -351,17 +360,22 @@ def _remember(memo, key, value):
 
 def _known_state(dec: SpectralDecomposition, psi: StateVector):
     """Memo key of ``psi`` and its ``(amplitudes, bounds)``, computed once per content.
-    The state looked up last is known by identity (states are immutable), any other
-    by its key; only successes are stored, so a refused state is refused every time."""
-    last = dec._last_state
-    if last is not None and last[0] is psi:
-        return last[1]
+
+    The last ``MEMO_ENTRIES`` state objects looked up are known by identity
+    (states are immutable) from ``dec._known``, which holds each one so that
+    its id cannot be reused while its entry lives; any other state is known
+    by its key.  Only successes are stored, so a refused state is refused
+    every time.
+    """
+    hit = dec._known.get(id(psi))
+    if hit is not None and hit[0] is psi:
+        return hit[1], hit[2]
     memo = dec._memo
     key = (psi.grid, psi.coeffs.tobytes())
     known = memo.get(key)
     if known is None:
         known = _remember(memo, key, _outcome_bounds(dec, psi))
-    dec._last_state = (psi, (key, known))
+    _remember(dec._known, id(psi), (psi, key, known))
     return key, known
 
 
@@ -370,11 +384,12 @@ def measure_once(dec: SpectralDecomposition, psi: StateVector,
     """Draw one outcome and collapse; consumes exactly one uniform variate.
 
     The outcome bounds of ``psi`` and the collapse onto the drawn group are
-    taken from ``dec``'s memo when an earlier call computed them for a state
-    with the same grid and coefficient bytes.
+    taken from ``dec``'s memo when an earlier call computed them for the same
+    state object or for a state with the same grid and coefficient bytes.
+    The group is a scalar bisection of the bounds.
     """
     state, (amps, bounds) = _known_state(dec, psi)
-    g = int(bounds.searchsorted(rng.random(), side="right"))
+    g = bisect.bisect_right(bounds, rng.random())
     memo = dec._memo
     outcome = memo.get((state, g))
     if outcome is None:
@@ -389,10 +404,15 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     ``preparation`` is a pure recipe called once per sample; nothing carries
     over between samples except the outcome tally.  A prepared state's
     outcome bounds come from the decomposition's memo, as for
-    :func:`measure_once`.  Sample i draws from ``sample_rng(seed, i)``, so
-    the counts are identical however the loop is chunked, and each outcome
-    can be replayed with :func:`measure_once`.
+    :func:`measure_once`; a preparation that returns the same object as the
+    sample before is not looked up again.  Sample i draws from
+    ``sample_rng(seed, i)``, so the counts are identical however the loop is
+    chunked, and each outcome can be replayed with :func:`measure_once`.
+    ``n`` and ``seed`` must be integers (a bool is refused with ``TypeError``).
     """
+    if isinstance(n, bool):
+        raise TypeError("the sample count must be an integer, not a bool")
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     if n > MAX_SAMPLES:
@@ -401,14 +421,18 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     np.random.SeedSequence(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
     counts = np.zeros(len(dec.groups), dtype=np.int64)
-    bounds = None
+    psi, bounds = object(), None  # an object no preparation returns
     for lo in range(0, n, SAMPLE_CHUNK):
         hi = min(n, lo + SAMPLE_CHUNK)
         # where the outcome bounds change in this chunk: the memo returns the
         # same bounds object for the same prepared state
         starts, run_bounds = [0], [bounds]
         for i in range(lo, hi):
-            _, (_, known) = _known_state(dec, preparation())
+            prepared = preparation()
+            if prepared is psi:
+                continue
+            psi = prepared
+            _, (_, known) = _known_state(dec, psi)
             if known is not bounds:
                 bounds = known
                 starts.append(i - lo)
@@ -451,11 +475,15 @@ def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:
     total = 0
     for report in reports:
         for value, count in report.counts.items():
+            if not math.isfinite(value):
+                raise InputError(f"outcome {value!r} is not a position on this grid")
             j = int(np.round(value / grid.spacing)) - 1
             if j < 0 or j >= grid.npoints or abs(positions[j] - value) > tol:
                 raise InputError(f"outcome {value!r} is not a position on this grid")
             tally[j] += count
             total += count
+    if total == 0:
+        raise InputError("the reports count no samples")
     frequencies = tally / total
     return [(float(positions[j]), float(frequencies[j])) for j in range(grid.npoints)]
 

@@ -259,8 +259,10 @@ class SpectralDecomposition:
         """The Born path's remembered results, oldest first (see ``measurement.MEMO_ENTRIES``)."""
         return OrderedDict()
 
-    #: the Born path's last looked-up state, with its memo key and entry
-    _last_state = None
+    @cached_property
+    def _known(self) -> OrderedDict:
+        """The Born path's recent states by ``id``, each as ``(state, key, entry)``, oldest first."""
+        return OrderedDict()
 
     @cached_property
     def group_starts(self) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 import pickle
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from traceqm import (
@@ -338,6 +339,24 @@ def test_density_rejects_non_position_outcomes():
         reconstruct_density([], g)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_density_rejects_a_non_finite_outcome(value):
+    g = GridMeta(length=1.0, npoints=8)
+    fake = EnsembleReport(counts={value: 10}, n=10, empirical_mean=value, empirical_std=0.0, seed=0)
+    with pytest.raises(InputError):
+        reconstruct_density(fake, g)
+
+
+def test_density_rejects_reports_that_count_no_samples():
+    g = GridMeta(length=1.0, npoints=8)
+    empty = EnsembleReport(counts={}, n=0, empirical_mean=0.0, empirical_std=0.0, seed=0)
+    zero = EnsembleReport(counts={float(g.positions[2]): 0}, n=0, empirical_mean=0.0,
+                          empirical_std=0.0, seed=0)
+    for reports in (empty, [empty, empty], zero):
+        with pytest.raises(InputError):
+            reconstruct_density(reports, g)
+
+
 # ---------------------------------------------------------------- substreams
 
 
@@ -562,6 +581,23 @@ def test_repeat_refuses_sample_counts_beyond_one_spawn_word():
         repeat_experiment(preparation, a, 2**32, seed=1)
 
 
+def test_repeat_takes_the_sample_count_as_an_integer():
+    def preparation():
+        raise AssertionError("preparation must not run")
+
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    for n in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError):
+            repeat_experiment(preparation, a, n, seed=1)
+    for n in (4.0, 4.5, "4"):
+        with pytest.raises(TypeError):
+            repeat_experiment(preparation, a, n, seed=1)
+    for n in (4, np.int64(4), np.uint8(4)):
+        report = repeat_experiment(cat_state, a, n, seed=1)
+        assert type(report.n) is int
+        assert report == repeat_experiment(cat_state, a, 4, seed=1)
+
+
 def test_repeat_rejects_negative_seed_like_sample_rng():
     def preparation():
         raise AssertionError("preparation must not run")
@@ -726,6 +762,123 @@ def test_memo_stays_within_its_cap():
         tracemalloc.stop()
     assert len(dec._memo) == MEMO_ENTRIES
     assert after - before < bound
+
+
+def test_identity_table_misses_a_reused_id():
+    """The table holds each state it knows, so its id is not reused while the
+    entry lives; once evicted, a new state of other content that reuses the
+    id gets its own outcome."""
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, -1.0])))
+    psi = normalize(StateVector([1.0, 0.0]))  # outcome 1.0 with certainty
+    assert measure_once(dec, psi, sample_rng(SEED, 0)).eigenvalue == 1.0
+    old = id(psi)
+    del psi
+    assert dec._known[old][0].coeffs[0] == 1.0
+    rng = np.random.default_rng(SEED + 17)
+    for i in range(MEMO_ENTRIES):
+        measure_once(dec, random_state(rng, 2), sample_rng(SEED, i))
+    assert old not in dec._known
+    kept = []
+    while len(kept) < 1000:
+        other = StateVector([0.0, 1.0])  # outcome -1.0 with certainty
+        if id(other) == old:
+            break
+        kept.append(other)
+    assert id(other) == old
+    assert measure_once(dec, other, sample_rng(SEED, 0)).eigenvalue == -1.0
+
+
+def test_identity_table_stays_within_its_cap(monkeypatch):
+    rng = np.random.default_rng(SEED + 18)
+    a = random_hermitian(rng, 3)
+    dec = eigendecompose(a)
+    states = [random_state(rng, 3) for _ in range(3 * MEMO_ENTRIES)]
+    for i, psi in enumerate(states):
+        collapsed = measure_once(dec, psi, sample_rng(SEED, i)).collapsed
+        measure_once(dec, collapsed, sample_rng(SEED + 1, i))
+        assert len(dec._known) <= MEMO_ENTRIES
+    assert [entry[0] for entry in dec._known.values()][-1] is collapsed
+    # repeat_experiment on the same decomposition, a new state object every sample
+    monkeypatch.setattr(measurement, "eigendecompose", lambda observable: dec)
+    fresh = iter(states)
+    repeat_experiment(lambda: StateVector(next(fresh).coeffs), a, len(states), seed=SEED)
+    assert len(dec._known) == MEMO_ENTRIES
+
+
+class CountingMemo(OrderedDict):
+    """An OrderedDict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_replay_computes_outcome_bounds_once_per_content_and_hashes_none_again(monkeypatch):
+    """psi, its collapse, psi, ...: each content's bounds are computed once, and
+    every later lookup is by identity, leaving the memo only the collapse lookup."""
+    calls = []
+    original = measurement._outcome_bounds
+    monkeypatch.setattr(measurement, "_outcome_bounds",
+                        lambda dec, psi: calls.append(psi) or original(dec, psi))
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, -1.0])))
+    memo = dec.__dict__["_memo"] = CountingMemo()
+    psi = cat_state()
+    collapses = set()
+    samples = 200
+    for i in range(samples):
+        collapsed = measure_once(dec, psi, sample_rng(SEED, i)).collapsed
+        measure_once(dec, collapsed, sample_rng(SEED + 1, i))
+        collapses.add(id(collapsed))
+    assert len(collapses) == 2
+    assert len(calls) == 1 + len(collapses)
+    assert calls[0] is psi
+    # one collapse lookup per call, plus one content lookup per distinct state
+    assert memo.gets == 2 * samples + len(calls)
+
+
+class FixedVariate:
+    """A stand-in generator whose one ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@given(weights=st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0),
+                        min_size=2, max_size=8).filter(lambda w: max(w) > 0),
+       pick=st.integers(0, 7) | st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_measure_once_picks_the_searchsorted_group(weights, pick):
+    """The scalar bisection picks np.searchsorted's group, zero-probability
+    groups and a variate exactly on a bound included; a variate in the
+    roundoff sliver above the total goes to the last group that can occur."""
+    dim = len(weights)
+    dec = eigendecompose(certify_hermitian(np.diag(np.arange(dim, dtype=np.float64))))
+    psi = normalize(StateVector(np.sqrt(weights)))
+    probs = _group_probabilities(dec, dec.amplitudes(psi))
+    bounds = probs.cumsum()[:-1]
+    u = float(bounds[pick % bounds.size]) if isinstance(pick, int) else pick
+    assume(u < 1.0)  # a partial sum may round above one; no variate reaches it
+    want = min(int(np.searchsorted(bounds, u, side="right")), int(probs.nonzero()[0][-1]))
+    outcome = measure_once(dec, psi, FixedVariate(u))
+    assert outcome.group_index == want
+    assert probs[want] > 0.0
+
+
+def test_sliver_variate_never_picks_a_trailing_zero_probability_group():
+    """The total of these probabilities rounds below one, so a variate can land
+    above it; it collapses onto the last group of nonzero probability rather
+    than onto the zero vector of the empty trailing group."""
+    dec = eigendecompose(certify_hermitian(np.diag(np.arange(5.0))))
+    psi = normalize(StateVector(np.sqrt([0.0, 0.0, 0.25, 0.25, 0.0])))
+    total = float(_group_probabilities(dec, dec.amplitudes(psi)).sum())
+    assert total < 1.0
+    for u in (total, np.nextafter(1.0, 0.0)):
+        assert measure_once(dec, psi, FixedVariate(u)).group_index == 3
 
 
 def reference_collapse(dec, amps, g):

@@ -1,0 +1,107 @@
+"""Print the per-call cost of the Born path, in microseconds, best of five.
+
+Pinned to one core (the highest-numbered one this process may use) with
+one BLAS thread, it times:
+
+- ``sample_rng(seed, i)`` per call, its seed-word block cached;
+- ``measure_once`` on the 2x2 cat observable: on a new state (content never
+  seen, so the Born weights are computed), on the cat state and its
+  collapse in turn (the benchmark's replay), and on a new object equal in
+  content to the cat state;
+- ``repeat_experiment`` per sample: the cat state on the cat observable
+  (``cat``'s default n), and the 128-point ground state on the position
+  operator (``ensemble-density``'s defaults).
+
+Each row is the best of five timed runs divided by the calls of one run.
+``--root`` names the checkout whose ``src/traceqm`` is timed (default: the
+one holding this script), so two checkouts compare as::
+
+    python tools/percall.py --root OTHER_CHECKOUT
+    python tools/percall.py
+
+The script is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+REPEATS = 5
+
+
+def best_us(run, calls: int) -> float:
+    """Best of ``REPEATS`` timings of ``run()``, in microseconds per call."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best / calls * 1e6
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/traceqm is timed")
+    args = parser.parse_args()
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[key] = "1"  # read when numpy loads its BLAS, below
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    import numpy as np
+
+    from traceqm import GridMeta, StateVector, certify_hermitian, normalize
+    from traceqm.dynamics import build_grid_model
+    from traceqm.measurement import measure_once, repeat_experiment, sample_rng
+    from traceqm.spectral import eigendecompose
+
+    seed, calls = 42, 10_000
+    cat_observable = certify_hermitian(np.diag([1.0, -1.0]).astype(np.complex128))
+    dec = eigendecompose(cat_observable)
+    cat = normalize(StateVector([1.0, 1.0]))
+    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed + 1).standard_normal((calls, 4))
+    new_states = [normalize(StateVector(row[:2] + 1j * row[2:])) for row in draws]
+    copies = [StateVector(cat.coeffs.copy()) for _ in range(calls)]
+    model = build_grid_model(GridMeta(length=1.0, npoints=128))
+    ground = model.energy_spectrum().eigenvector(0)
+
+    def rngs():
+        for i in range(calls):
+            sample_rng(seed, i)
+
+    def new_state():
+        for psi in new_states:
+            measure_once(dec, psi, rng)
+
+    def replay():
+        for _ in range(calls // 2):
+            measure_once(dec, measure_once(dec, cat, rng).collapsed, rng)
+
+    def copy():
+        for psi in copies:
+            measure_once(dec, psi, rng)
+
+    rows = [
+        ("sample_rng", rngs, calls),
+        ("measure_once.new_state", new_state, calls),
+        ("measure_once.state_and_collapse", replay, calls),
+        ("measure_once.equal_copy", copy, calls),
+        ("repeat_experiment.cat.per_sample",
+         lambda: repeat_experiment(lambda: cat, cat_observable, 10_000, seed), 10_000),
+        ("repeat_experiment.position128.per_sample",
+         lambda: repeat_experiment(lambda: ground, model.q, 50_000, seed), 50_000),
+    ]
+    for _, run, _ in rows:
+        run()  # warm lazy caches, seed blocks and imports
+    for name, run, count in rows:
+        print(f"{name} {best_us(run, count):.3f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
