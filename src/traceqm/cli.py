@@ -6,10 +6,11 @@ which override the ``WORKBENCH_SEED`` environment fallback, which overrides
 compiled defaults.  The same configuration and seed always produce byte
 identical artifacts.
 
-Exit codes: 0 all checks passed, 1 a check failed (or the run errored),
-2 usage or validation problem, or an input too large for this machine
-(a grid refused up front by arithmetic on its size, or a run that ran out
-of memory anyway), 3 could not write output.  Every error is one
+Exit codes: 0 all checks passed, 1 a check failed (or the run raised a
+workbench error, or a ``ValueError``, reported as ``error: EXPERIMENT:
+message``), 2 usage or validation problem, or an input too large for this
+machine (a grid refused up front by arithmetic on its size, or a run that
+ran out of memory anyway), 3 could not write output.  Every error is one
 ``error:`` line on stderr, without a traceback.
 """
 
@@ -304,6 +305,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return 2
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {cfg.experiment}: {exc}", file=sys.stderr)
         return 1
 
     suffix = ".csv" if cfg.format == "csv" else ".json"

@@ -446,7 +446,11 @@ def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np
     """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it."""
     scaled = _time_over_hbar(t, model.hbar)
     dec = model.energy_spectrum()
-    return dec, np.exp(-1j * dec.eigenvalues * scaled)
+    values = dec.eigenvalues  # ascending: the largest |E| is at one end
+    if not np.isfinite(float(max(abs(values[0]), abs(values[-1]))) * abs(scaled)):
+        raise NumericalError(f"energy times time {t!r} over hbar {model.hbar!r} overflows; "
+                             "the propagator's phases are undefined")
+    return dec, np.exp(-1j * values * scaled)
 
 
 def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:

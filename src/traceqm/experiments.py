@@ -215,6 +215,9 @@ def run_spread(cfg: ExperimentConfig):
     tau = 2.0 * cfg.mass * sigma0 * sigma0 / cfg.hbar
     times = cfg.times
     if times is None:
+        if not math.isfinite(tau):
+            raise NumericalError(f"the spreading time 2 m sigma0^2 / hbar overflows (mass {cfg.mass!r}, "
+                                 f"length {cfg.length!r}, hbar {cfg.hbar!r}); give --times")
         times = tuple(factor * tau for factor in (0.0, 0.5, 1.0, np.sqrt(3.0), 2.0))
     # a time whose phase rate overflows is refused before the stencil, whose
     # coupling underflows at the same tiny hbar

@@ -308,7 +308,7 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _group_probabilities(dec: SpectralDecomposition, amps: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(np.abs(amps) ** 2, dec.group_starts)
+    return np.add.reduceat(np.abs(amps) ** 2, dec.bounds[:-1])
 
 
 def _born_weights(dec: SpectralDecomposition, psi: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +345,7 @@ def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tup
 
 def _collapse(dec: SpectralDecomposition, amps: np.ndarray, g: int) -> MeasurementOutcome:
     """Outcome of group ``g``: its eigenvalue and the state projected onto its eigenspace."""
-    idx = list(dec.groups[g])
+    idx = list(range(dec.bounds[g], dec.bounds[g + 1]))
     projected = StateVector((dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid)), dec.grid)
     return MeasurementOutcome(dec.group_eigenvalue(g), g, normalize(projected))
 
@@ -405,7 +405,8 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     over between samples except the outcome tally.  A prepared state's
     outcome bounds come from the decomposition's memo, as for
     :func:`measure_once`; a preparation that returns the same object as the
-    sample before is not looked up again.  Sample i draws from
+    sample before is not looked up again, and any other object must be a
+    :class:`StateVector` (else ``InputError``).  Sample i draws from
     ``sample_rng(seed, i)``, so the counts are identical however the loop is
     chunked, and each outcome can be replayed with :func:`measure_once`.
     ``n`` and ``seed`` must be integers (a bool is refused with ``TypeError``).
@@ -420,7 +421,7 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     seed = operator.index(seed)
     np.random.SeedSequence(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
-    counts = np.zeros(len(dec.groups), dtype=np.int64)
+    counts = np.zeros(dec.bounds.size - 1, dtype=np.int64)
     psi, bounds = object(), None  # an object no preparation returns
     for lo in range(0, n, SAMPLE_CHUNK):
         hi = min(n, lo + SAMPLE_CHUNK)
@@ -431,6 +432,8 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
             prepared = preparation()
             if prepared is psi:
                 continue
+            if not isinstance(prepared, StateVector):
+                raise InputError(f"the preparation must return a StateVector, not {type(prepared).__name__}")
             psi = prepared
             _, (_, known) = _known_state(dec, psi)
             if known is not bounds:

@@ -12,7 +12,8 @@ for bit on a given platform:
 
 The last two steps are one canonicalization, ``_canonicalize``, shared by
 :func:`eigendecompose` and :func:`simultaneous_diagonalize`; a degenerate
-group's representative eigenvalue is its mean (``_group_means``).
+group's representative eigenvalue is its mean (``_group_means``), and a
+decomposition holds the groups only as one intp array of ``bounds``.
 
 The dense steps are kernels on a stack of same-dimension matrices
 ``(k, N, N)``: the solve (``_dense_solve``), the group widths and gap masks,
@@ -161,12 +162,6 @@ def _bounds(breaks: np.ndarray) -> list[int]:
     return [0, *(np.flatnonzero(breaks) + 1).tolist(), breaks.size + 1]
 
 
-def _groups(breaks: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Index groups of one row's gap mask: the runs with no break between adjacent indices."""
-    bounds = _bounds(breaks)
-    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-
-
 def _tied_runs(breaks: np.ndarray) -> list[tuple[int, int, int]]:
     """``(row, start, stop)`` of every group of more than one index in a (k, N - 1) gap mask."""
     runs = []
@@ -226,17 +221,19 @@ class SpectralDecomposition:
     ``basis`` holds orthonormal eigenvector columns in the plain (unweighted)
     sense; the ``eigenvectors`` property rescales them into unit-norm
     :class:`StateVector` objects under the grid weight when one is bound.
-    ``groups`` partitions the index range into degenerate clusters.
+    ``bounds`` (read-only intp, one longer than the number of degenerate
+    clusters) partitions the index range: cluster g is ``range(bounds[g], bounds[g + 1])``.
     """
 
-    def __init__(self, eigenvalues, basis, groups, group_tol, grid: GridMeta | None = None):
+    def __init__(self, eigenvalues, basis, bounds, group_tol, grid: GridMeta | None = None):
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         basis = np.asarray(basis, dtype=np.complex128)
-        eigenvalues.setflags(write=False)
-        basis.setflags(write=False)
+        bounds = np.array(bounds, dtype=np.intp)
+        for array in (eigenvalues, basis, bounds):
+            array.setflags(write=False)
         self.eigenvalues = eigenvalues
         self.basis = basis
-        self.groups = tuple(tuple(int(i) for i in g) for g in groups)
+        self.bounds = bounds
         self.group_tol = float(group_tol)
         self.grid = grid
 
@@ -265,17 +262,16 @@ class SpectralDecomposition:
         return OrderedDict()
 
     @cached_property
-    def group_starts(self) -> np.ndarray:
-        """First index of each degenerate group, for ``np.add.reduceat``.
-
-        Groups are consecutive runs of the ascending index range, so these
-        starts delimit them completely.
-        """
-        return np.array([group[0] for group in self.groups], dtype=np.intp)
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """Index tuple of each degenerate group, from ``bounds``; no program path reads it."""
+        return tuple(map(tuple, self._ranges()))
 
     @cached_property
     def _group_values(self) -> tuple[float, ...]:
-        return _group_means(self.eigenvalues, self.groups)
+        return _group_means(self.eigenvalues, self._ranges())
+
+    def _ranges(self):
+        return map(range, self.bounds[:-1].tolist(), self.bounds[1:].tolist())
 
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
@@ -287,7 +283,7 @@ class SpectralDecomposition:
         return self._group_values[g]
 
     def __repr__(self):
-        return f"<SpectralDecomposition dim={self.dim} groups={len(self.groups)}>"
+        return f"<SpectralDecomposition dim={self.dim} groups={self.bounds.size - 1}>"
 
 
 class JointDecomposition:
@@ -508,7 +504,7 @@ def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     """Decompose a certified hermitian operator with canonical conventions."""
     values, parts = _hermitian_solve(a, "eigendecompose")
     tol, breaks, basis = _canonical(values, parts)
-    return SpectralDecomposition(values[0], basis[0], _groups(breaks[0]), tol[0], a.grid)
+    return SpectralDecomposition(values[0], basis[0], _bounds(breaks[0]), tol[0], a.grid)
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:

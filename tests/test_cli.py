@@ -267,6 +267,41 @@ def test_exit_one_on_hbar_too_small(experiment, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # tau = 2 m sigma0^2 / hbar overflows, so the default times 0 * tau are NaN
+    (["--length", "1e300"], "error: the spreading time"),
+    (["--mass", "1e300", "--length", "1e10"], "error: the spreading time"),
+    (["--hbar", "1e-300", "--length", "1e10"], "error: the spreading time"),
+    # t / hbar is finite, but the largest level times it overflows
+    (["--mass", "1e-300", "--times", "0,1e10"], "error: energy times time"),
+    (["--mass", "1e-250", "--times", "0,1e100"], "error: energy times time"),
+], ids=["length", "mass", "hbar", "phase-1e10", "phase-1e100"])
+def test_spread_exit_one_on_overflowing_time_scale(flags, message, tmp_path, capsys):
+    """An overflowing spreading time or phase ends in one error line, with no
+    warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["spread", *flags], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_value_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    """A ValueError that escapes an experiment is one error line naming it, not a traceback."""
+    from traceqm import cli
+
+    def refused(cfg):
+        raise ValueError("times must be strictly ascending")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "spread", refused)
+    code, out = run_cli(["spread"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == "error: spread: times must be strictly ascending\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     # 0.5 m omega^2 overflows, and inf times the zero entries of q @ q is NaN
     ("--omega", "1e200"),

@@ -581,6 +581,13 @@ def test_repeat_refuses_sample_counts_beyond_one_spawn_word():
         repeat_experiment(preparation, a, 2**32, seed=1)
 
 
+@pytest.mark.parametrize("prepared, name", [(None, "NoneType"), (np.array([1.0, 0.0]), "ndarray")])
+def test_repeat_refuses_a_preparation_that_is_not_a_state(prepared, name):
+    a = certify_hermitian(np.diag([1.0, -1.0]))
+    with pytest.raises(InputError, match=f"must return a StateVector, not {name}$"):
+        repeat_experiment(lambda: prepared, a, 10, seed=1)
+
+
 def test_repeat_takes_the_sample_count_as_an_integer():
     def preparation():
         raise AssertionError("preparation must not run")
@@ -681,7 +688,7 @@ def position_decomposition(npoints):
 
 def cold_copy(dec):
     """The same decomposition with an empty memo."""
-    return SpectralDecomposition(dec.eigenvalues, dec.basis, dec.groups, dec.group_tol, dec.grid)
+    return SpectralDecomposition(dec.eigenvalues, dec.basis, dec.bounds, dec.group_tol, dec.grid)
 
 
 def test_memo_outcomes_match_a_cold_decomposition_bit_for_bit():

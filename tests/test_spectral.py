@@ -162,6 +162,21 @@ def test_grouping_separates_beyond_tolerance():
     assert dec.groups == ((0,), (1,), (2,))
 
 
+def test_groups_are_the_ranges_of_read_only_bounds():
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, 1.0, 2.0, 5.0, 5.0, 5.0])))
+    assert dec.bounds.dtype == np.intp and dec.bounds.tolist() == [0, 2, 3, 6]
+    bounds = dec.bounds.tolist()
+    assert dec.groups == tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    assert all(type(i) is int for group in dec.groups for i in group)
+    with pytest.raises(ValueError):  # read-only
+        dec.bounds[1] = 1
+    # the constructor holds its own read-only copy of the bounds it is given
+    given_bounds = np.array([0, 1, 3, 6])
+    copy = SpectralDecomposition(dec.eigenvalues, dec.basis, given_bounds, dec.group_tol)
+    given_bounds[1] = 2
+    assert copy.groups == ((0,), (1, 2), (3, 4, 5)) and not copy.bounds.flags.writeable
+
+
 def test_amplitudes_resolve_unit_mass():
     # completeness: squared projections of any normalized state sum to one
     rng = np.random.default_rng(SEED + 4)
@@ -532,8 +547,14 @@ def test_apply_function_inverse_round_trip():
 # ---------------------------------------------------------------- one implementation per job
 
 
+def bounded_groups(breaks):
+    """Index tuples of the groups that ``_bounds`` delimits in a gap mask."""
+    bounds = spectral._bounds(breaks)
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+
+
 def loop_cluster_sorted(values, tol):
-    """Index-by-index clustering, the reference for the groups of a gap mask (``_groups`` of ``_breaks``)."""
+    """Index-by-index clustering, the reference for the groups of a gap mask (``_bounds`` of ``_breaks``)."""
     groups = []
     current = [0]
     for i in range(1, values.size):
@@ -558,7 +579,7 @@ def test_cluster_sorted_equals_loop_with_exact_ties_and_gaps(steps, start, expon
     unit = 2.0 ** exponent
     values = (start + np.cumsum([0, *steps])) * unit
     tol = 3 * unit
-    result = spectral._groups(spectral._breaks(values, tol))
+    result = bounded_groups(spectral._breaks(values, tol))
     assert result == loop_cluster_sorted(values, tol)
     assert all(type(i) is int for group in result for i in group)
 
@@ -569,7 +590,7 @@ def test_cluster_sorted_equals_loop_with_tol_taken_from_a_gap(values, pick):
     values = np.sort(np.array(values + values[: len(values) // 3]))  # planted ties
     gaps = np.diff(values)
     tol = float(gaps[pick % gaps.size]) if gaps.size else 0.0
-    assert spectral._groups(spectral._breaks(values, tol)) == loop_cluster_sorted(values, tol)
+    assert bounded_groups(spectral._breaks(values, tol)) == loop_cluster_sorted(values, tol)
 
 
 def loop_representatives(values):
@@ -1013,6 +1034,23 @@ def test_band_paths_refuse_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_grid_decomposition_keeps_two_vectors_beyond_its_basis():
+    """Beyond its N x N complex basis a decomposition of the grid Hamiltonian
+    keeps its eigenvalues and its N + 1 group bounds, and within 4 KiB the
+    headers of the object, its dict and its arrays: no index tuple per group."""
+    npoints = 512
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
+    eigendecompose(hamiltonian)  # imports and the interpreter's free lists outside the trace
+    tracemalloc.start()
+    try:
+        dec = eigendecompose(hamiltonian)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = dec.eigenvalues.nbytes + np.dtype(np.intp).itemsize * (npoints + 1)
+    assert kept - dec.basis.nbytes <= held + 4096
 
 
 def test_band_operator_builds_its_matrix_once_on_demand():

@@ -1,22 +1,10 @@
 """Print the sha256 digest of every CLI artifact the workbench writes at its defaults.
 
 Runs the seven experiments at their default configs in csv and in json,
-plus ``spread --times 0,0.001`` (a tuple-valued config echo),
-``spread --grid-n 1600 --times 0,0.001`` (a grid above the band solver's
-crossover, decomposed by ``?stemr``), ``cat --seed 7``, ``vn-generator --n 1000``,
-``vn-generator --n 5000`` (many ``RECON_CHUNK`` chunks of families),
-``vn-generator --n 1000 --seed 9001``, ``claims`` at seeds 1 and 9001,
-``well-spectrum --hbar 1e-100``, ``spread --hbar 1e-5`` and ``cat`` at the
-extreme outcomes ``--a1 1e154 --a2 -1e154``, ``--a1 1e200``,
-``--a1 1e308 --a2 1e307 --n 1000``, ``--a1 1e-300 --a2 -1e-300``,
-``--a1 1e-200 --a2 3e-200`` and ``--a1 1e308 --a2 -1e308``,
-``spread --times 0,1e300``, ``poisson --omega 1e200``,
-``poisson --hbar 1e300``, ``spread --grid-n 513`` (an odd grid, whose even
-parity sector has the centre row, solved densely) and
-``spread --grid-n 1601 --times 0,0.001`` (an odd grid above the crossover,
-solved by ``?stemr``), into a temporary directory, and
-prints one ``name sha256`` line per artifact file and one
-``name.exit CODE`` line per run.  Comparing two checkouts is one ``diff``::
+plus the runs listed in ``EXTRA``, each with the reason it is there, into a
+temporary directory, and prints one ``name sha256`` line per artifact file
+and one ``name.exit CODE`` line per run, or ``name.exit raised TYPE`` for a
+run that raised.  Comparing two checkouts is one ``diff``::
 
     python tools/artifact_digests.py --root OTHER_CHECKOUT > before.txt
     python tools/artifact_digests.py > after.txt
@@ -35,6 +23,7 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ensemble-density", "claims")
@@ -79,6 +68,13 @@ EXTRA = (
     ("spread-n513", ("spread", "--grid-n", "513")),
     # an odd grid above spectral.STEMR_CROSSOVER, decomposed by ?stemr
     ("spread-n1601", ("spread", "--grid-n", "1601", "--times", "0,0.001")),
+    # the spreading time 2 m sigma0^2 / hbar overflows, so the default times are NaN
+    ("spread-length1e300", ("spread", "--length", "1e300")),
+    ("spread-mass1e300-length1e10", ("spread", "--mass", "1e300", "--length", "1e10")),
+    ("spread-hbar1e-300-length1e10", ("spread", "--hbar", "1e-300", "--length", "1e10")),
+    # t / hbar is finite, but the largest level times it overflows
+    ("spread-mass1e-300-times1e10", ("spread", "--mass", "1e-300", "--times", "0,1e10")),
+    ("spread-mass1e-250-times1e100", ("spread", "--mass", "1e-250", "--times", "0,1e100")),
 )
 
 
@@ -104,8 +100,12 @@ def main() -> int:
             out_dir = Path(tmp) / label
             out_dir.mkdir()
             suffix = ".json" if "json" in argv else ".csv"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = traceqm_main(list(argv) + ["--out", str(out_dir / (argv[0] + suffix))])
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = traceqm_main(list(argv) + ["--out", str(out_dir / (argv[0] + suffix))])
+            except Exception as exc:  # a checkout whose run ends in a traceback
+                traceback.print_exc()
+                code = f"raised {type(exc).__name__}"
             for path in sorted(out_dir.iterdir()):
                 print(f"{label}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
             print(f"{label}.exit {code}")
