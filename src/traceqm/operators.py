@@ -186,18 +186,16 @@ class BandOperator(HermitianOperator):
         _DENSE.__set__(self, matrix)
         return matrix
 
-    def _dense(self, dtype, columns: int | None = None) -> np.ndarray:
-        """A new N x N array of ``dtype`` holding the bands, or only its first ``columns`` columns."""
+    def _dense(self, dtype) -> np.ndarray:
+        """A new N x N array of ``dtype`` holding the bands."""
         n = self.dim
-        columns = n if columns is None else columns
-        out = np.zeros((n, columns), dtype=dtype)
+        out = np.zeros((n, n), dtype=dtype)
         np.fill_diagonal(out, self.diagonal)
-        j = np.arange(columns - 1)
-        out[j, j + 1] = self.upper[j]
-        j = np.arange(min(columns, n - 1))
+        j = np.arange(n - 1)
+        out[j, j + 1] = self.upper
         # conj(-1j*x) has real part -0.0 where 1j*x has +0.0: adding 0.0 makes
         # it +0.0, so the subdiagonal holds the bytes of 1j*x
-        out[j + 1, j] = self.upper[j].conj() + 0.0
+        out[j + 1, j] = self.upper.conj() + 0.0
         return out
 
 

@@ -41,8 +41,8 @@ sectors of half its order (Cantoni and Butler, "Eigenvalues and
 eigenvectors of symmetric centrosymmetric matrices", Linear Algebra Appl.
 13, 275-288, 1976): with N = 2m or 2m + 1, B = A[:m, :m] and
 C = A[N - m:, :m], the even sector is B + JC (bordered for odd N by
-sqrt(2) A[:m, m] and A[m, m]) and the odd sector B - JC.  For even N the
-two go to LAPACK as one stack.  Their eigenvalues are merged by a stable
+sqrt(2) A[:m, m] and A[m, m]) and the odd sector B - JC, which go to LAPACK
+as two stacks at every N.  Their eigenvalues are merged by a stable
 ascending sort, and a tie across the parities is one degenerate group like
 any other.  This is the refinement :func:`simultaneous_diagonalize` would
 find with J first in the family, in closed form.  It rests only on the
@@ -50,10 +50,10 @@ exact equality, so it has no option and no size threshold.
 
 A :class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
-dense complex matrix: up to ``STEMR_CROSSOVER`` points as the real dense
-tridiagonal (its half blocks, formed from its left half columns, when the
-bands are palindromic), by the same LAPACK routine and to the same bytes as
-its matrix's real part; above
+dense complex matrix: up to ``STEMR_CROSSOVER`` points as its whole real
+dense tridiagonal (from its two parity sectors when the bands are
+palindromic), by the same LAPACK routine and to the same bytes as its
+matrix's real part; above
 it by scipy's ``eigh_tridiagonal`` with LAPACK ``?stemr`` (Dhillon and
 Parlett's MRRR), in O(N^2) work instead of O(N^3), on the whole
 tridiagonal: on the half tridiagonals ``?stemr``'s eigenvectors lose
@@ -111,28 +111,24 @@ COMMUTE_TOL = 1e-8
 
 #: real band operators of more points than this are solved by ``?stemr`` on
 #: their bands; up to it the dense solve of their real tridiagonal (of its two
-#: half blocks, for palindromic bands) costs less than ``?stemr`` plus a cold
+#: parity sectors, for palindromic bands) costs less than ``?stemr`` plus a cold
 #: scipy import (0.37 s).  Measured on 2 cores, best of 3, eigendecompose of
-#: the grid Hamiltonian, dense half blocks against ``?stemr``: 0.11 / 0.12 s
+#: the grid Hamiltonian, dense sectors against ``?stemr``: 0.11 / 0.12 s
 #: at N = 1280, 0.15 / 0.18 s at 1536 and 0.26 / 0.25 s at 1792.
 STEMR_CROSSOVER = 1536
 
-#: bytes per matrix entry alive at once while a real band operator with
-#: palindromic bands is solved densely: the assembled real eigenvectors and
-#: their complex128 copy.  The left half of the real tridiagonal, the two half
-#: blocks, LAPACK's copy of one, the 2(N/2)^2-entry workspace of ``?syevd``
-#: and the half eigenvectors come to 18 before them.
-DENSE_BAND_BYTES_PER_ENTRY = 8 + 16
+#: bytes per matrix entry alive at once while a real band operator is
+#: decomposed by ``?stemr``, or densely from its parity sectors when its bands
+#: are palindromic: the real eigenvectors and their complex128 copy.  Before
+#: them the dense path holds less: the real tridiagonal and the two sectors
+#: (12), then the sectors, LAPACK's copy of one, the 2(N/2)^2-entry workspace
+#: of ``?syevd`` and the half eigenvectors.
+BAND_BASIS_BYTES_PER_ENTRY = 8 + 16
 
 #: bytes per matrix entry alive at once while real bands that are not
 #: palindromic are solved densely: the real tridiagonal, LAPACK's copy of it,
 #: the 2N^2-entry workspace of ``?syevd`` and the eigenvectors.
 WHOLE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
-
-#: bytes per matrix entry alive at once while a real band operator is
-#: decomposed by ``?stemr``: the real eigenvectors and their complex128 copy
-#: (the half eigenvectors of palindromic bands, 4, are gone by then).
-STEMR_BYTES_PER_ENTRY = 8 + 16
 
 
 def _group_tol(values: np.ndarray) -> np.ndarray:
@@ -215,6 +211,19 @@ def _complex_stack(parts, shape) -> np.ndarray:
     return out
 
 
+def _partition(bounds, dim: int) -> np.ndarray:
+    """A new intp copy of ``bounds``, refused unless it is one integer vector
+    that ascends strictly from 0 to ``dim``; O(groups)."""
+    try:
+        given = np.array(bounds)  # the copy kept, so no second N-vector joins the decomposition's peak
+    except ValueError:  # ragged
+        given = None
+    if (given is None or given.ndim != 1 or given.dtype.kind not in "iu" or given.size == 0
+            or given[0] != 0 or given[-1] != dim or np.count_nonzero(given[1:] <= given[:-1])):
+        raise InputError(f"bounds must be one integer vector ascending strictly from 0 to the dimension {dim}")
+    return given.astype(np.intp, copy=False)
+
+
 class SpectralDecomposition:
     """Canonical eigendecomposition of one hermitian operator.
 
@@ -223,12 +232,13 @@ class SpectralDecomposition:
     :class:`StateVector` objects under the grid weight when one is bound.
     ``bounds`` (read-only intp, one longer than the number of degenerate
     clusters) partitions the index range: cluster g is ``range(bounds[g], bounds[g + 1])``.
+    The constructor refuses any other ``bounds`` with :class:`InputError`.
     """
 
     def __init__(self, eigenvalues, basis, bounds, group_tol, grid: GridMeta | None = None):
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         basis = np.asarray(basis, dtype=np.complex128)
-        bounds = np.array(bounds, dtype=np.intp)
+        bounds = _partition(bounds, eigenvalues.size)
         for array in (eigenvalues, basis, bounds):
             array.setflags(write=False)
         self.eigenvalues = eigenvalues
@@ -330,9 +340,7 @@ def _solve(solver, matrix: np.ndarray):
 def _band_eigenbasis_bytes(n: int, palindromic: bool = True) -> int:
     """Bytes alive at once while a real band operator of ``n`` points is
     decomposed; its bands are palindromic, as the grid Hamiltonian's are, unless said otherwise."""
-    if n > STEMR_CROSSOVER:
-        return STEMR_BYTES_PER_ENTRY * n * n
-    return (DENSE_BAND_BYTES_PER_ENTRY if palindromic else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
+    return (BAND_BASIS_BYTES_PER_ENTRY if palindromic or n > STEMR_CROSSOVER else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
 
 
 def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
@@ -345,20 +353,17 @@ def _sectors(s: np.ndarray) -> list[np.ndarray]:
 
     With N = 2m or 2m + 1, B = A[:m, :m] and C = A[N - m:, :m], the even
     sector is B + JC, bordered for odd N by sqrt(2) A[:m, m] and A[m, m], and
-    the odd sector B - JC.  For even N both are m x m and come as one
-    (2k, m, m) stack, even sectors first; for odd N as two stacks.  Only the
-    first N - m columns are read, so ``s`` may hold just those.
+    the odd sector B - JC; they come as two stacks, even first.
     """
     k, n = s.shape[:2]
     m = n // 2
     b, jc = s[:, :m, :m], s[:, n - m:, :m][:, ::-1]
-    if n % 2 == 0:
-        return [np.concatenate((b + jc, b - jc))]
-    even = np.empty((k, m + 1, m + 1))
+    even = np.empty((k, n - m, n - m))
     np.add(b, jc, out=even[:, :m, :m])
-    np.multiply(math.sqrt(2.0), s[:, :m, m], out=even[:, :m, m])
-    np.multiply(math.sqrt(2.0), s[:, m, :m], out=even[:, m, :m])
-    even[:, m, m] = s[:, m, m]
+    if n % 2:
+        np.multiply(math.sqrt(2.0), s[:, :m, m], out=even[:, :m, m])
+        np.multiply(math.sqrt(2.0), s[:, m, :m], out=even[:, m, :m])
+        even[:, m, m] = s[:, m, m]
     return [even, b - jc]
 
 
@@ -366,7 +371,7 @@ def _parity_solve(solver, sectors, n: int, vectors: bool):
     """Eigenvalues (k, n), and with ``vectors`` real eigenvectors (k, n, n), of k
     centrosymmetric matrices of order ``n`` from their parity sectors.
 
-    ``sectors``, stacked as :func:`_sectors` stacks them, are solved by
+    ``sectors``, the even and odd stacks of :func:`_sectors`, are solved by
     ``solver`` (``np.linalg.eigh`` or ``eigvalsh``), one LAPACK call per
     stack.  Their eigenvalues are merged by a stable ascending sort, even
     before odd where they tie; an even vector (x, xi) becomes
@@ -375,9 +380,6 @@ def _parity_solve(solver, sectors, n: int, vectors: bool):
     """
     results = [_solve(solver, stack) for stack in sectors]
     values, halves = zip(*results) if vectors else (results, None)
-    if len(sectors) == 1:  # the even-n pair, even sectors first
-        values = np.split(values[0], 2)
-        halves = halves and np.split(halves[0], 2)
     merged = np.concatenate(values, axis=-1)
     order = np.argsort(merged, axis=-1, kind="stable")
     values = np.take_along_axis(merged, order, axis=-1)
@@ -396,29 +398,33 @@ def _parity_solve(solver, sectors, n: int, vectors: bool):
     return values, basis
 
 
-def _band_solve(a: BandOperator, vectors: bool, e: int):
-    """Solve a band operator with real bands, scaled by 2**-e, from its bands (see the module notes).
-
-    Returns the (1, N) eigenvalues, and with ``vectors`` the (1, N, N) real eigenvectors.
-    """
+def _band_solve(a: BandOperator, vectors: bool):
+    """Solve a band operator with real bands from its bands (see the module
+    notes) to what :func:`_dense_solve` returns for a stack of one: the bands
+    are scaled exactly by 2**-e into max|A| in [0.5, 1), and the eigenvalues
+    scaled back."""
     n = a.dim
     palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
     if vectors or n <= STEMR_CROSSOVER:
         _require_fits(a.grid, _band_eigenbasis_bytes(n, palindromic), f"solving its {n}x{n} tridiagonal")
+    e = math.frexp(a.scale)[1]
     a = BandOperator(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e), a.grid)
     if n <= STEMR_CROSSOVER:
         solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-        if palindromic:
-            # the sectors read the left N - m columns alone: the rest is never built
-            return _parity_solve(solver, _sectors(a._dense(np.float64, n - n // 2)[None]), n, vectors)
-        return _solve(solver, a._dense(np.float64)[None])
-    # scipy costs a fresh interpreter about 0.3 s to import: only grids this
-    # large pay it
-    from scipy.linalg import eigh_tridiagonal
+        # the tridiagonal is bound to no name, so the sectors' solve runs after it is freed
+        result = (_parity_solve(solver, _sectors(a._dense(np.float64)[None]), n, vectors) if palindromic
+                  else _solve(solver, a._dense(np.float64)[None]))
+    else:
+        # scipy costs a fresh interpreter about 0.3 s to import: only grids
+        # this large pay it
+        from scipy.linalg import eigh_tridiagonal
 
-    result = _solve(lambda d: eigh_tridiagonal(d, a.upper, eigvals_only=not vectors, lapack_driver="stemr"),
-                    a.diagonal)
-    return (result[0][None], result[1][None]) if vectors else result[None]
+        result = _solve(lambda d: eigh_tridiagonal(d, a.upper, eigvals_only=not vectors, lapack_driver="stemr"),
+                        a.diagonal)
+        result = (result[0][None], result[1][None]) if vectors else result[None]
+    if not vectors:
+        return np.ldexp(result, e)
+    return np.ldexp(result[0], e), [(slice(None), result[1])]
 
 
 def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True):
@@ -463,21 +469,18 @@ def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True)
 def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
     """:func:`_dense_solve` of a certified hermitian ``a`` as a stack of one.
 
-    A band operator with real bands is instead solved from its bands, at the
-    same exact power-of-two scale and by the same parity rule.  Either way a
-    matrix with any nonzero imaginary entry, however small, keeps the
-    complex solver.  The scaling avoids LAPACK's own rescale of a norm
-    outside about [1.5e-146, 6.7e145] by a factor that is not a power of two.
+    A band operator with real bands is instead solved from its bands by
+    :func:`_band_solve`, at the same exact power-of-two scale and by the same
+    parity rule.  Either way a matrix with any nonzero imaginary entry,
+    however small, keeps the complex solver.  The scaling avoids LAPACK's own
+    rescale of a norm outside about [1.5e-146, 6.7e145] by a factor that is
+    not a power of two.
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")
-    if not (isinstance(a, BandOperator) and not np.iscomplexobj(a.upper)):
-        return _dense_solve(a.matrix[None], np.array([a.scale]), vectors)
-    e = math.frexp(a.scale)[1]
-    result = _band_solve(a, vectors, e)
-    if not vectors:
-        return np.ldexp(result, e)
-    return np.ldexp(result[0], e), [(slice(None), result[1])]
+    if isinstance(a, BandOperator) and not np.iscomplexobj(a.upper):
+        return _band_solve(a, vectors)
+    return _dense_solve(a.matrix[None], np.array([a.scale]), vectors)
 
 
 def _canonical(values: np.ndarray, parts):

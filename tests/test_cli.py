@@ -513,6 +513,34 @@ def test_poisson_gap_tiny(tmp_path):
         assert row["gap"] <= 1e-9
 
 
+def check_value(report, name):
+    return next(check["value"] for check in report["checks"] if check["name"] == name)
+
+
+def test_poisson_gap_is_relative_to_the_routes(tmp_path):
+    """At omega = 1e4 the p2 routes read about 1.2e8 and agree to roundoff:
+    the check holds the gap relative to them, not in absolute terms."""
+    code, out = run_cli(["poisson", "--omega", "1e4", "--format", "json"], tmp_path, "p.json")
+    assert code == 0
+    report = read_report_json(out)
+    assert check_value(report, "gap") == max(
+        row["gap"] / max(abs(row["lhs"]), abs(row["rhs"])) for row in report["rows"])
+
+
+def test_spread_stationary_drift_is_relative_to_the_width(tmp_path):
+    """The stationary check is the drift over the stationary width, so a length
+    unit of 1e12 passes and the check value does not depend on the unit."""
+    values = []
+    for length in ("1e-12", "1", "1e12"):
+        code, out = run_cli(["spread", "--length", length, "--format", "json"], tmp_path, f"s{length}.json")
+        assert code == 0
+        report = read_report_json(out)
+        rows = [row for row in report["rows"] if row["series"] == "stationary"]
+        assert check_value(report, "stationary") == max(row["err"] / row["reference"] for row in rows)
+        values.append(check_value(report, "stationary"))
+    assert max(values) - min(values) <= 1e-13
+
+
 def test_vn_generator_canned_block(tmp_path):
     code, out = run_cli(
         ["vn-generator", "--n", "20", "--format", "json"], tmp_path, "v.json"

@@ -771,27 +771,26 @@ def test_memo_stays_within_its_cap():
     assert after - before < bound
 
 
-def test_identity_table_misses_a_reused_id():
+def test_identity_table_misses_a_reused_id(monkeypatch):
     """The table holds each state it knows, so its id is not reused while the
-    entry lives; once evicted, a new state of other content that reuses the
-    id gets its own outcome."""
+    entry lives; a new state of other content under a known state's id, or
+    under an evicted state's id, gets its own outcome.  The shared id is
+    given by replacing the ``id`` the measurement module looks up, so the
+    test does not wait for the allocator to reuse an address."""
     dec = eigendecompose(certify_hermitian(np.diag([1.0, -1.0])))
     psi = normalize(StateVector([1.0, 0.0]))  # outcome 1.0 with certainty
+    other = StateVector([0.0, 1.0])  # outcome -1.0 with certainty
     assert measure_once(dec, psi, sample_rng(SEED, 0)).eigenvalue == 1.0
     old = id(psi)
+    monkeypatch.setattr(measurement, "id", lambda obj: old if obj is other else id(obj), raising=False)
+    assert measure_once(dec, other, sample_rng(SEED, 0)).eigenvalue == -1.0
+    assert measure_once(dec, psi, sample_rng(SEED, 0)).eigenvalue == 1.0
     del psi
     assert dec._known[old][0].coeffs[0] == 1.0
     rng = np.random.default_rng(SEED + 17)
     for i in range(MEMO_ENTRIES):
         measure_once(dec, random_state(rng, 2), sample_rng(SEED, i))
     assert old not in dec._known
-    kept = []
-    while len(kept) < 1000:
-        other = StateVector([0.0, 1.0])  # outcome -1.0 with certainty
-        if id(other) == old:
-            break
-        kept.append(other)
-    assert id(other) == old
     assert measure_once(dec, other, sample_rng(SEED, 0)).eigenvalue == -1.0
 
 

@@ -177,6 +177,22 @@ def test_groups_are_the_ranges_of_read_only_bounds():
     assert copy.groups == ((0,), (1, 2), (3, 4, 5)) and not copy.bounds.flags.writeable
 
 
+@pytest.mark.parametrize("bounds", [
+    ((0,), (1,), (2,)),  # index tuples, the constructor's former third argument
+    np.array([6, 3, 2, 0]),  # descending
+    [0, 2, 5],  # ends short of the dimension
+    [[0, 2], [3, 6]],  # 2-D
+    [[0], [2, 3, 6]],  # ragged
+    [0.0, 3.0, 6.0],  # not integral
+    [0, 3, 3, 6],  # an empty group
+    [],
+])
+def test_constructor_refuses_what_does_not_partition(bounds):
+    dec = eigendecompose(certify_hermitian(np.diag([1.0, 1.0, 2.0, 5.0, 5.0, 5.0])))
+    with pytest.raises(InputError, match="ascending strictly from 0 to the dimension 6"):
+        SpectralDecomposition(dec.eigenvalues, dec.basis, bounds, dec.group_tol)
+
+
 def test_amplitudes_resolve_unit_mass():
     # completeness: squared projections of any normalized state sum to one
     rng = np.random.default_rng(SEED + 4)
@@ -294,9 +310,10 @@ def test_tiny_imaginary_part_keeps_complex_path(monkeypatch):
         a = certify_hermitian(matrix)
         eigendecompose(a)
         eigenvalues(a)
+    # PAULI_X equals its reflection, so its real path is its two 1 x 1 parity sectors
     assert seen == [
         ("eigh", np.complex128), ("eigvalsh", np.complex128),
-        ("eigh", np.float64), ("eigvalsh", np.float64),
+        ("eigh", np.float64), ("eigh", np.float64), ("eigvalsh", np.float64), ("eigvalsh", np.float64),
     ]
 
 
@@ -991,9 +1008,9 @@ def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
 
 
 _DECLARED_BAND_SOLVES = [
-    ("H", 512, spectral.DENSE_BAND_BYTES_PER_ENTRY),
+    ("H", 512, spectral.BAND_BASIS_BYTES_PER_ENTRY),
     ("q", 512, spectral.WHOLE_BAND_BYTES_PER_ENTRY),
-    ("H", ABOVE_CROSSOVER, spectral.STEMR_BYTES_PER_ENTRY),
+    ("H", ABOVE_CROSSOVER, spectral.BAND_BASIS_BYTES_PER_ENTRY),
 ]
 
 
@@ -1198,12 +1215,12 @@ def spy_on_lapack(monkeypatch):
 
 
 @pytest.mark.parametrize("npoints, calls", [
-    (512, [("eigh", (2, 256, 256), np.float64)]),
+    (512, [("eigh", (1, 256, 256), np.float64), ("eigh", (1, 256, 256), np.float64)]),
     (513, [("eigh", (1, 257, 257), np.float64), ("eigh", (1, 256, 256), np.float64)]),
 ])
 def test_grid_hamiltonian_is_solved_in_its_parity_sectors(npoints, calls, monkeypatch):
-    """The even-N Hamiltonian's two half blocks go to LAPACK as one stack; at odd N
-    the even sector is one row and column larger, so the sectors take two calls."""
+    """The Hamiltonian's even and odd sectors go to LAPACK as two calls, even
+    first; at odd N the even sector is one row and column larger."""
     hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
     seen = spy_on_lapack(monkeypatch)
     eigendecompose(hamiltonian)

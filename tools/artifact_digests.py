@@ -75,6 +75,15 @@ EXTRA = (
     # t / hbar is finite, but the largest level times it overflows
     ("spread-mass1e-300-times1e10", ("spread", "--mass", "1e-300", "--times", "0,1e10")),
     ("spread-mass1e-250-times1e100", ("spread", "--mass", "1e-250", "--times", "0,1e100")),
+    # lengths far from 1, where an absolute stationary-drift bound failed or passed vacuously
+    ("spread-length1e12", ("spread", "--length", "1e12")),
+    ("spread-length1e-12", ("spread", "--length", "1e-12")),
+    # brackets of about 1e8, where an absolute gap bound failed on a roundoff gap
+    ("poisson-omega1e4", ("poisson", "--omega", "1e4")),
+    # the largest grid solved densely, from the Hamiltonian's two parity sectors
+    ("spread-n1536", ("spread", "--grid-n", "1536")),
+    # odd-N sectors, and position's bands, which are not palindromic, solved whole
+    ("ensemble-density-n257", ("ensemble-density", "--grid-n", "257")),
 )
 
 
