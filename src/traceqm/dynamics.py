@@ -394,14 +394,21 @@ def quantize(poly: PolynomialObservable, model: ModelSystem) -> HermitianOperato
 
 def heisenberg_rhs(hamiltonian: HermitianOperator, a: HermitianOperator,
                    hbar: float = 1.0) -> HermitianOperator:
-    """Operator-picture time derivative (i/hbar) * (H A - A H), hermitian."""
+    """Operator-picture time derivative (i/hbar) * (H A - A H), hermitian.
+
+    H, A and hbar are each scaled exactly by the power of two that brings
+    max|H|, max|A| and hbar into [0.5, 1), so no product overflows or
+    underflows, and the commutator is scaled back exactly at the end.
+    """
     if not (np.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive, got {hbar!r}")
+    _require_same_space(hamiltonian, a, "operators")
+    eh, ea, eq = np.frexp([hamiltonian.scale, a.scale, hbar])[1]
+    h, b = (np.ldexp(op.matrix.view(np.float64), -e).view(np.complex128) for op, e in ((hamiltonian, eh), (a, ea)))
     # as in build_oscillator_ladder: certification refuses a non-finite commutator
     with np.errstate(over="ignore", invalid="ignore"):
-        ha = hamiltonian @ a
-        ah = a @ hamiltonian
-        commutator = (1j / hbar) * (ha.matrix - ah.matrix)
+        commutator = (1j / np.ldexp(hbar, -eq)) * (h @ b - b @ h)
+        commutator = np.ldexp(commutator.view(np.float64), eh + ea - eq).view(np.complex128)
     return certify_hermitian(Operator(commutator, a.grid))
 
 
@@ -490,5 +497,9 @@ def gaussian_spread_width(sigma0: float, t: float, mass: float = 1.0, hbar: floa
 
 
 def well_level_energy(n: int, length: float, mass: float = 1.0, hbar: float = 1.0) -> float:
-    """Analytic hard-wall level n^2 pi^2 hbar^2 / (2 m L^2), n = 1, 2, ..."""
-    return (n * np.pi * hbar / length) ** 2 / (2.0 * mass)
+    """Analytic hard-wall level n^2 pi^2 hbar^2 / (2 m L^2), n = 1, 2, ...; a level
+    whose square overflows is refused with :class:`NumericalError`."""
+    try:
+        return (n * np.pi * hbar / length) ** 2 / (2.0 * mass)
+    except OverflowError:
+        raise NumericalError(f"analytic level {n} overflows (hbar {hbar!r}, mass {mass!r}, length {length!r})") from None

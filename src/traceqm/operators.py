@@ -11,7 +11,9 @@ Any product of two hermitian operators splits as
 ``A @ B = S + i*D`` with ``S = (AB + BA)/2`` and ``D = (AB - BA)/(2i)``
 both hermitian; :func:`sym_antisym_split` returns that pair certified.
 ``av_decompose`` splits the action of an observable on a state into a mean
-part along the state and a dispersion part orthogonal to it.
+part along the state and a dispersion part orthogonal to it.  The norm of
+that part, the centered residual, is the one dispersion rule: ``dispersion``
+and :func:`~traceqm.spectral.verify_dispersion_free` read the same kernel.
 
 Every routine taking a state requires :attr:`StateVector.normalized`: its
 norm within ``STATE_NORM_TOL`` (defined in :mod:`traceqm.states`) of one.
@@ -27,7 +29,6 @@ when a caller asks for it.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import NamedTuple
 
@@ -338,17 +339,19 @@ def expect_r(a: Operator, psi: StateVector) -> float:
 
 
 def dispersion(a: HermitianOperator, psi: StateVector) -> float:
-    """Standard deviation sqrt(<A^2> - <A>^2), clipped at zero.
+    """Standard deviation of A in psi, the norm of the centered residual A psi - <A> psi:
+    :func:`av_decompose`'s beta, bit for bit.  No second moment is formed, so a
+    dispersion-free state reads roundoff, not <A^2> - <A>^2's sqrt(eps)*|<A>|."""
+    raw, images, _ = _raw_expectations(*_as_stacks(a, psi))
+    return float(_centered(images, psi.coeffs[None], raw.real, psi.grid)[1][0])
 
-    The second moment is computed as the squared norm of A @ psi, an
-    independent route from the expectation itself.  Both moments are scaled
-    exactly by the power of two that brings that norm into [0.5, 1), so
-    neither square overflows or underflows.
-    """
-    raw, _, norm = _raw_expectations(*_as_stacks(a, psi))
-    e = math.frexp(norm[0])[1]
-    norm, mean = math.ldexp(norm[0], -e), math.ldexp(raw[0].real, -e)
-    return math.ldexp(math.sqrt(max(0.0, norm**2 - mean**2)), e)
+
+def _centered(images: np.ndarray, coeffs: np.ndarray, alpha: np.ndarray, grid: GridMeta | None):
+    """Residuals A psi - alpha psi of images (..., N), states (..., N) and means (...), in place in ``images``,
+    scrubbed along psi so a tiny one stays orthogonal to it, and their norms; one temporary at a time."""
+    images -= alpha[..., None] * coeffs
+    images -= coeffs * _raw_inner(coeffs, images, grid)[..., None]
+    return images, _raw_norm(images, grid)
 
 
 def _av_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None):
@@ -361,10 +364,7 @@ def _av_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None):
     """
     raw, images, norms = _raw_expectations(matrices, coeffs, grid)
     alpha = raw.real
-    residual = images - alpha[:, None] * coeffs
-    # scrub the roundoff component along psi so orthogonality survives tiny beta
-    residual = residual - coeffs * _raw_inner(coeffs, residual, grid)[:, None]
-    beta = _raw_norm(residual, grid)
+    residual, beta = _centered(images.copy(), coeffs, alpha, grid)
     defined = ~(beta <= BETA_FLOOR * norms)
     perp = np.zeros_like(residual)
     if defined.any():

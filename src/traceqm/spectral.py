@@ -84,8 +84,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, FunctionDomainError, InputError, NotCommutingError
-from .operators import BandOperator, HermitianOperator, Operator, _require_fits, certify_hermitian
-from .states import GridMeta, StateVector, _orthonormal_rows, _require_same_space, _weight
+from .operators import BandOperator, HermitianOperator, Operator, _centered, _require_fits, certify_hermitian
+from .states import GridMeta, StateVector, _orthonormal_rows, _raw_inner, _require_same_space, _weight
 
 __all__ = [
     "SpectralDecomposition",
@@ -511,7 +511,7 @@ def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:
-    """Worst spread of ``a`` over the basis vectors of ``dec``.
+    """Worst dispersion of ``a`` over the basis of ``dec``, as :func:`~traceqm.operators.dispersion` reads it.
 
     For a decomposition of ``a`` itself this is zero up to roundoff; a
     mismatched pair shows up as a spread of order the eigenvalue gaps.
@@ -529,12 +529,9 @@ def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> 
 
 def _worst_spread(matrices: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """:func:`verify_dispersion_free`'s worst spread of each of k matrices (k, N, N) over its basis (k, N, N)."""
-    images = matrices @ bases
-    first = np.einsum("kij,kij->kj", bases.conj(), images).real
-    # centered residual (A - <A>_k) u_k, in place: algebraically the dispersion,
-    # but free of the sqrt(eps)*|eigenvalue| cancellation noise of <A^2> - <A>^2
-    images -= bases * first[:, None, :]
-    return np.linalg.norm(images, axis=-2).max(axis=-1)
+    # the basis columns as rows: each one's dispersion, in place in the one product
+    images, columns = (matrices @ bases).swapaxes(-1, -2), bases.swapaxes(-1, -2)
+    return _centered(images, columns, _raw_inner(columns, images, None).real, None)[1].max(axis=-1)
 
 
 def _family_stack(family) -> tuple[list[np.ndarray], np.ndarray]:

@@ -305,8 +305,6 @@ def test_value_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value", [
     # 0.5 m omega^2 overflows, and inf times the zero entries of q @ q is NaN
     ("--omega", "1e200"),
-    # H @ A overflows in the commutator
-    ("--hbar", "1e300"),
 ])
 def test_poisson_exit_one_on_overflowing_matrix(flag, value, tmp_path, capsys):
     """A ladder matrix that overflows ends in one error line, with no warning."""
@@ -318,6 +316,19 @@ def test_poisson_exit_one_on_overflowing_matrix(flag, value, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith("(matrix has non-finite entries)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+def test_poisson_passes_at_extreme_hbar(hbar, tmp_path):
+    """H and A are scaled into [0.5, 1) before the commutator's products, so
+    H @ A neither overflows (hbar 1e300) nor underflows to a zero rhs while
+    lhs is about 1e-151 (hbar 1e-300): the gap check passes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["poisson", "--hbar", hbar, "--format", "json"], tmp_path, "p.json")
+    assert code == 0
+    report = read_report_json(out)
+    assert all(row["rhs"] != 0.0 for row in report["rows"])
 
 
 def test_poisson_exit_one_on_underflowing_mass_times_omega(tmp_path, capsys):
@@ -372,6 +383,20 @@ def test_spread_holds_two_dense_arrays_at_its_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * COMPLEX_ENTRY_BYTES * npoints**2 + 32 * 8 * npoints
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--length", "1e-160"), ("--length", "1e-300"), ("--hbar", "1e160"), ("--hbar", "1e300"),
+])
+def test_well_spectrum_exit_one_on_overflowing_level(flag, value, tmp_path, capsys):
+    """An analytic level whose square overflows ends in one error line naming
+    the level and the units, not in an OverflowError traceback."""
+    code, out = run_cli(["well-spectrum", flag, value], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: analytic level 1 overflows (hbar ") and err.count("\n") == 1
+    assert f"{float(value)!r}" in err
+    assert not out.exists()
 
 
 def test_well_spectrum_passes_at_tiny_hbar(tmp_path):

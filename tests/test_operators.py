@@ -455,13 +455,46 @@ def test_av_decompose_reconstructs_image():
 
 
 def test_av_decompose_beta_matches_dispersion():
-    # residual-norm route in av_decompose vs moment route in dispersion
+    """dispersion is av_decompose's beta bit for bit, both read off one centered
+    residual: on plain and grid states, where a perp is returned (a random
+    state) and where none is (an eigenvector)."""
     rng = np.random.default_rng(SEED + 7)
-    for _ in range(100):
-        a = random_hermitian(rng, 5)
-        psi = random_state(rng, 5)
-        res = av_decompose(a, psi)
-        assert res.beta == pytest.approx(dispersion(a, psi), abs=1e-12)
+    for grid, dim in ((None, 5), (GridMeta(length=1.0, npoints=32), 32)):
+        for _ in range(50):
+            a = random_hermitian(rng, dim, grid=grid)
+            eigenvector = normalize(StateVector(np.linalg.eigh(a.matrix)[1][:, 0], grid))
+            for psi, has_perp in ((random_state(rng, dim, grid), True), (eigenvector, False)):
+                res = av_decompose(a, psi)
+                assert (res.perp is not None) == has_perp
+                assert dispersion(a, psi) == res.beta
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_dispersion_of_an_eigenvector_is_roundoff(dtype):
+    """Every eigenvector of a random hermitian A, N = 2 to 64, scaled to unit norm
+    and shifted by 10 I, has a dispersion of roundoff size; <A^2> - <A>^2 would
+    cancel to about sqrt(eps) * 10 (1.7e-7 at N = 4).
+
+    The mean minimizes |Av - mu v| over mu, so the exact dispersion is at most
+    the eigenpair's residual r = |Av - lambda v|.  Computed in double, r errs by
+    at most 2 gamma_N |A|_F (the matvec and lambda v), and the dispersion's own
+    matvec, mean, centring and scrub by at most 4 gamma_N |A|_F, with
+    gamma_N = N eps / (1 - N eps) and |A|_F the Frobenius norm.
+    """
+    rng = np.random.default_rng(SEED + 11)
+    eps = np.finfo(np.float64).eps
+    for n in range(2, 65):
+        m = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is np.complex128:
+            m += 1j * rng.standard_normal((n, n))
+        h = (m + m.conj().T) / 2.0
+        a = certify_hermitian(h / np.linalg.norm(h, 2) + 10.0 * np.eye(n))
+        values, vectors = np.linalg.eigh(a.matrix)
+        gamma = n * eps / (1.0 - n * eps)
+        frobenius = float(np.linalg.norm(a.matrix))
+        for value, vector in zip(values, vectors.T):
+            r = float(np.linalg.norm(a.matrix @ vector - value * vector))
+            assert dispersion(a, StateVector(vector)) <= r + 6.0 * gamma * frobenius
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), k=st.integers(-600, 600))

@@ -354,6 +354,25 @@ def test_dispersion_free_random_meets_relative_bound():
         assert worst <= 1e-8 * scale
 
 
+def test_dispersion_free_check_centres_in_place():
+    """verify_dispersion_free on the N = 512 grid Hamiltonian holds two N x N
+    complex arrays at its peak, the product A U and one temporary of the
+    centring, plus one numpy ufunc buffer and O(N) vectors: the residuals are
+    formed in the product, not in new arrays."""
+    npoints = 512
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
+    dec = eigendecompose(hamiltonian)
+    verify_dispersion_free(dec, hamiltonian)  # the dense matrix, the basis and the imports outside the trace
+    tracemalloc.start()
+    try:
+        verify_dispersion_free(dec, hamiltonian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entry = operators.COMPLEX_ENTRY_BYTES
+    assert peak <= 2 * entry * npoints**2 + entry * np.getbufsize() + 64 * npoints
+
+
 def test_dispersion_free_rejects_mismatched_pair():
     a = certify_hermitian(np.diag([1.0, 2.0]))
     b = certify_hermitian(np.diag([1.0, 2.0, 3.0]))

@@ -4,14 +4,20 @@ Runs the seven experiments at their default configs in csv and in json,
 plus the runs listed in ``EXTRA``, each with the reason it is there, into a
 temporary directory, and prints one ``name sha256`` line per artifact file
 and one ``name.exit CODE`` line per run, or ``name.exit raised TYPE`` for a
-run that raised.  Comparing two checkouts is one ``diff``::
+run that raised.  Three ``#`` header lines first name the numpy and scipy
+versions and the OpenBLAS configuration, which the bytes also depend on.
+Comparing two checkouts is one ``diff``::
 
     python tools/artifact_digests.py --root OTHER_CHECKOUT > before.txt
     python tools/artifact_digests.py > after.txt
     diff before.txt after.txt
 
 ``--root`` names the checkout whose ``src/traceqm`` is run (default: the
-one holding this script).  The script is not part of the test suite.
+one holding this script).  ``tests/artifact_digests.txt`` is this script's
+output, and ``tests/test_artifact_digests.py`` holds a fresh run to it line
+by line; after an intended byte change, regenerate it with::
+
+    python tools/artifact_digests.py > tests/artifact_digests.txt
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import os
 import sys
@@ -40,6 +47,8 @@ EXTRA = (
     ("claims-seed9001", ("claims", "--seed", "9001")),
     # a tiny hbar, where the unscaled bands' squared coupling underflowed
     ("well-spectrum-hbar1e-100", ("well-spectrum", "--hbar", "1e-100")),
+    # an analytic level that overflows, refused with one error line
+    ("well-spectrum-length1e-160", ("well-spectrum", "--length", "1e-160")),
     # a small hbar, whose lowest grid levels an absolute group width merged
     ("spread-hbar1e-5", ("spread", "--hbar", "1e-5")),
     # outcomes whose squared deviations overflow while the std is finite
@@ -62,8 +71,9 @@ EXTRA = (
     ("spread-times-1e300", ("spread", "--times", "0,1e300")),
     # 0.5 m omega^2 overflows while building the ladder Hamiltonian
     ("poisson-omega1e200", ("poisson", "--omega", "1e200")),
-    # the commutator's H @ A overflows
+    # H @ A of the unscaled factors overflowed, and underflowed at a tiny hbar
     ("poisson-hbar1e300", ("poisson", "--hbar", "1e300")),
+    ("poisson-hbar1e-300", ("poisson", "--hbar", "1e-300")),
     # an odd grid: the Hamiltonian's even parity sector has the centre row
     ("spread-n513", ("spread", "--grid-n", "513")),
     # an odd grid above spectral.STEMR_CROSSOVER, decomposed by ?stemr
@@ -102,7 +112,13 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, str(args.root.resolve() / "src"))
     os.environ.pop("WORKBENCH_SEED", None)
+    import numpy as np
     from traceqm.cli import main as traceqm_main
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# numpy {np.__version__}")
+    print(f"# scipy {importlib.metadata.version('scipy')}")
+    print(f"# blas {blas.get('openblas configuration', blas['name'] + ' ' + blas['version'])}")
 
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv in runs():
