@@ -484,7 +484,7 @@ def _worst_dispersion_free(rng: np.random.Generator, trials: int) -> tuple[float
         a = _hermitian_part(a)
         values, basis = _eigendecompose_stack(a, _certify_stack(a)[0])
         norm = abs(values).max(axis=-1)
-        worst_spread = float(np.maximum(worst_spread, (_worst_spread(a, basis) / np.sqrt(1.0 + norm * norm)).max()))
+        worst_spread = float(np.maximum(worst_spread, (_worst_spread(a, basis, norm) / np.sqrt(1.0 + norm * norm)).max()))
         residual = abs(a @ basis - basis * values[:, None, :]).max(axis=(1, 2))
         worst_eig = float(np.maximum(worst_eig, (residual / (1.0 + norm)).max()))
     return worst_spread, worst_eig

@@ -342,16 +342,24 @@ def dispersion(a: HermitianOperator, psi: StateVector) -> float:
     """Standard deviation of A in psi, the norm of the centered residual A psi - <A> psi:
     :func:`av_decompose`'s beta, bit for bit.  No second moment is formed, so a
     dispersion-free state reads roundoff, not <A^2> - <A>^2's sqrt(eps)*|<A>|."""
-    raw, images, _ = _raw_expectations(*_as_stacks(a, psi))
-    return float(_centered(images, psi.coeffs[None], raw.real, psi.grid)[1][0])
+    raw, images, norms = _raw_expectations(*_as_stacks(a, psi))
+    return float(_centered(images, psi.coeffs[None], raw.real, norms, psi.grid)[2][0])
 
 
-def _centered(images: np.ndarray, coeffs: np.ndarray, alpha: np.ndarray, grid: GridMeta | None):
+def _centered(images: np.ndarray, coeffs: np.ndarray, alpha: np.ndarray, scales: np.ndarray,
+              grid: GridMeta | None):
     """Residuals A psi - alpha psi of images (..., N), states (..., N) and means (...), in place in ``images``,
-    scrubbed along psi so a tiny one stays orthogonal to it, and their norms; one temporary at a time."""
-    images -= alpha[..., None] * coeffs
+    scrubbed along psi so a tiny one stays orthogonal to it; one temporary at a time.  They are formed
+    exactly at the power of two that brings ``scales`` (...) into [0.5, 1), so the same bits come out
+    at any scale and the scrub's products keep their bits near underflow.  Returns the scaled residuals,
+    their scaled norms and their norms at the operands' own scale."""
+    e = np.frexp(scales)[1]
+    for part in (images.real, images.imag):
+        np.ldexp(part, -e[..., None], out=part)
+    images -= np.ldexp(alpha, -e)[..., None] * coeffs
     images -= coeffs * _raw_inner(coeffs, images, grid)[..., None]
-    return images, _raw_norm(images, grid)
+    norms = _raw_norm(images, grid)
+    return images, norms, np.ldexp(norms, e)
 
 
 def _av_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None):
@@ -364,13 +372,12 @@ def _av_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None):
     """
     raw, images, norms = _raw_expectations(matrices, coeffs, grid)
     alpha = raw.real
-    residual, beta = _centered(images.copy(), coeffs, alpha, grid)
+    residual, scaled, beta = _centered(images.copy(), coeffs, alpha, norms, grid)
     defined = ~(beta <= BETA_FLOOR * norms)
     perp = np.zeros_like(residual)
     if defined.any():
-        # residual and beta scaled into [0.5, 1) exactly to divide
-        unit, e = np.frexp(beta[defined])
-        perp[defined] = np.ldexp(residual[defined].view(np.float64), -e[:, None]).view(np.complex128) / unit[:, None]
+        # divided at the scale where |A psi| lies in [0.5, 1), so beta is above BETA_FLOOR / 2 there
+        perp[defined] = residual[defined] / scaled[defined, None]
         if not np.isfinite(perp).all():
             raise ValueError("coefficients must be finite")
     return alpha, beta, perp, defined, images
@@ -382,7 +389,8 @@ def av_decompose(a: HermitianOperator, psi: StateVector) -> AvResult:
     alpha is the expectation and beta the dispersion of A in psi.  When beta
     falls at or below ``BETA_FLOOR`` times |A psi| (psi is an eigenvector to
     working precision) no orthogonal direction is defined and ``perp`` is
-    None; else residual and beta are scaled into [0.5, 1) exactly to divide.
+    None; else the residual is divided by beta at the scale where |A psi| lies
+    in [0.5, 1), the scale :func:`dispersion` forms them at too.
     The split is the stack of one of ``_av_stack``.
     """
     alpha, beta, perp, defined, _ = _av_stack(*_as_stacks(a, psi))

@@ -524,14 +524,15 @@ def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> 
         raise InputError(f"dimension mismatch: decomposition {dec.dim} vs operator {a.dim}")
     if dec.grid != a.grid:
         raise InputError("decomposition and operator are bound to different grids")
-    return float(_worst_spread(a.matrix[None], dec.basis[None])[0])
+    return float(_worst_spread(a.matrix[None], dec.basis[None], np.array([a.scale]))[0])
 
 
-def _worst_spread(matrices: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """:func:`verify_dispersion_free`'s worst spread of each of k matrices (k, N, N) over its basis (k, N, N)."""
+def _worst_spread(matrices: np.ndarray, bases: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`verify_dispersion_free`'s worst spread of each of k matrices (k, N, N) over its basis (k, N, N),
+    the residuals formed at each matrix's scale (k,), such as max|A|."""
     # the basis columns as rows: each one's dispersion, in place in the one product
     images, columns = (matrices @ bases).swapaxes(-1, -2), bases.swapaxes(-1, -2)
-    return _centered(images, columns, _raw_inner(columns, images, None).real, None)[1].max(axis=-1)
+    return _centered(images, columns, _raw_inner(columns, images, None).real, scales[:, None], None)[2].max(axis=-1)
 
 
 def _family_stack(family) -> tuple[list[np.ndarray], np.ndarray]:

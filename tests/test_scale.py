@@ -8,7 +8,7 @@ the result at A, wherever the scaled quantities stay finite and normal.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from traceqm import (
@@ -56,6 +56,8 @@ def same_bytes(a, b):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), complex_entries=st.booleans(),
        planted=st.booleans(), eigenstate=st.booleans(), skew=st.sampled_from([0.0, 1e-13, 1e-9]),
        k=st.integers(-1000, 1000))
+# an eigenvector whose residual A psi - alpha psi reads subnormal at 2**k A while beta stays normal
+@example(seed=6025, dim=4, complex_entries=False, planted=False, eigenstate=True, skew=0.0, k=-972)
 def test_results_scale_exactly_with_the_operand(seed, dim, complex_entries, planted, eigenstate, skew, k):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((dim, dim)) + (1j * rng.standard_normal((dim, dim)) if complex_entries else 0.0)
