@@ -250,13 +250,17 @@ class BracketCheck(NamedTuple):
 def _kinetic_coupling(grid: GridMeta) -> float:
     """Coupling k = hbar^2/(2 m h^2) of the three-point stencil (bands 2k and -k).
 
-    A stencil with a non-finite entry is refused as :func:`certify_hermitian`
-    refuses its matrix, also when 2 m h^2 underflows to zero; a zero k, whose
-    Hamiltonian is zero, is refused, whether hbar^2 underflows or 2 m h^2 overflows.
+    k is formed from the mantissas of hbar, m and h and scaled back once by
+    their exponents, so only k itself decides: hbar^2 and 2 m h^2 may overflow
+    (``--hbar 1e300 --length 1e300``) or underflow (``--mass 1e-320 --hbar
+    1e-20``) on the way.  A stencil with a non-finite entry is refused as
+    :func:`certify_hermitian` refuses its matrix, and a zero k, whose
+    Hamiltonian is zero, is refused.
     """
     h = grid.spacing
-    denominator = 2.0 * grid.mass * h * h
-    k = grid.hbar * grid.hbar / denominator if denominator > 0.0 else np.inf
+    (a, p), (b, q), (c, r) = np.frexp(grid.hbar), np.frexp(grid.mass), np.frexp(h)
+    with np.errstate(over="ignore"):
+        k = float(np.ldexp(a * a / (2.0 * b * c * c), 2 * p - q - 2 * r))
     if not 2.0 * k < np.inf:
         raise NotHermitianError(np.nan, np.inf, "matrix has non-finite entries")
     if k == 0.0:

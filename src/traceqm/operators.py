@@ -189,15 +189,18 @@ class BandOperator(HermitianOperator):
 
     def _dense(self, dtype) -> np.ndarray:
         """A new N x N array of ``dtype`` holding the bands."""
-        n = self.dim
-        out = np.zeros((n, n), dtype=dtype)
-        np.fill_diagonal(out, self.diagonal)
-        j = np.arange(n - 1)
-        out[j, j + 1] = self.upper
-        # conj(-1j*x) has real part -0.0 where 1j*x has +0.0: adding 0.0 makes
-        # it +0.0, so the subdiagonal holds the bytes of 1j*x
-        out[j + 1, j] = self.upper.conj() + 0.0
-        return out
+        return _fill_tridiagonal(np.zeros((self.dim, self.dim), dtype=dtype), self.diagonal, self.upper)
+
+
+def _fill_tridiagonal(out: np.ndarray, diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Write the hermitian tridiagonal with bands ``diagonal`` and ``upper`` into the zeroed square ``out``."""
+    np.fill_diagonal(out, diagonal)
+    j = np.arange(upper.size)
+    out[j, j + 1] = upper
+    # conj(-1j*x) has real part -0.0 where 1j*x has +0.0: adding 0.0 makes
+    # it +0.0, so the subdiagonal holds the bytes of 1j*x
+    out[j + 1, j] = upper.conj() + 0.0
+    return out
 
 
 class AvResult(NamedTuple):

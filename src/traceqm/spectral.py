@@ -50,18 +50,17 @@ exact equality, so it has no option and no size threshold.
 
 A :class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
-dense complex matrix: up to ``STEMR_CROSSOVER`` points as its whole real
-dense tridiagonal (from its two parity sectors when the bands are
-palindromic), by the same LAPACK routine and to the same bytes as its
-matrix's real part; above
-it by scipy's ``eigh_tridiagonal`` with LAPACK ``?stemr`` (Dhillon and
-Parlett's MRRR), in O(N^2) work instead of O(N^3), on the whole
-tridiagonal: on the half tridiagonals ``?stemr``'s eigenvectors lose
-orthogonality (1.2 to 1.8 N*eps at N = 1600 to 1700, against 0.3 to 0.6
-whole).  scipy is imported only there, so smaller grids never load it.  Each path
-refuses, before allocating, an operator whose working set would not fit
-in physical memory.  :func:`eigendecompose`, :func:`eigenvalues` and the
-first member of :func:`simultaneous_diagonalize` all take this one rule
+dense complex matrix: palindromic bands as their two half tridiagonals, the
+parity sectors above (``_band_halves``), other bands whole.  The operator's
+size alone picks the kernel (``_tridiagonal_solve``): up to
+``BAND_CROSSOVER`` points numpy's LAPACK routine on the filled tridiagonal,
+to the bytes of the matrix's real part; above it LAPACK ``?stevd`` on the
+bands (divide and conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16,
+172-191, 1995), on one BLAS thread so that its bytes do not depend on the
+machine, and for it alone scipy is imported.  Each path refuses, before
+allocating, a working set that would not fit in physical memory.
+:func:`eigendecompose`, :func:`eigenvalues` and the first member of
+:func:`simultaneous_diagonalize` all take this one rule
 (``_hermitian_solve``).  :func:`eigenvalues` returns the ascending spectrum
 alone, without eigenvectors, for callers that need only the levels.
 
@@ -76,15 +75,19 @@ member through :func:`apply_function` and the member's table.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from collections import OrderedDict
-from functools import cached_property
+from contextlib import contextmanager
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, FunctionDomainError, InputError, NotCommutingError
-from .operators import BandOperator, HermitianOperator, Operator, _centered, _require_fits, certify_hermitian
+from .operators import (BandOperator, HermitianOperator, Operator, _centered, _fill_tridiagonal, _require_fits,
+                        certify_hermitian)
 from .states import GridMeta, StateVector, _orthonormal_rows, _raw_inner, _require_same_space, _weight
 
 __all__ = [
@@ -109,26 +112,25 @@ PHASE_FLOOR = 1e-8
 #: bound on max|AB - BA| / (max|A| * max|B|) for every pair of a commuting family.
 COMMUTE_TOL = 1e-8
 
-#: real band operators of more points than this are solved by ``?stemr`` on
-#: their bands; up to it the dense solve of their real tridiagonal (of its two
-#: parity sectors, for palindromic bands) costs less than ``?stemr`` plus a cold
-#: scipy import (0.37 s).  Measured on 2 cores, best of 3, eigendecompose of
-#: the grid Hamiltonian, dense sectors against ``?stemr``: 0.11 / 0.12 s
-#: at N = 1280, 0.15 / 0.18 s at 1536 and 0.26 / 0.25 s at 1792.
-STEMR_CROSSOVER = 1536
+#: band operators of more points than this are solved by ``?stevd``, up to it densely.  The
+#: value was measured against ``?stemr`` and is kept; against ``?stevd`` and a cold scipy
+#: import the break-even is not settled: per solve (fresh interpreters, one BLAS thread)
+#: it lies near 1800 for the grid Hamiltonian alone and near 1100 for it and q together,
+#: and no benchmark workload runs above 1536.
+BAND_CROSSOVER = 1536
 
-#: bytes per matrix entry alive at once while a real band operator is
-#: decomposed by ``?stemr``, or densely from its parity sectors when its bands
-#: are palindromic: the real eigenvectors and their complex128 copy.  Before
-#: them the dense path holds less: the real tridiagonal and the two sectors
-#: (12), then the sectors, LAPACK's copy of one, the 2(N/2)^2-entry workspace
-#: of ``?syevd`` and the half eigenvectors.
+#: bytes per matrix entry alive at once while a real band operator is decomposed from its
+#: halves, or whole by ``?stevd``: the real eigenvectors and their complex128 copy.  Before
+#: them less is: the filled halves, LAPACK's copy, ``?syevd``'s workspace and the half eigenvectors
+#: (14); ``?stevd``'s eigenvectors and (1 + 4m + m^2)-entry workspace (16); the merge (20).
 BAND_BASIS_BYTES_PER_ENTRY = 8 + 16
 
 #: bytes per matrix entry alive at once while real bands that are not
-#: palindromic are solved densely: the real tridiagonal, LAPACK's copy of it,
+#: palindromic are solved densely: the filled tridiagonal, LAPACK's copy of it,
 #: the 2N^2-entry workspace of ``?syevd`` and the eigenvectors.
 WHOLE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
+
+_BLAS_THREADS = threading.Lock()
 
 
 def _group_tol(values: np.ndarray) -> np.ndarray:
@@ -338,9 +340,8 @@ def _solve(solver, matrix: np.ndarray):
 
 
 def _band_eigenbasis_bytes(n: int, palindromic: bool = True) -> int:
-    """Bytes alive at once while a real band operator of ``n`` points is
-    decomposed; its bands are palindromic, as the grid Hamiltonian's are, unless said otherwise."""
-    return (BAND_BASIS_BYTES_PER_ENTRY if palindromic or n > STEMR_CROSSOVER else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
+    """Bytes alive at once while a real band operator of ``n`` points, palindromic unless said, is decomposed."""
+    return (BAND_BASIS_BYTES_PER_ENTRY if palindromic or n > BAND_CROSSOVER else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
 
 
 def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
@@ -349,12 +350,7 @@ def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
 
 
 def _sectors(s: np.ndarray) -> list[np.ndarray]:
-    """Even and odd parity sectors of a centrosymmetric real symmetric (k, N, N) stack.
-
-    With N = 2m or 2m + 1, B = A[:m, :m] and C = A[N - m:, :m], the even
-    sector is B + JC, bordered for odd N by sqrt(2) A[:m, m] and A[m, m], and
-    the odd sector B - JC; they come as two stacks, even first.
-    """
+    """Even and odd parity sectors (see the module notes) of a centrosymmetric real symmetric (k, N, N) stack."""
     k, n = s.shape[:2]
     m = n // 2
     b, jc = s[:, :m, :m], s[:, n - m:, :m][:, ::-1]
@@ -367,18 +363,72 @@ def _sectors(s: np.ndarray) -> list[np.ndarray]:
     return [even, b - jc]
 
 
-def _parity_solve(solver, sectors, n: int, vectors: bool):
-    """Eigenvalues (k, n), and with ``vectors`` real eigenvectors (k, n, n), of k
-    centrosymmetric matrices of order ``n`` from their parity sectors.
+def _band_halves(d: np.ndarray, e: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Even and odd (diagonal, off-diagonal) halves of palindromic real bands: in O(N), the parity
+    sectors that :func:`_sectors` cuts from their filled tridiagonal, and filling to its bytes."""
+    m = d.size // 2
+    even_d, even_e = d[:m] + 0.0, e[:m - 1] + 0.0  # the sectors add the reflection's zeros: -0.0 reads +0.0
+    if d.size % 2:
+        return [(np.append(even_d, d[m]), np.append(even_e, math.sqrt(2.0) * e[m - 1])), (d[:m], e[:m - 1])]
+    odd_d, reflected = d[:m].copy(), e[m - 1] + 0.0  # the subdiagonal entry, as the fill holds it
+    even_d[-1], odd_d[-1] = d[m - 1] + reflected, d[m - 1] - reflected
+    return [(even_d, even_e), (odd_d, e[:m - 1])]
 
-    ``sectors``, the even and odd stacks of :func:`_sectors`, are solved by
-    ``solver`` (``np.linalg.eigh`` or ``eigvalsh``), one LAPACK call per
-    stack.  Their eigenvalues are merged by a stable ascending sort, even
-    before odd where they tie; an even vector (x, xi) becomes
-    [x; sqrt(2) xi; Jx]/sqrt(2) and an odd vector x becomes [x; 0; -Jx]/sqrt(2),
-    the centre row existing only for odd n.
-    """
-    results = [_solve(solver, stack) for stack in sectors]
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the OpenBLAS that scipy's LAPACK links to one thread: ``?stevd`` merges through
+    ``dgemm``, whose OpenBLAS blocking, and so whose last bits, follow the thread count (the
+    grid Hamiltonian's basis at N = 1600 differs on one thread and two).  Another BLAS, without
+    OpenBLAS's thread setter, is left as it is."""
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)  # a symbol looked up through it is the BLAS it links
+    prefix = next((p for p in ("scipy_openblas_", "openblas_") if hasattr(lib, p + "set_num_threads")), None)
+    if prefix is None:
+        yield
+        return
+    get, put = getattr(lib, prefix + "get_num_threads"), getattr(lib, prefix + "set_num_threads")
+    with _BLAS_THREADS:  # the setting is the process's: one caller at a time holds and restores it
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
+
+
+def _tridiagonal_solve(tridiagonals, n: int, vectors: bool):
+    """Eigenvalues (1, n), and with ``vectors`` real eigenvectors (1, n, n), of a band operator of
+    ``n`` points from its real (diagonal, off-diagonal) ``tridiagonals``: its two parity halves, even
+    first, which :func:`_parity_merge` joins, or its whole bands.  The size alone picks the kernel: up
+    to ``BAND_CROSSOVER`` numpy's ``eigh`` or ``eigvalsh`` on each filled into a zeroed square array,
+    above it ``?stevd`` on the bands, on one BLAS thread."""
+    if n <= BAND_CROSSOVER:
+        solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+        # filled all before any is solved, and held until merged: otherwise glibc's heap, once its
+        # dynamic mmap threshold has risen, had no room left for the complex basis (1 to 2 MB more
+        # peak RSS at N = 512); another allocator may not need this order
+        stacks = [_fill_tridiagonal(np.zeros((d.size, d.size)), d, e)[None] for d, e in tridiagonals]
+        results = [_solve(solver, stack) for stack in stacks]
+    else:
+        from scipy.linalg.lapack import dstevd
+
+        with _one_blas_thread():
+            solved = [dstevd(d, e, compute_v=vectors) for d, e in tridiagonals]
+        for *_, info in solved:
+            if info:
+                raise ConvergenceError(f"eigenvalue iteration failed: ?stevd returned info {info}")
+        results = [(values[None], basis[None]) if vectors else values[None] for values, basis, _ in solved]
+    return _parity_merge(results, n, vectors) if len(results) == 2 else results[0]
+
+
+def _parity_merge(results, n: int, vectors: bool):
+    """Eigenvalues (k, n), and with ``vectors`` real eigenvectors (k, n, n), of k centrosymmetric
+    matrices of order ``n`` from the ``results`` of their parity sectors, even first: each sector's
+    eigenvalues (k, m), and eigenvectors (k, m, m).  The eigenvalues are merged by a stable sort,
+    even before odd where they tie; an even vector (x, xi) becomes [x; sqrt(2) xi; Jx]/sqrt(2) and
+    an odd vector x becomes [x; 0; -Jx]/sqrt(2), the centre row existing only for odd n."""
     values, halves = zip(*results) if vectors else (results, None)
     merged = np.concatenate(values, axis=-1)
     order = np.argsort(merged, axis=-1, kind="stable")
@@ -399,32 +449,15 @@ def _parity_solve(solver, sectors, n: int, vectors: bool):
 
 
 def _band_solve(a: BandOperator, vectors: bool):
-    """Solve a band operator with real bands from its bands (see the module
-    notes) to what :func:`_dense_solve` returns for a stack of one: the bands
-    are scaled exactly by 2**-e into max|A| in [0.5, 1), and the eigenvalues
-    scaled back."""
+    """Solve a band operator with real bands from its bands (see the module notes) as :func:`_dense_solve` would."""
     n = a.dim
     palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
-    if vectors or n <= STEMR_CROSSOVER:
+    if vectors or n <= BAND_CROSSOVER:
         _require_fits(a.grid, _band_eigenbasis_bytes(n, palindromic), f"solving its {n}x{n} tridiagonal")
     e = math.frexp(a.scale)[1]
-    a = BandOperator(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e), a.grid)
-    if n <= STEMR_CROSSOVER:
-        solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-        # the tridiagonal is bound to no name, so the sectors' solve runs after it is freed
-        result = (_parity_solve(solver, _sectors(a._dense(np.float64)[None]), n, vectors) if palindromic
-                  else _solve(solver, a._dense(np.float64)[None]))
-    else:
-        # scipy costs a fresh interpreter about 0.3 s to import: only grids
-        # this large pay it
-        from scipy.linalg import eigh_tridiagonal
-
-        result = _solve(lambda d: eigh_tridiagonal(d, a.upper, eigvals_only=not vectors, lapack_driver="stemr"),
-                        a.diagonal)
-        result = (result[0][None], result[1][None]) if vectors else result[None]
-    if not vectors:
-        return np.ldexp(result, e)
-    return np.ldexp(result[0], e), [(slice(None), result[1])]
+    bands = np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e)
+    result = _tridiagonal_solve(_band_halves(*bands) if palindromic else [bands], n, vectors)
+    return (np.ldexp(result[0], e), [(slice(None), result[1])]) if vectors else np.ldexp(result, e)
 
 
 def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True):
@@ -433,7 +466,7 @@ def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True)
     Each matrix is solved as 2**-e A, with max|A| (its ``scales`` entry) in
     [0.5, 1), and its eigenvalues are scaled back exactly.  The matrices with
     an exactly zero imaginary part are solved in real arithmetic: those equal
-    to J A J together from their parity sectors (:func:`_parity_solve`), the
+    to J A J together from their parity sectors (:func:`_parity_merge`), the
     others together whole; the rest together by the complex solver.  The
     eigenvectors come as ``[(rows, basis)]``: one part for each of these
     groups used, ``rows`` selecting its matrices and ``basis`` float64 or
@@ -443,13 +476,12 @@ def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True)
     scaled = np.ldexp(matrices.view(np.float64), -e[:, None, None]).view(np.complex128)
     real = ~matrices.imag.any(axis=(1, 2))
     split = real & _centrosymmetric(matrices.real) if real.any() else real
-    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    whole = partial(_solve, np.linalg.eigh if vectors else np.linalg.eigvalsh)
     n = matrices.shape[-1]
     values = np.empty(matrices.shape[:2])
     parts = []
-    for rows, stack, solve in ((split, scaled.real, lambda s: _parity_solve(solver, _sectors(s), n, vectors)),
-                               (real & ~split, scaled.real, lambda s: _solve(solver, s)),
-                               (~real, scaled, lambda s: _solve(solver, s))):
+    for rows, stack, solve in ((split, scaled.real, lambda s: _parity_merge(list(map(whole, _sectors(s))), n, vectors)),
+                               (real & ~split, scaled.real, whole), (~real, scaled, whole)):
         if rows.all():
             rows = slice(None)
         elif rows.any():

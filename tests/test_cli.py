@@ -425,6 +425,20 @@ def test_exit_one_on_stencil_coupling_underflow(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("--hbar", "1e300", "--length", "1e300"),  # both overflow; hbar/L = 1 and k is about 2.0e6
+    ("--mass", "1e-320", "--hbar", "1e-20"),  # both underflow; k is about 2e286
+])
+def test_well_spectrum_passes_where_hbar_squared_and_m_h_squared_leave_the_range(tmp_path, args):
+    """hbar^2 and 2 m h^2 overflow or underflow together while the coupling k is
+    finite and nonzero: the run passes, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["well-spectrum", *args], tmp_path)
+    assert code == 0
+    assert out.exists()
+
+
 def test_json_report_writes_numpy_scalars_as_python_values(tmp_path):
     cfg = parse_config(["cat"])
     numpy_rows = [{"n": np.int64(3), "flag": np.bool_(True), "x": np.float32(0.1), "y": np.float64(0.2)}]

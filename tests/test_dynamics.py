@@ -608,7 +608,7 @@ def test_basis_reads_on_random_complex_bases_are_bit_identical_to_the_adjoint_fo
         assert_basis_reads_match_the_adjoint_forms(model, psi, float(rng.uniform(0.0, 3.0)))
 
 
-@pytest.mark.parametrize("npoints", [128, 512, 1600])  # 1600 is decomposed by ?stemr
+@pytest.mark.parametrize("npoints", [128, 512, 1600])  # 1600 is decomposed by ?stevd
 def test_basis_reads_on_grid_hamiltonians_are_bit_identical_to_the_adjoint_forms(npoints):
     g = GridMeta(length=1.0, npoints=npoints, mass=0.7, hbar=0.9)
     model = build_grid_model(g)

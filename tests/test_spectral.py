@@ -1,7 +1,11 @@
 """Spectral engine: decomposition, commuting families, single generator."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -952,8 +956,8 @@ def test_group_means_equal_np_mean_bit_for_bit():
 
 # ---------------------------------------------------------------- band operators
 
-#: a grid just above the crossover, solved by ?stemr
-ABOVE_CROSSOVER = spectral.STEMR_CROSSOVER + 64
+#: a grid just above the crossover, whose tridiagonals are solved by ?stevd
+ABOVE_CROSSOVER = spectral.BAND_CROSSOVER + 64
 
 
 def grid_band_operators(npoints):
@@ -1018,7 +1022,7 @@ def test_band_solve_above_crossover_is_backward_stable(name):
     assert_band_solve_backward_stable(grid_band_operators(ABOVE_CROSSOVER)[name])
 
 
-@pytest.mark.parametrize("npoints", [spectral.STEMR_CROSSOVER - 1, ABOVE_CROSSOVER + 1])
+@pytest.mark.parametrize("npoints", [spectral.BAND_CROSSOVER - 1, ABOVE_CROSSOVER + 1])
 @pytest.mark.parametrize("name", ["q", "H"])
 def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
     """The same at odd N on both sides of the crossover: H's even sector there
@@ -1030,18 +1034,22 @@ _DECLARED_BAND_SOLVES = [
     ("H", 512, spectral.BAND_BASIS_BYTES_PER_ENTRY),
     ("q", 512, spectral.WHOLE_BAND_BYTES_PER_ENTRY),
     ("H", ABOVE_CROSSOVER, spectral.BAND_BASIS_BYTES_PER_ENTRY),
+    ("q", ABOVE_CROSSOVER, spectral.BAND_BASIS_BYTES_PER_ENTRY),
 ]
 
 
 @pytest.mark.parametrize(
     "name, npoints, bytes_per_entry", _DECLARED_BAND_SOLVES,
-    ids=[f"{npoints}-{bytes_per_entry}" for _, npoints, bytes_per_entry in _DECLARED_BAND_SOLVES],
+    # position above the crossover declares the Hamiltonian's count; its id names it apart
+    ids=[f"{npoints}-{bytes_per_entry}" + ("-q" if name == "q" and npoints > spectral.BAND_CROSSOVER else "")
+         for name, npoints, bytes_per_entry in _DECLARED_BAND_SOLVES],
 )
 def test_band_solve_declares_what_it_allocates(name, npoints, bytes_per_entry, monkeypatch):
     """Each band path refuses by its own byte count, and that count covers the
     traced peak of the decomposition, up to 32 float64 vectors of O(N) workspace.
-    H's palindromic bands are solved from their parity sectors below the
-    crossover; position's bands are not palindromic, so it is solved whole."""
+    H's palindromic bands are solved from their half tridiagonals at every N;
+    position's bands are not palindromic, so it is solved whole, densely up
+    to the crossover and by ?stevd above it."""
     import scipy.linalg  # noqa: F401  (imported outside the trace)
 
     op = grid_band_operators(npoints)[name]
@@ -1248,6 +1256,60 @@ def test_grid_hamiltonian_is_solved_in_its_parity_sectors(npoints, calls, monkey
     eigenvalues(hamiltonian)
     assert seen == [("eigvalsh", shape, dtype) for _, shape, dtype in calls]
 
+
+def spy_on_stevd(monkeypatch):
+    """Record the diagonal's length, its last entry and ``compute_v`` of every ``dstevd`` call."""
+    from scipy.linalg import lapack
+
+    seen = []
+    solver = lapack.dstevd
+
+    def recorded(d, e, compute_v=1):
+        seen.append((d.size, float(d[-1]), compute_v))
+        return solver(d, e, compute_v=compute_v)
+
+    monkeypatch.setattr(lapack, "dstevd", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name, npoints, sizes", [
+    ("H", ABOVE_CROSSOVER, [800, 800]),
+    ("H", ABOVE_CROSSOVER + 1, [801, 800]),
+    ("q", ABOVE_CROSSOVER, [ABOVE_CROSSOVER]),
+    ("H", spectral.BAND_CROSSOVER, []),
+    ("q", spectral.BAND_CROSSOVER, []),
+])
+def test_band_operators_above_the_crossover_are_solved_by_stevd(name, npoints, sizes, monkeypatch):
+    """Above the crossover each tridiagonal goes to ?stevd from its bands: the
+    Hamiltonian's two halves, even first (at even N the even half's last
+    diagonal entry is 2k - k, the odd half's 2k + k), and position's
+    non-palindromic bands whole; eigenvalues() asks for no vectors.  At the
+    crossover no call is made."""
+    op = grid_band_operators(npoints)[name]
+    seen = spy_on_stevd(monkeypatch)
+    eigendecompose(op)
+    assert [(size, compute_v) for size, _, compute_v in seen] == [(size, 1) for size in sizes]
+    if name == "H" and npoints % 2 == 0 and sizes:
+        assert seen[0][1] < seen[1][1]
+    seen.clear()
+    eigenvalues(op)
+    assert [(size, compute_v) for size, _, compute_v in seen] == [(size, 0) for size in sizes]
+
+
+
+def test_band_solve_above_crossover_gives_the_same_bytes_on_one_blas_thread_and_two():
+    """?stevd merges through dgemm, whose OpenBLAS blocking follows the thread
+    count; the kernel runs it on one thread, so a fresh interpreter's grid
+    Hamiltonian basis at N = 1600 (halves of order 800) hashes the same under
+    OPENBLAS_NUM_THREADS=1 and =2."""
+    code = ("import hashlib; from traceqm import GridMeta, build_grid_model, eigendecompose; "
+            f"d = eigendecompose(build_grid_model(GridMeta(length=1.0, npoints={ABOVE_CROSSOVER})).hamiltonian); "
+            "print(hashlib.sha256(d.eigenvalues.tobytes() + d.basis.tobytes()).hexdigest())")
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1] != ""
 
 def palindromic_bands(rng, n):
     """Palindromic real bands with signed zeros among their entries."""
