@@ -32,7 +32,14 @@ under which the classical bracket {A, H} and the operator bracket
 
 Time evolution is spectral: the propagator is assembled from the
 Hamiltonian eigenbasis, so unitarity and energy conservation are exact up
-to roundoff.
+to roundoff.  A state is evolved in the basis's own arithmetic: the grid
+Hamiltonian's basis is real, so its amplitudes and its evolved coefficients
+are real products on the stacked real and imaginary parts.
+:func:`spread_series` forms the amplitudes once and evolves every requested
+time in one stacked product, of which :func:`evolve_state` is the stack of
+one, and reads each width through position's band product, so a grid run
+builds no dense operator and no complex copy of the basis.  A time whose
+phases E t / hbar would be roundoff is refused.
 """
 
 from __future__ import annotations
@@ -53,8 +60,9 @@ from .operators import (
     HermitianOperator,
     Operator,
     certify_hermitian,
-    dispersion,
     expect_c,
+    _dispersion_stack,
+    _operand,
     _require_fits,
     _require_normalized,
 )
@@ -453,45 +461,64 @@ def _time_over_hbar(t: float, hbar: float) -> float:
     return scaled
 
 
-def _propagator(model: ModelSystem, t: float) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it."""
-    scaled = _time_over_hbar(t, model.hbar)
+def _propagator(model: ModelSystem, times) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it, one row per time.
+
+    A phase error delta in every component moves the evolved state by at most
+    delta in norm, and rounding E t / hbar errs by up to eps |E t| / hbar.  So a
+    time at which eps max|E| |t| / hbar reaches 1, where that bound reaches the
+    state's own norm, is refused, as is one at which it overflows.
+    """
+    scaled = np.array([_time_over_hbar(t, model.hbar) for t in times])
     dec = model.energy_spectrum()
     values = dec.eigenvalues  # ascending: the largest |E| is at one end
-    if not np.isfinite(float(max(abs(values[0]), abs(values[-1]))) * abs(scaled)):
-        raise NumericalError(f"energy times time {t!r} over hbar {model.hbar!r} overflows; "
-                             "the propagator's phases are undefined")
-    return dec, np.exp(-1j * values * scaled)
+    with np.errstate(over="ignore"):
+        errors = np.finfo(np.float64).eps * float(max(abs(values[0]), abs(values[-1]))) * abs(scaled)
+    beyond = np.flatnonzero(~(errors < 1.0))
+    if beyond.size:
+        t = float(times[beyond[0]])
+        raise NumericalError(f"energy times time {t!r} over hbar {model.hbar!r} leaves the propagator's "
+                             f"phases to roundoff: eps max|E| |t| / hbar is {errors[beyond[0]]:.3g}, "
+                             "not below 1")
+    return dec, np.exp(-1j * values * scaled[:, None])
+
+
+def _evolved(model: ModelSystem, psi0: StateVector, times) -> np.ndarray:
+    """Coefficients (T, N) of a normalized state evolved to each of ``times``: its amplitudes
+    formed once, then every time in one stacked product with the energy eigenbasis."""
+    dec, phases = _propagator(model, times)
+    _require_same_space(model.hamiltonian, psi0, "operator and state")
+    _require_normalized(psi0)
+    return dec._combination(phases * dec._coordinates(psi0.coeffs))
 
 
 def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:
     """Evolve a normalized state by time t through the spectral propagator."""
-    dec, phases = _propagator(model, t)
-    _require_same_space(model.hamiltonian, psi0, "operator and state")
-    _require_normalized(psi0)
-    amps = (psi0.coeffs.conj() @ dec.basis).conj()
-    return StateVector(dec.basis @ (phases * amps), psi0.grid)
+    return StateVector(_evolved(model, psi0, [t])[0], psi0.grid)
 
 
 def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> HermitianOperator:
     """Operator-picture evolution U(t)^dagger A U(t); spectrum is preserved."""
-    dec, phases = _propagator(model, t)
+    dec, phases = _propagator(model, [t])
     _require_same_space(a, model, "operator and model")
-    u = _spectral_sum(dec.basis, phases)
+    u = _spectral_sum(dec.basis, phases[0])
     return certify_hermitian(Operator(u.conj().T @ a.matrix @ u, a.grid))
 
 
 def spread_series(model: ModelSystem, psi0: StateVector, times) -> list[tuple[float, float]]:
     """Position spread of the evolving state at each requested time.
 
-    Times must be finite, non-negative, and ascending.
+    Times must be finite, non-negative, and ascending.  The state is evolved
+    to every time at once, each row to the bytes :func:`evolve_state` gives it.
     """
     times = [float(t) for t in times]
     if any(not np.isfinite(t) or t < 0 for t in times):
         raise ValueError("times must be finite and non-negative")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly ascending")
-    return [(t, dispersion(model.q, evolve_state(model, psi0, t))) for t in times]
+    states = _evolved(model, psi0, times)
+    _require_same_space(model.q, psi0, "operator and state")
+    return list(zip(times, _dispersion_stack(_operand(model.q), states, psi0.grid).tolist()))
 
 
 def gaussian_spread_width(sigma0: float, t: float, mass: float = 1.0, hbar: float = 1.0) -> float:

@@ -346,7 +346,7 @@ def born_probabilities(dec: SpectralDecomposition, psi: StateVector) -> list[tup
 def _collapse(dec: SpectralDecomposition, amps: np.ndarray, g: int) -> MeasurementOutcome:
     """Outcome of group ``g``: its eigenvalue and the state projected onto its eigenspace."""
     idx = list(range(dec.bounds[g], dec.bounds[g + 1]))
-    projected = StateVector((dec.basis[:, idx] @ amps[idx]) / np.sqrt(_weight(dec.grid)), dec.grid)
+    projected = StateVector(dec._combination(amps[idx], idx) / np.sqrt(_weight(dec.grid)), dec.grid)
     return MeasurementOutcome(dec.group_eigenvalue(g), g, normalize(projected))
 
 

@@ -24,7 +24,9 @@ their stack of one, and the ``claims`` sweeps run them on whole stacks.
 A grid operator that is tridiagonal by construction (the grid position,
 momentum and kinetic Hamiltonian) is a :class:`BandOperator`: it keeps its
 bands, is certified from them in O(N), and builds its dense matrix only
-when a caller asks for it.
+when a caller asks for it.  Its band product (:meth:`BandOperator.product`)
+gives A psi in O(N) per state, and the expectations, the split and
+``dispersion`` take that product for it, so none of them builds its matrix.
 """
 
 from __future__ import annotations
@@ -191,6 +193,14 @@ class BandOperator(HermitianOperator):
         """A new N x N array of ``dtype`` holding the bands."""
         return _fill_tridiagonal(np.zeros((self.dim, self.dim), dtype=dtype), self.diagonal, self.upper)
 
+    def product(self, coeffs: np.ndarray) -> np.ndarray:
+        """A psi of a coefficient vector or (..., N) stack from the bands, in this order:
+        d psi, then u psi[1:] added to the first N - 1 entries, then conj(u) psi[:-1] to the last N - 1."""
+        out = self.diagonal * coeffs
+        out[..., :-1] += self.upper * coeffs[..., 1:]
+        out[..., 1:] += self.upper.conj() * coeffs[..., :-1]
+        return out
+
 
 def _fill_tridiagonal(out: np.ndarray, diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Write the hermitian tridiagonal with bands ``diagonal`` and ``upper`` into the zeroed square ``out``."""
@@ -287,16 +297,25 @@ def sym_antisym_split(a: HermitianOperator, b: HermitianOperator) -> tuple[Hermi
     return s, d
 
 
-def _raw_values(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None) -> tuple[np.ndarray, np.ndarray]:
-    """Raw <psi|A psi> (k,) and images A psi (k, N) of k matrices (k, N, N) on k
-    normalized states (k, N) of one grid; a state that is not normalized is refused."""
+def _operand(a: Operator):
+    """``a`` as the kernels below take it: a band operator as itself, any other as its matrix's stack of one."""
+    return a if isinstance(a, BandOperator) else a.matrix[None]
+
+
+def _raw_values(matrices, coeffs: np.ndarray, grid: GridMeta | None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw <psi|A psi> (k,) and images A psi (k, N) of k matrices (k, N, N), or of one band
+    operator by its band product, on k normalized states (k, N) of one grid; a state that is not
+    normalized is refused."""
     _require_normalized_rows(coeffs, grid)
-    images = np.matmul(matrices, coeffs[..., None])[..., 0]
+    if isinstance(matrices, BandOperator):
+        images = matrices.product(coeffs)
+    else:
+        images = np.matmul(matrices, coeffs[..., None])[..., 0]
     return _raw_inner(coeffs, images, grid), images
 
 
-def _raw_expectations(matrices: np.ndarray, coeffs: np.ndarray,
-                  grid: GridMeta | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _raw_expectations(matrices, coeffs: np.ndarray,
+                      grid: GridMeta | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_raw_values` of hermitian matrices and their images' norms |A psi|,
     refusing the first expectation whose imaginary part exceeds
     ``IMAG_EXPECT_TOL`` times its image's norm."""
@@ -314,9 +333,9 @@ def _raw_expectations(matrices: np.ndarray, coeffs: np.ndarray,
 
 
 def _as_stacks(a: Operator, psi: StateVector):
-    """``a`` and ``psi`` as stacks of one, with their grid, once they share a space."""
+    """``a`` as :func:`_operand` gives it and ``psi`` as a stack of one, with their grid, once they share a space."""
     _require_same_space(a, psi, "operator and state")
-    return a.matrix[None], psi.coeffs[None], psi.grid
+    return _operand(a), psi.coeffs[None], psi.grid
 
 
 def expect_c(a: HermitianOperator, psi: StateVector) -> float:
@@ -324,8 +343,8 @@ def expect_c(a: HermitianOperator, psi: StateVector) -> float:
     return float(_raw_expectations(*_as_stacks(a, psi))[0][0].real)
 
 
-def _expect_r_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None) -> np.ndarray:
-    """:func:`expect_r` of k matrices (k, N, N) on k states (k, N): the trace form
+def _expect_r_stack(matrices, coeffs: np.ndarray, grid: GridMeta | None) -> np.ndarray:
+    """:func:`expect_r` of k matrices (k, N, N), or of one band operator, on k states (k, N): the trace form
     tr(x) = 2 Re(x), as :func:`~traceqm.scalars.trace` takes it, of each raw value."""
     return 2.0 * _raw_values(matrices, coeffs, grid)[0].real
 
@@ -345,8 +364,13 @@ def dispersion(a: HermitianOperator, psi: StateVector) -> float:
     """Standard deviation of A in psi, the norm of the centered residual A psi - <A> psi:
     :func:`av_decompose`'s beta, bit for bit.  No second moment is formed, so a
     dispersion-free state reads roundoff, not <A^2> - <A>^2's sqrt(eps)*|<A>|."""
-    raw, images, norms = _raw_expectations(*_as_stacks(a, psi))
-    return float(_centered(images, psi.coeffs[None], raw.real, norms, psi.grid)[2][0])
+    return float(_dispersion_stack(*_as_stacks(a, psi))[0])
+
+
+def _dispersion_stack(matrices, coeffs: np.ndarray, grid: GridMeta | None) -> np.ndarray:
+    """:func:`dispersion` of k matrices (k, N, N), or of one band operator, on k states (k, N)."""
+    raw, images, norms = _raw_expectations(matrices, coeffs, grid)
+    return _centered(images, coeffs, raw.real, norms, grid)[2]
 
 
 def _centered(images: np.ndarray, coeffs: np.ndarray, alpha: np.ndarray, scales: np.ndarray,
@@ -365,8 +389,8 @@ def _centered(images: np.ndarray, coeffs: np.ndarray, alpha: np.ndarray, scales:
     return images, norms, np.ldexp(norms, e)
 
 
-def _av_stack(matrices: np.ndarray, coeffs: np.ndarray, grid: GridMeta | None):
-    """:func:`av_decompose` of k hermitian matrices (k, N, N) on k states (k, N).
+def _av_stack(matrices, coeffs: np.ndarray, grid: GridMeta | None):
+    """:func:`av_decompose` of k hermitian matrices (k, N, N), or of one band operator, on k states (k, N).
 
     Returns alpha (k,), beta (k,), the perp rows (k, N), zero where perp is
     None, a (k,) mask of the rows that have a perp, and the images A psi.  The

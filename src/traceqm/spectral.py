@@ -31,8 +31,19 @@ sweep decomposes its random matrices.
 An operator whose matrix has an exactly zero imaginary part is solved in
 real arithmetic (the real symmetric LAPACK routine rather than the complex
 hermitian one), which is several times faster and needs half the memory;
-the conventions above and the complex128 ``basis`` are the same on both
-paths, and in a stack each matrix takes the solver it would take alone.
+the conventions above are the same on both paths, and in a stack each
+matrix takes the solver it would take alone.  On a real basis the phase rule
+is a sign flip per column: p/|p| is exactly +1 or -1.
+
+A decomposition keeps the basis its solve gave: float64 from a real solve,
+complex128 otherwise.  Its public ``basis`` is always complex128; from a
+real basis it is built on first access and then kept, so a caller that only
+reads states never holds the complex copy.  The state reads (``amplitudes``,
+``eigenvector``, the evolution and the Born collapse) work in the kept
+basis's own arithmetic: on a real basis, real products on the stacked real
+and imaginary parts of the complex coefficients, (..., N, 2).  A stack of
+coefficient rows is multiplied as one stacked product, which gives each row
+the bytes it has alone.
 
 A real matrix equal to its reflection, A = JAJ with J the exchange matrix
 (centrosymmetric: the grid Hamiltonian commutes with x -> L - x), is block
@@ -57,7 +68,9 @@ size alone picks the kernel (``_tridiagonal_solve``): up to
 to the bytes of the matrix's real part; above it LAPACK ``?stevd`` on the
 bands (divide and conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16,
 172-191, 1995), on one BLAS thread so that its bytes do not depend on the
-machine, and for it alone scipy is imported.  Each path refuses, before
+machine, and for it alone scipy is imported.  numpy's LAPACK runs on one
+BLAS thread too (``_solve``): its ``?syevd`` gives other last bits on two
+threads than on one from order 800 up.  Each path refuses, before
 allocating, a working set that would not fit in physical memory.
 :func:`eigendecompose`, :func:`eigenvalues` and the first member of
 :func:`simultaneous_diagonalize` all take this one rule
@@ -79,11 +92,11 @@ import ctypes
 import math
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, FunctionDomainError, InputError, NotCommutingError
 from .operators import (BandOperator, HermitianOperator, Operator, _centered, _fill_tridiagonal, _require_fits,
@@ -109,6 +122,9 @@ GROUP_TOL_FACTOR = 1e-8
 #: smallest component magnitude eligible to anchor the phase convention.
 PHASE_FLOOR = 1e-8
 
+#: rows of a basis scanned at a time for the phase convention's anchors.
+PHASE_SCAN_ROWS = 64
+
 #: bound on max|AB - BA| / (max|A| * max|B|) for every pair of a commuting family.
 COMMUTE_TOL = 1e-8
 
@@ -120,10 +136,13 @@ COMMUTE_TOL = 1e-8
 BAND_CROSSOVER = 1536
 
 #: bytes per matrix entry alive at once while a real band operator is decomposed from its
-#: halves, or whole by ``?stevd``: the real eigenvectors and their complex128 copy.  Before
-#: them less is: the filled halves, LAPACK's copy, ``?syevd``'s workspace and the half eigenvectors
-#: (14); ``?stevd``'s eigenvectors and (1 + 4m + m^2)-entry workspace (16); the merge (20).
-BAND_BASIS_BYTES_PER_ENTRY = 8 + 16
+#: halves, or whole by ``?stevd``: above the crossover ``?stevd``'s eigenvectors and its
+#: (1 + 4N + N^2)-entry workspace, for bands solved whole (8 + 8).  Every other step holds less:
+#: the second half's solve (the first half's eigenvectors, the filled half, LAPACK's copy,
+#: ``?syevd``'s workspace and the eigenvectors: 2 + 2 + 2 + 4 + 2), the merge (the half
+#: eigenvectors and the real basis: 4 + 8), the phase rule (8 and a block of rows).  No complex
+#: copy of the basis is made.
+BAND_BASIS_BYTES_PER_ENTRY = 8 + 8
 
 #: bytes per matrix entry alive at once while real bands that are not
 #: palindromic are solved densely: the filled tridiagonal, LAPACK's copy of it,
@@ -131,6 +150,46 @@ BAND_BASIS_BYTES_PER_ENTRY = 8 + 16
 WHOLE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
 
 _BLAS_THREADS = threading.Lock()
+
+
+class _OneBlasThread:
+    """Context manager holding the OpenBLAS that the extension module ``library`` links (a symbol
+    looked up through it is the BLAS it links) to one thread: LAPACK's eigensolvers reduce and merge
+    through BLAS, whose OpenBLAS blocking, and so whose last bits, follow the thread count (scipy's
+    ``?stevd`` on the grid Hamiltonian's order-800 halves, numpy's ``?syevd`` from order 800).
+    numpy's OpenBLAS is 64-bit indexed, and its functions carry the suffix ``64_``.  Another BLAS,
+    without OpenBLAS's thread setter, is left as it is.  The setting is the process's: one caller
+    at a time holds it, and restores it on exit."""
+
+    def __init__(self, library: str):
+        lib = ctypes.CDLL(library)
+        names = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("", "64_")]
+        self._get, self._set = next(((getattr(lib, get), getattr(lib, put)) for get, put in names
+                                     if hasattr(lib, put)), (None, None))
+        if self._get is not None:
+            self._get.argtypes, self._get.restype = [], ctypes.c_int
+            self._set.argtypes, self._set.restype = [ctypes.c_int], None
+        self._held = 1
+
+    def __enter__(self):
+        if self._get is not None:
+            _BLAS_THREADS.acquire()
+            self._held = self._get()
+            if self._held != 1:
+                self._set(1)
+
+    def __exit__(self, *_):
+        if self._get is not None:
+            if self._held != 1:
+                self._set(self._held)
+            _BLAS_THREADS.release()
+
+
+@cache
+def _one_blas_thread(library: str) -> _OneBlasThread:
+    """The one :class:`_OneBlasThread` of the extension module ``library``, made on first use."""
+    return _OneBlasThread(library)
 
 
 def _group_tol(values: np.ndarray) -> np.ndarray:
@@ -184,13 +243,34 @@ def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
     return _orthonormal_rows(cols[:, np.argsort(dominant, kind="stable")].T).T
 
 
+def _anchors(basis: np.ndarray) -> np.ndarray:
+    """Row of each column's first entry of magnitude above ``PHASE_FLOOR`` (row 0 where there is none),
+    for a basis or a stack, scanned ``PHASE_SCAN_ROWS`` rows at a time until every column has one."""
+    rows = missing = None
+    for start in range(0, basis.shape[-2], PHASE_SCAN_ROWS):
+        above = np.abs(basis[..., start:start + PHASE_SCAN_ROWS, :]) > PHASE_FLOOR
+        first = np.argmax(above, axis=-2)
+        found = np.take_along_axis(above, first[..., None, :], axis=-2)[..., 0, :]
+        if rows is None:
+            rows, missing = first, ~found
+        else:
+            found &= missing
+            rows[found] = start + first[found]
+            missing &= ~found
+        if not missing.any():
+            break
+    return rows
+
+
 def _phase_fix(basis: np.ndarray) -> np.ndarray:
     """Apply the phase convention in place to every column of a basis or a stack of bases."""
-    rows = np.argmax(np.abs(basis) > PHASE_FLOOR, axis=-2)
-    pivots = np.take_along_axis(basis, rows[..., None, :], axis=-2)
-    # hypot, as abs() of one complex scalar computes it; np.abs on a complex
-    # array takes a vectorized route that can differ in the last bit
-    basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    pivots = np.take_along_axis(basis, _anchors(basis)[..., None, :], axis=-2)
+    if np.iscomplexobj(basis):
+        # hypot, as abs() of one complex scalar computes it; np.abs on a complex
+        # array takes a vectorized route that can differ in the last bit
+        basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    else:
+        basis *= np.copysign(1.0, pivots)  # p/|p|, exactly
     return basis
 
 
@@ -226,12 +306,21 @@ def _partition(bounds, dim: int) -> np.ndarray:
     return given.astype(np.intp, copy=False)
 
 
+def _pairs(coeffs: np.ndarray) -> np.ndarray:
+    """Contiguous complex128 rows (..., n) as their real and imaginary parts side by side, a
+    (..., n, 2) float64 view."""
+    return coeffs.view(np.float64).reshape(coeffs.shape + (2,))
+
+
 class SpectralDecomposition:
     """Canonical eigendecomposition of one hermitian operator.
 
     ``basis`` holds orthonormal eigenvector columns in the plain (unweighted)
-    sense; the ``eigenvectors`` property rescales them into unit-norm
+    sense, as complex128; the ``eigenvectors`` property rescales them into unit-norm
     :class:`StateVector` objects under the grid weight when one is bound.
+    A real ``basis`` given to the constructor is kept as float64 and read in
+    real arithmetic, and the complex128 ``basis`` is built from it on first
+    access and then kept; any other is kept as complex128.
     ``bounds`` (read-only intp, one longer than the number of degenerate
     clusters) partitions the index range: cluster g is ``range(bounds[g], bounds[g + 1])``.
     The constructor refuses any other ``bounds`` with :class:`InputError`.
@@ -239,15 +328,44 @@ class SpectralDecomposition:
 
     def __init__(self, eigenvalues, basis, bounds, group_tol, grid: GridMeta | None = None):
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        basis = np.asarray(basis, dtype=np.complex128)
+        basis = np.asarray(basis)
+        basis = basis.astype(np.complex128 if np.iscomplexobj(basis) else np.float64, copy=False)
         bounds = _partition(bounds, eigenvalues.size)
         for array in (eigenvalues, basis, bounds):
             array.setflags(write=False)
         self.eigenvalues = eigenvalues
-        self.basis = basis
+        self._basis = basis
         self.bounds = bounds
         self.group_tol = float(group_tol)
         self.grid = grid
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The eigenvector columns as complex128: the kept basis itself, or its complex copy."""
+        if np.iscomplexobj(self._basis):
+            return self._basis
+        basis = self._basis.astype(np.complex128)
+        basis.setflags(write=False)
+        return basis
+
+    # The two products below run on numpy's BLAS held to one thread: at N = 1601 the real
+    # amplitudes' last bits differ on two threads from one.
+
+    def _coordinates(self, coeffs: np.ndarray) -> np.ndarray:
+        """basis^H c of one coefficient vector (N,), without the grid weight."""
+        with _one_blas_thread(_umath_linalg.__file__):
+            if np.iscomplexobj(self._basis):
+                return (coeffs.conj() @ self._basis).conj()
+            return (self._basis.T @ _pairs(coeffs)).view(np.complex128)[:, 0]
+
+    def _combination(self, weights: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """basis[:, columns] @ w of every row w of ``weights`` (..., n), as one stacked product, so a row
+        has the same bytes in any stack as alone."""
+        basis = self._basis[:, columns]
+        with _one_blas_thread(_umath_linalg.__file__):
+            if np.iscomplexobj(basis):
+                return np.matmul(basis, weights[..., None])[..., 0]
+            return np.matmul(basis, _pairs(weights)).view(np.complex128)[..., 0]
 
     @property
     def dim(self) -> int:
@@ -255,7 +373,7 @@ class SpectralDecomposition:
 
     def eigenvector(self, k: int) -> StateVector:
         """``eigenvectors[k]`` alone, without building the other states."""
-        return StateVector(self.basis[:, k] * (1.0 / np.sqrt(_weight(self.grid))), self.grid)
+        return StateVector(self._basis[:, k] * (1.0 / np.sqrt(_weight(self.grid))), self.grid)
 
     @cached_property
     def eigenvectors(self) -> list[StateVector]:
@@ -288,7 +406,7 @@ class SpectralDecomposition:
     def amplitudes(self, state: StateVector) -> np.ndarray:
         """Inner products of every eigenvector with ``state`` (grid weight included)."""
         _require_same_space(self, state, "decomposition and state")
-        return np.sqrt(_weight(self.grid)) * (state.coeffs.conj() @ self.basis).conj()
+        return np.sqrt(_weight(self.grid)) * self._coordinates(state.coeffs)
 
     def group_eigenvalue(self, g: int) -> float:
         """Representative eigenvalue (mean) of degenerate group ``g``."""
@@ -332,9 +450,11 @@ class GeneratorResult(NamedTuple):
 
 
 def _solve(solver, matrix: np.ndarray):
-    """Run a LAPACK hermitian solver, reporting non-convergence as :class:`ConvergenceError`."""
+    """Run a LAPACK hermitian solver on numpy's BLAS held to one thread, reporting non-convergence
+    as :class:`ConvergenceError`."""
     try:
-        return solver(matrix)
+        with _one_blas_thread(_umath_linalg.__file__):
+            return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
@@ -375,29 +495,6 @@ def _band_halves(d: np.ndarray, e: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     return [(even_d, even_e), (odd_d, e[:m - 1])]
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold the OpenBLAS that scipy's LAPACK links to one thread: ``?stevd`` merges through
-    ``dgemm``, whose OpenBLAS blocking, and so whose last bits, follow the thread count (the
-    grid Hamiltonian's basis at N = 1600 differs on one thread and two).  Another BLAS, without
-    OpenBLAS's thread setter, is left as it is."""
-    from scipy.linalg import _flapack
-
-    lib = ctypes.CDLL(_flapack.__file__)  # a symbol looked up through it is the BLAS it links
-    prefix = next((p for p in ("scipy_openblas_", "openblas_") if hasattr(lib, p + "set_num_threads")), None)
-    if prefix is None:
-        yield
-        return
-    get, put = getattr(lib, prefix + "get_num_threads"), getattr(lib, prefix + "set_num_threads")
-    with _BLAS_THREADS:  # the setting is the process's: one caller at a time holds and restores it
-        threads = get()
-        put(1)
-        try:
-            yield
-        finally:
-            put(threads)
-
-
 def _tridiagonal_solve(tridiagonals, n: int, vectors: bool):
     """Eigenvalues (1, n), and with ``vectors`` real eigenvectors (1, n, n), of a band operator of
     ``n`` points from its real (diagonal, off-diagonal) ``tridiagonals``: its two parity halves, even
@@ -406,15 +503,12 @@ def _tridiagonal_solve(tridiagonals, n: int, vectors: bool):
     above it ``?stevd`` on the bands, on one BLAS thread."""
     if n <= BAND_CROSSOVER:
         solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-        # filled all before any is solved, and held until merged: otherwise glibc's heap, once its
-        # dynamic mmap threshold has risen, had no room left for the complex basis (1 to 2 MB more
-        # peak RSS at N = 512); another allocator may not need this order
-        stacks = [_fill_tridiagonal(np.zeros((d.size, d.size)), d, e)[None] for d, e in tridiagonals]
-        results = [_solve(solver, stack) for stack in stacks]
+        results = [_solve(solver, _fill_tridiagonal(np.zeros((d.size, d.size)), d, e)[None]) for d, e in tridiagonals]
     else:
+        from scipy.linalg import _flapack
         from scipy.linalg.lapack import dstevd
 
-        with _one_blas_thread():
+        with _one_blas_thread(_flapack.__file__):
             solved = [dstevd(d, e, compute_v=vectors) for d, e in tridiagonals]
         for *_, info in solved:
             if info:
@@ -437,11 +531,15 @@ def _parity_merge(results, n: int, vectors: bool):
         return values
     even, odd = halves
     m, r = n // 2, math.sqrt(0.5)
-    # the top half of every vector, in ascending order; the bottom half mirrors it
-    top = np.take_along_axis(np.concatenate((even[:, :m], odd), axis=-1), order[:, None, :], axis=-1)
     basis = np.empty((len(order), n, n))
-    np.multiply(top, r, out=basis[:, :m])
-    np.multiply(top[:, ::-1], np.where(order < even.shape[-1], r, -r)[:, None, :], out=basis[:, n - m:])
+    top, bottom = basis[:, :m], basis[:, n - m:]
+    # the top half of every vector, in ascending order, gathered through the bottom half's rows so
+    # that no other N x N/2 array is formed; the bottom half then mirrors it
+    np.concatenate((even[:, :m], odd), axis=-1, out=bottom)
+    for gathered, into, columns in zip(bottom, top, order):
+        np.take(gathered, columns, axis=-1, out=into, mode="clip")  # "raise" would buffer the output
+    np.multiply(top[:, ::-1], np.where(order < even.shape[-1], r, -r)[:, None, :], out=bottom)
+    top *= r
     if n % 2:
         centre = np.concatenate((even[:, m], np.zeros((len(order), m))), axis=-1)
         basis[:, m] = np.take_along_axis(centre, order, axis=-1)
@@ -516,18 +614,17 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
 
 
 def _canonical(values: np.ndarray, parts):
-    """Group widths, gap masks and canonical complex128 bases of a solved (k, N) stack."""
+    """Group widths, gap masks and the canonical ``(rows, basis)`` parts of a solved (k, N) stack."""
     tol = _group_tol(values)
     breaks = _breaks(values, tol)
-    parts = [(rows, _canonicalize(basis, _tied_runs(breaks[rows]))) for rows, basis in parts]
-    return tol, breaks, _complex_stack(parts, values.shape + values.shape[-1:])
+    return tol, breaks, [(rows, _canonicalize(basis, _tied_runs(breaks[rows]))) for rows, basis in parts]
 
 
 def _eigendecompose_stack(matrices: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`eigendecompose` of every matrix of a certified hermitian (k, N, N)
-    stack with max|A| ``scales``: the (k, N) eigenvalues and (k, N, N) bases."""
+    stack with max|A| ``scales``: the (k, N) eigenvalues and complex128 (k, N, N) bases."""
     values, parts = _dense_solve(matrices, scales)
-    return values, _canonical(values, parts)[2]
+    return values, _complex_stack(_canonical(values, parts)[2], values.shape + values.shape[-1:])
 
 
 def eigenvalues(a: HermitianOperator) -> np.ndarray:
@@ -538,7 +635,7 @@ def eigenvalues(a: HermitianOperator) -> np.ndarray:
 def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     """Decompose a certified hermitian operator with canonical conventions."""
     values, parts = _hermitian_solve(a, "eigendecompose")
-    tol, breaks, basis = _canonical(values, parts)
+    tol, breaks, ((_, basis),) = _canonical(values, parts)  # a stack of one is solved as one part
     return SpectralDecomposition(values[0], basis[0], _bounds(breaks[0]), tol[0], a.grid)
 
 

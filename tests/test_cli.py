@@ -355,21 +355,39 @@ def test_exit_one_on_zero_grid_hamiltonian(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_nan_check_value_fails(tmp_path, capsys):
-    """At t = 1e300 the free width's reference is inf and its error NaN; the
-    worst error is that NaN, which fails its check."""
-    code, out = run_cli(["spread", "--times", "0,1e300"], tmp_path)
+def test_nan_check_value_fails(tmp_path, capsys, monkeypatch):
+    """A check whose value is NaN fails, and the run still writes its artifact."""
+    from traceqm import cli
+
+    def nan_check(cfg):
+        return [{"t": 0.0, "width": float("nan")}], [Check("spread", float("nan"), 0.01)]
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "spread", nan_check)
+    code, out = run_cli(["spread"], tmp_path)
     assert code == 1
     assert "FAIL spread: nan" in capsys.readouterr().out.splitlines()[0]
     assert out.exists()
 
 
-def test_spread_holds_two_dense_arrays_at_its_peak():
-    """A grid run's traced peak is its eigenbasis plus the dense q that
-    dispersion builds, two N x N complex arrays, up to 32 float64 vectors of
-    O(N) working set."""
+def test_spread_exit_one_on_a_time_whose_phases_are_roundoff(tmp_path, capsys):
+    """At t = 1e300 every phase E t / hbar is roundoff (eps max|E| t / hbar is
+    about 1e290): one error line and no artifact, not a NaN width."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["spread", "--times", "0,1e300"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy times time 1e+300 over hbar 1.0 ") and err.count("\n") == 1
+    assert err.endswith("not below 1\n")
+    assert not out.exists()
+
+
+def test_spread_holds_one_real_basis_and_its_halves_at_its_peak():
+    """Above the crossover a grid run's traced peak is the merge of the
+    Hamiltonian's two half eigenbases (4 bytes per entry of the N x N basis)
+    into its real basis (8), up to 32 float64 vectors of O(N) working set: no
+    complex copy of the basis, and no dense q, since dispersion takes q's bands."""
     from traceqm.experiments import ExperimentConfig, run_spread
-    from traceqm.operators import COMPLEX_ENTRY_BYTES
 
     npoints = 1600
     cfg = ExperimentConfig("spread", grid_n=npoints)
@@ -382,7 +400,7 @@ def test_spread_holds_two_dense_arrays_at_its_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * COMPLEX_ENTRY_BYTES * npoints**2 + 32 * 8 * npoints
+    assert peak <= (8 + 4) * npoints**2 + 32 * 8 * npoints
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -560,15 +560,37 @@ def test_evolution_refuses_a_time_over_hbar_that_overflows():
             evolve(model, operand, 1.5e308)
 
 
+def pairs(z):
+    """A complex vector (N,) as its real and imaginary parts side by side, (N, 2)."""
+    return np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
+
+
+def coordinate_forms(dec, coeffs, phases):
+    """The coordinates basis^H c and the evolved coefficients basis @ (phases * basis^H c), in the
+    kept basis's arithmetic: ``basis.conj().T`` products on a complex basis, and on a real basis V
+    real products on the stacked real and imaginary parts, V.T @ (N, 2) and V @ (N, 2).  The
+    phases multiply as one row of a (times, N) stack, whose complex product at N = 1 has other
+    last bits than that of two (1,) vectors."""
+    basis = dec._basis
+    if np.iscomplexobj(basis):
+        amps = basis.conj().T @ coeffs
+        return amps, basis @ (phases[None] * amps)[0]
+    amps = (basis.T @ pairs(coeffs)).view(np.complex128)[:, 0]
+    return amps, (basis @ pairs((phases[None] * amps)[0])).view(np.complex128)[:, 0]
+
+
 def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
-    """Coordinates read off the basis give the same bytes as forming basis.conj().T per call."""
+    """Coordinates read off the basis give the same bytes as the per-call forms: the grid
+    Hamiltonian's real basis by real products on the stacked parts, and the operator picture
+    by forming basis.conj().T."""
     g = GridMeta(length=1.0, npoints=40, mass=0.7, hbar=0.9)
     model = build_grid_model(g)
     psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
     dec = model.energy_spectrum()
+    assert dec._basis.dtype == np.float64
     for t in (0.0, 0.013, 0.37, 2.5):
         phases = np.exp(-1j * dec.eigenvalues * (t / g.hbar))
-        want_state = dec.basis @ (phases * (dec.basis.conj().T @ psi0.coeffs))
+        want_state = coordinate_forms(dec, psi0.coeffs, phases)[1]
         assert evolve_state(model, psi0, t).coeffs.tobytes() == want_state.tobytes()
         u = (dec.basis * phases) @ dec.basis.conj().T
         want_op = u.conj().T @ model.q.matrix @ u
@@ -576,24 +598,25 @@ def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
 
 
 def random_model(rng, dim):
-    """A model whose Hamiltonian is random hermitian, with a complex eigenbasis."""
+    """A model whose Hamiltonian is random hermitian, with a complex eigenbasis from dimension 2 on
+    (at dimension 1 the matrix is real, and so is its basis)."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = certify_hermitian((m + m.conj().T) / 2.0)
     return ModelSystem("random", h, h, h, hbar=0.9)
 
 
 def assert_basis_reads_match_the_adjoint_forms(model, psi, t):
-    """amplitudes, apply_function, evolve_state and evolve_operator give the
-    bytes of ``basis.conj().T @ c`` and ``(basis * v) @ basis.conj().T``."""
+    """amplitudes and evolve_state give the bytes of :func:`coordinate_forms`, and apply_function
+    and evolve_operator those of ``(basis * v) @ basis.conj().T`` on the complex ``basis``."""
     dec = model.energy_spectrum()
     adjoint = dec.basis.conj().T
     weight = 1.0 if dec.grid is None else dec.grid.spacing
-    assert dec.amplitudes(psi).tobytes() == (np.sqrt(weight) * (adjoint @ psi.coeffs)).tobytes()
+    phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
+    amps, want_state = coordinate_forms(dec, psi.coeffs, phases)
+    assert dec.amplitudes(psi).tobytes() == (np.sqrt(weight) * amps).tobytes()
     values = np.exp(0.7j * dec.eigenvalues)
     applied = apply_function(dec, lambda lam: np.exp(0.7j * lam)).matrix
     assert applied.tobytes() == ((dec.basis * values) @ adjoint).tobytes()
-    phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
-    want_state = dec.basis @ (phases * (adjoint @ psi.coeffs))
     assert evolve_state(model, psi, t).coeffs.tobytes() == want_state.tobytes()
     u = (dec.basis * phases) @ adjoint
     want_op = u.conj().T @ model.q.matrix @ u
@@ -613,7 +636,44 @@ def test_basis_reads_on_grid_hamiltonians_are_bit_identical_to_the_adjoint_forms
     g = GridMeta(length=1.0, npoints=npoints, mass=0.7, hbar=0.9)
     model = build_grid_model(g)
     psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
+    assert model.energy_spectrum()._basis.dtype == np.float64
     assert_basis_reads_match_the_adjoint_forms(model, psi0, 0.013)
+
+
+@pytest.mark.parametrize("npoints", [128, 512, 513, 1600])  # 513: the centre row; 1600: ?stevd
+def test_spread_series_rows_are_the_bytes_of_evolve_state(npoints):
+    """spread_series evolves every time in one stacked product; each row, and each width read
+    from it, has the bytes evolve_state and dispersion give that time alone."""
+    g = GridMeta(length=1.0, npoints=npoints, mass=0.7, hbar=0.9)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
+    tau = 2.0 * g.mass * (g.length / 40.0) ** 2 / g.hbar
+    times = [factor * tau for factor in (0.0, 0.5, 1.0, np.sqrt(3.0), 2.0)]
+    rows = dynamics._evolved(model, psi0, times)
+    series = spread_series(model, psi0, times)
+    assert [t for t, _ in series] == times
+    for t, row, (_, width) in zip(times, rows, series):
+        alone = evolve_state(model, psi0, t)
+        assert row.tobytes() == alone.coeffs.tobytes()
+        assert np.float64(width).tobytes() == np.float64(dispersion(model.q, alone)).tobytes()
+
+
+def test_evolution_refuses_a_time_whose_phases_are_roundoff():
+    """Rounding E t / hbar errs by up to eps |E t| / hbar in each phase, which moves the evolved
+    state by up to that much in norm: the first time at which eps max|E| |t| / hbar reaches 1 is
+    refused, by evolve_state, evolve_operator and spread_series alike; a time below it is evolved."""
+    g = GridMeta(length=1.0, npoints=16, hbar=0.9)
+    model = build_grid_model(g)
+    psi0 = grid_sample(lambda x: np.sin(np.pi * x), g)
+    top = float(np.max(np.abs(model.energy_spectrum().eigenvalues)))
+    edge = g.hbar / (np.finfo(float).eps * top)  # eps max|E| edge / hbar is 1, up to roundoff
+    below, beyond = float(0.99 * edge), float(1.01 * edge)
+    assert evolve_state(model, psi0, below).normalized
+    for evolve, operand in ((evolve_state, psi0), (evolve_operator, model.q)):
+        with pytest.raises(NumericalError, match=rf"^energy times time {beyond!r} over hbar 0.9 .*not below 1$"):
+            evolve(model, operand, beyond)
+    with pytest.raises(NumericalError, match=rf"time {beyond!r} "):
+        spread_series(model, psi0, [0.0, below, beyond, 2.0 * beyond])
 
 
 def test_evolve_state_eigenstate_gets_phase_only():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceqm import operators
 from traceqm import (
     AvResult,
+    BandOperator,
     DimensionError,
     GridError,
     GridMeta,
@@ -564,3 +566,69 @@ def test_normalized_flag_agrees_with_the_enforced_bound(factor):
     except StateError:
         accepted = False
     assert state.normalized == accepted == (factor < 1.0)
+
+
+# ---------------------------------------------------------------- band product
+
+
+def random_band_operator(rng, n, complex_upper):
+    upper = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if complex_upper else 0.0)
+    return BandOperator(rng.standard_normal(n), upper, GridMeta(length=1.0, npoints=n))
+
+
+@pytest.mark.parametrize("complex_upper", [False, True])
+def test_band_product_is_its_stated_formula_bit_for_bit(complex_upper):
+    """Entry j of A psi is d[j] psi[j], plus u[j] psi[j + 1] below the last entry, plus
+    conj(u[j - 1]) psi[j - 1] above the first, added in that order, for every row of a stack.  The
+    products are taken as arrays: numpy's complex multiply of two scalars can differ from its
+    vectorized loop in the last bit."""
+    rng = np.random.default_rng(SEED + 90)
+    n = 37
+    op = random_band_operator(rng, n, complex_upper)
+    coeffs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    diagonal, upper, lower = op.diagonal * coeffs, op.upper * coeffs[:, 1:], op.upper.conj() * coeffs[:, :-1]
+    out = op.product(coeffs)
+    assert out.shape == coeffs.shape
+    for r in range(3):
+        for j in range(n):
+            want = diagonal[r, j]
+            if j < n - 1:
+                want = want + upper[r, j]
+            if j > 0:
+                want = want + lower[r, j - 1]
+            assert np.complex128(want).tobytes() == out[r, j].tobytes()
+        assert op.product(coeffs[r]).tobytes() == out[r].tobytes()
+
+
+@pytest.mark.parametrize("complex_upper", [False, True])
+def test_band_product_matches_the_dense_product_within_its_rounding_bound(complex_upper):
+    """Each entry sums at most three products, both ways (the dense product's other terms are
+    exact zeros), so each way errs by at most gamma_5 (|A| |psi|)_j, and
+    || |A| |psi| || <= || |A| || ||psi|| <= 3 max|A| ||psi||: the two differ by at most
+    2 gamma_5 3 max|A| ||psi|| in norm, with gamma_5 = 5 eps / (1 - 5 eps)."""
+    rng = np.random.default_rng(SEED + 91)
+    eps = np.finfo(np.float64).eps
+    gamma = 5 * eps / (1 - 5 * eps)
+    model = build_grid_model(GridMeta(length=3.0, npoints=200, mass=0.7, hbar=0.9))
+    ops = [random_band_operator(rng, 200, complex_upper), model.q, model.p, model.hamiltonian]
+    for op in ops:
+        coeffs = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal((4, 200)) + 1j * rng.standard_normal((4, 200)))
+        gap = np.linalg.norm(op.product(coeffs) - coeffs @ op.matrix.T, axis=-1)
+        assert np.all(gap <= 2 * gamma * 3 * op.scale * np.linalg.norm(coeffs, axis=-1))
+
+
+def test_band_operators_are_read_by_their_bands():
+    """The expectations, the split and dispersion take a band operator's band product, so none
+    builds its dense matrix; each agrees with the dense path to roundoff."""
+    g = GridMeta(length=1.0, npoints=64)
+    model = build_grid_model(g)
+    psi = normalize(StateVector(np.exp(-((g.positions - 0.4) ** 2) / 0.01 + 5j * g.positions), g))
+    reads = (lambda a: expect_c(a, psi), lambda a: expect_r(a, psi), lambda a: dispersion(a, psi),
+             lambda a: av_decompose(a, psi).beta)
+    for op in (model.q, model.p, model.hamiltonian):
+        band = [np.asarray(read(op)) for read in reads]
+        with pytest.raises(AttributeError):
+            operators._DENSE.__get__(op)
+        dense = [np.asarray(read(certify_hermitian(op.matrix, g))) for read in reads]
+        for got, want in zip(band, dense):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * op.scale)

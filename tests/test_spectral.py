@@ -259,6 +259,56 @@ def test_phase_fix_is_bit_identical_to_per_column_loop():
             expected = loop_phase_fix(basis.copy())
             assert fixed.dtype == expected.dtype
             assert fixed.tobytes() == expected.tobytes()
+    # stacks whose anchors lie past the first block of PHASE_SCAN_ROWS rows, and a column with no
+    # entry above the floor (anchored at row 0, a nonzero entry)
+    shape = (2, 3 * spectral.PHASE_SCAN_ROWS + 5, 40)
+    for basis in (rng.standard_normal(shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        leading = np.arange(shape[1])[:, None] < rng.integers(0, shape[1], size=(2, 1, shape[2]))
+        basis[leading] = np.where(rng.random(np.count_nonzero(leading)) < 0.5, 0.0, 0.5 * PHASE_FLOOR)
+        basis[:, :, 0] = 0.5 * PHASE_FLOOR
+        assert _phase_fix(basis.copy()).tobytes() == np.stack([loop_phase_fix(item.copy()) for item in basis]).tobytes()
+
+
+def assert_real_sign_rule_is_the_phase_rule(vectors):
+    """The phase rule on a real basis, a sign flip per column, gives the bytes of the rule's factor
+    conj(p)/|p| formed in real arithmetic, where it is exactly +1 or -1.  On the basis's complex copy
+    the complex rule gives the same values to within one unit in the last place, and no imaginary
+    part: numpy divides a complex number by multiplying with the divisor's reciprocal, so its
+    factor p * (1/|p|) can miss +1 or -1 by an ulp."""
+    pivots = vectors[np.argmax(np.abs(vectors) > PHASE_FLOOR, axis=0), np.arange(vectors.shape[1])]
+    factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    assert np.array_equal(np.abs(factors), np.ones_like(factors))
+    real = _phase_fix(vectors.copy())
+    assert real.dtype == np.float64 and real.tobytes() == (vectors * factors).tobytes()
+    complex_ = _phase_fix(vectors.astype(np.complex128))
+    assert not complex_.imag.any()
+    assert np.all(np.abs(complex_.real - real) <= EPS * np.abs(real))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_real_sign_rule_is_the_phase_rule_in_real_arithmetic(dim, seed):
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    assert_real_sign_rule_is_the_phase_rule(np.linalg.eigh(m + m.T)[1])
+
+
+@pytest.mark.parametrize("npoints", [128, 513, 1600])  # 513: zeros in the centre row; 1600: ?stevd
+def test_real_sign_rule_is_the_phase_rule_in_real_arithmetic_on_the_grid_hamiltonian(npoints):
+    _, ((_, vectors),) = spectral._hermitian_solve(grid_hamiltonian(GridMeta(length=1.0, npoints=npoints)), "test")
+    assert_real_sign_rule_is_the_phase_rule(vectors[0])
+
+
+def test_real_decomposition_keeps_its_real_basis_and_builds_the_complex_one_once_on_demand():
+    dec = eigendecompose(grid_hamiltonian(GridMeta(length=1.0, npoints=64)))
+    assert dec._basis.dtype == np.float64 and not dec._basis.flags.writeable
+    assert "basis" not in vars(dec)  # not built by the decomposition or its state reads
+    dec.amplitudes(dec.eigenvector(3))
+    assert "basis" not in vars(dec)
+    assert dec.basis is dec.basis and not dec.basis.flags.writeable
+    assert dec.basis.dtype == np.complex128 and not dec.basis.imag.any()
+    assert np.ascontiguousarray(dec.basis.real).tobytes() == dec._basis.tobytes()
+    complex_dec = eigendecompose(random_hermitian(np.random.default_rng(SEED + 44), 5))
+    assert complex_dec.basis is complex_dec._basis
 
 
 def test_real_path_matches_complex_path():
@@ -1081,9 +1131,10 @@ def test_band_paths_refuse_before_allocating():
 
 
 def test_grid_decomposition_keeps_two_vectors_beyond_its_basis():
-    """Beyond its N x N complex basis a decomposition of the grid Hamiltonian
+    """Beyond its N x N real basis a decomposition of the grid Hamiltonian
     keeps its eigenvalues and its N + 1 group bounds, and within 4 KiB the
-    headers of the object, its dict and its arrays: no index tuple per group."""
+    headers of the object, its dict and its arrays: no index tuple per group,
+    and no complex copy of the basis."""
     npoints = 512
     hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
     eigendecompose(hamiltonian)  # imports and the interpreter's free lists outside the trace
@@ -1094,7 +1145,7 @@ def test_grid_decomposition_keeps_two_vectors_beyond_its_basis():
     finally:
         tracemalloc.stop()
     held = dec.eigenvalues.nbytes + np.dtype(np.intp).itemsize * (npoints + 1)
-    assert kept - dec.basis.nbytes <= held + 4096
+    assert kept - dec._basis.nbytes <= held + 4096
 
 
 def test_band_operator_builds_its_matrix_once_on_demand():
@@ -1310,6 +1361,21 @@ def test_band_solve_above_crossover_gives_the_same_bytes_on_one_blas_thread_and_
                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout
                for threads in ("1", "2")]
     assert digests[0] == digests[1] != ""
+
+def test_dense_real_solve_gives_the_same_bytes_on_one_blas_thread_and_two():
+    """numpy's ?syevd gives other last bits on two OpenBLAS threads than on one from order 800
+    up; the solver holds numpy's OpenBLAS to one thread, so a dense real order-900 matrix
+    decomposes to the same hash in fresh interpreters under OPENBLAS_NUM_THREADS=1 and =2."""
+    code = ("import hashlib, numpy as np; from traceqm import certify_hermitian, eigendecompose; "
+            "a = np.random.default_rng(900).standard_normal((900, 900)); "
+            "d = eigendecompose(certify_hermitian(a + a.T)); "
+            "print(hashlib.sha256(d.eigenvalues.tobytes() + d.basis.tobytes()).hexdigest())")
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1] != ""
+
 
 def palindromic_bands(rng, n):
     """Palindromic real bands with signed zeros among their entries."""

@@ -67,7 +67,7 @@ EXTRA = (
     ("vn-generator-n1000-seed9001", ("vn-generator", "--n", "1000", "--seed", "9001")),
     # outcomes whose eigenvalue range and mean bound overflow while both are finite
     ("cat-a1e308-a2-1e308", ("cat", "--a1", "1e308", "--a2", "-1e308")),
-    # a time whose reference width is inf, so the free row's error is NaN
+    # a time at which every phase E t / hbar is roundoff (eps max|E| t / hbar about 1e290): refused
     ("spread-times-1e300", ("spread", "--times", "0,1e300")),
     # 0.5 m omega^2 overflows while building the ladder Hamiltonian
     ("poisson-omega1e200", ("poisson", "--omega", "1e200")),

@@ -1,4 +1,4 @@
-"""Print the per-call cost of the Born path, in microseconds, best of five.
+"""Print the per-call cost of the Born path and the grid run, in microseconds, best of five.
 
 Pinned to one core (the highest-numbered one this process may use) with
 one BLAS thread, it times:
@@ -10,7 +10,11 @@ one BLAS thread, it times:
   content to the cat state;
 - ``repeat_experiment`` per sample: the cat state on the cat observable
   (``cat``'s default n), and the 128-point ground state on the position
-  operator (``ensemble-density``'s defaults).
+  operator (``ensemble-density``'s defaults);
+- on the 512-point grid of ``spread``'s defaults: ``eigendecompose`` of the
+  grid Hamiltonian, ``evolve_state`` of ``spread``'s packet to one time,
+  ``spread_series`` over ``spread``'s five default times, and
+  ``dispersion`` of the position operator in the packet.
 
 Each row is the best of five timed runs divided by the calls of one run.
 ``--root`` names the checkout whose ``src/traceqm`` is timed (default: the
@@ -54,8 +58,8 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from traceqm import GridMeta, StateVector, certify_hermitian, normalize
-    from traceqm.dynamics import build_grid_model
+    from traceqm import GridMeta, StateVector, certify_hermitian, dispersion, grid_sample, normalize
+    from traceqm.dynamics import build_grid_model, evolve_state, spread_series
     from traceqm.measurement import measure_once, repeat_experiment, sample_rng
     from traceqm.spectral import eigendecompose
 
@@ -69,6 +73,13 @@ def main() -> int:
     copies = [StateVector(cat.coeffs.copy()) for _ in range(calls)]
     model = build_grid_model(GridMeta(length=1.0, npoints=128))
     ground = model.energy_spectrum().eigenvector(0)
+    # spread's defaults: length 1, 512 points, sigma0 = length / 40, times tau * (0, 1/2, 1, sqrt 3, 2)
+    grid = GridMeta(length=1.0, npoints=512)
+    spread_model = build_grid_model(grid)
+    sigma0 = grid.length / 40.0
+    tau = 2.0 * grid.mass * sigma0 * sigma0 / grid.hbar
+    times = [factor * tau for factor in (0.0, 0.5, 1.0, 3.0 ** 0.5, 2.0)]
+    packet = grid_sample(lambda x: np.exp(-((x - grid.length / 2.0) ** 2) / (4.0 * sigma0 * sigma0)), grid)
 
     def rngs():
         for i in range(calls):
@@ -95,6 +106,10 @@ def main() -> int:
          lambda: repeat_experiment(lambda: cat, cat_observable, 10_000, seed), 10_000),
         ("repeat_experiment.position128.per_sample",
          lambda: repeat_experiment(lambda: ground, model.q, 50_000, seed), 50_000),
+        ("eigendecompose.grid512", lambda: [eigendecompose(spread_model.hamiltonian) for _ in range(20)], 20),
+        ("evolve_state.grid512", lambda: [evolve_state(spread_model, packet, tau) for _ in range(200)], 200),
+        ("spread_series.grid512.5_times", lambda: [spread_series(spread_model, packet, times) for _ in range(50)], 50),
+        ("dispersion.grid512.q", lambda: [dispersion(spread_model.q, packet) for _ in range(500)], 500),
     ]
     for _, run, _ in rows:
         run()  # warm lazy caches, seed blocks and imports
