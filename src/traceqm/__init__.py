@@ -17,6 +17,7 @@ from .errors import (
     FunctionDomainError,
     GridError,
     InputError,
+    LapackError,
     NotCommutingError,
     NotHermitianError,
     NumericalError,

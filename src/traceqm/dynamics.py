@@ -11,10 +11,9 @@ Two model families are provided:
   solve the real ones from their bands.  :func:`grid_hamiltonian` builds
   the kinetic stencil alone, a diagonal of 2k and an off-diagonal of -k
   with k = hbar^2/(2 m h^2), and :func:`grid_levels` returns its lowest
-  levels from the same bands by Sturm-sequence bisection (scipy's
-  ``eigvalsh_tridiagonal`` with LAPACK ``?stebz``) in O(N) memory; scipy
-  is imported inside that function, so callers that never ask for levels
-  never load it.  Each builder refuses a grid whose working set would not
+  levels from the same bands by Sturm-sequence bisection (LAPACK
+  ``?stebz`` from numpy's own LAPACK, as the band eigensolver binds it) in
+  O(N) memory.  Each builder refuses a grid whose working set would not
   fit in physical memory before allocating any of it;
 * a truncated oscillator ladder, built from the usual raising and lowering
   matrices.  Truncation lives entirely in the last row and column, so
@@ -66,7 +65,7 @@ from .operators import (
     _require_fits,
     _require_normalized,
 )
-from .spectral import SpectralDecomposition, _solve, _spectral_sum, eigendecompose
+from .spectral import SpectralDecomposition, _spectral_sum, _stebz, eigendecompose
 from .states import GridMeta, StateVector, _require_same_space
 
 __all__ = [
@@ -110,9 +109,9 @@ GRID_MODEL_BYTES_PER_POINT = 16 + 24 + STENCIL_BYTES_PER_POINT
 
 #: bytes per grid point alive at once inside :func:`grid_levels`: seven
 #: float64 vectors (the diagonal and off-diagonal bands, the eigenvalue
-#: output and ``?stebz``'s 4N workspace) and five int32 vectors (its block
-#: and split indices and 3N integer workspace).
-BAND_BYTES_PER_POINT = 7 * 8 + 5 * 4
+#: output and ``?stebz``'s 4N workspace) and five vectors of numpy's int64
+#: LAPACK integer (its block and split indices and 3N integer workspace).
+BAND_BYTES_PER_POINT = 7 * 8 + 5 * 8
 
 
 class PolynomialObservable:
@@ -306,18 +305,8 @@ def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
         raise ValueError(f"count must lie in [1, {grid.npoints}], got {count!r}")
     _require_fits(grid, BAND_BYTES_PER_POINT * grid.npoints, "its band working set")
     unit, exponent = np.frexp(_kinetic_coupling(grid))
-    diagonal, off_diagonal = _stencil_bands(grid.npoints, unit)
-    # scipy costs a fresh interpreter about 0.3 s to import: only callers
-    # that ask for levels pay it
-    from scipy.linalg import eigvalsh_tridiagonal
-
     # not ?stemr: given an index range it allocates an N x N array
-    levels = _solve(
-        lambda d: eigvalsh_tridiagonal(d, off_diagonal, select="i", select_range=(0, count - 1),
-                                       lapack_driver="stebz"),
-        diagonal,
-    )
-    return np.ldexp(levels, exponent)
+    return np.ldexp(_stebz(*_stencil_bands(grid.npoints, unit), count), exponent)
 
 
 def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelSystem:

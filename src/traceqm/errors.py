@@ -49,6 +49,10 @@ class ConvergenceError(WorkbenchError):
     """The eigenvalue solver failed to converge."""
 
 
+class LapackError(WorkbenchError):
+    """numpy's LAPACK exports no ``?stevd`` or ``?stebz``, which the band solves call."""
+
+
 class InputError(WorkbenchError):
     """Mismatched or inconsistent inputs to a verification routine."""
 

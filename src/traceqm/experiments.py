@@ -31,7 +31,7 @@ from .measurement import cat_experiment, reconstruct_density, repeat_experiment
 from .operators import _av_stack, _certify_stack, _expect_r_stack, _require_fits, certify_hermitian
 from .scalars import IMAG_UNIT, _minimal_poly_parts, trace
 from .spectral import (
-    _band_eigenbasis_bytes,
+    BAND_BASIS_BYTES_PER_ENTRY,
     _eigendecompose_stack,
     _spectral_sum,
     _vn_generator_stack,
@@ -129,7 +129,7 @@ def _grid_model(cfg: ExperimentConfig):
     exist, when its energy eigenbasis would not fit in physical memory: every
     caller decomposes the Hamiltonian."""
     grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
-    _require_fits(grid, _band_eigenbasis_bytes(grid.npoints), "its energy eigenbasis")
+    _require_fits(grid, BAND_BASIS_BYTES_PER_ENTRY * grid.npoints**2, "its energy eigenbasis")
     return build_grid_model(grid)
 
 

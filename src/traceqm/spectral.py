@@ -62,16 +62,14 @@ exact equality, so it has no option and no size threshold.
 A :class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
 dense complex matrix: palindromic bands as their two half tridiagonals, the
-parity sectors above (``_band_halves``), other bands whole.  The operator's
-size alone picks the kernel (``_tridiagonal_solve``): up to
-``BAND_CROSSOVER`` points numpy's LAPACK routine on the filled tridiagonal,
-to the bytes of the matrix's real part; above it LAPACK ``?stevd`` on the
-bands (divide and conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16,
-172-191, 1995), on one BLAS thread so that its bytes do not depend on the
-machine, and for it alone scipy is imported.  numpy's LAPACK runs on one
-BLAS thread too (``_solve``): its ``?syevd`` gives other last bits on two
-threads than on one from order 800 up.  Each path refuses, before
-allocating, a working set that would not fit in physical memory.
+parity sectors above (``_band_halves``), other bands whole, each by LAPACK
+``?stevd`` (divide and conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl.
+16, 172-191, 1995) from numpy's own LAPACK at every size (``_lapack``, or
+:class:`LapackError` if it has none).  numpy's ``?syevd`` reduces the filled
+tridiagonal with tau = 0 and calls the same ``?stedc``: the bytes are the
+dense path's up to the sign of a zero level.  Every LAPACK solve runs on one
+BLAS thread (``_one_blas_thread``).  Each path refuses, before allocating, a
+working set that would not fit in physical memory.
 :func:`eigendecompose`, :func:`eigenvalues` and the first member of
 :func:`simultaneous_diagonalize` all take this one rule
 (``_hermitian_solve``).  :func:`eigenvalues` returns the ascending spectrum
@@ -98,9 +96,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceError, FunctionDomainError, InputError, NotCommutingError
-from .operators import (BandOperator, HermitianOperator, Operator, _centered, _fill_tridiagonal, _require_fits,
-                        certify_hermitian)
+from .errors import ConvergenceError, FunctionDomainError, InputError, LapackError, NotCommutingError
+from .operators import BandOperator, HermitianOperator, Operator, _centered, _require_fits, certify_hermitian
 from .states import GridMeta, StateVector, _orthonormal_rows, _raw_inner, _require_same_space, _weight
 
 __all__ = [
@@ -128,49 +125,34 @@ PHASE_SCAN_ROWS = 64
 #: bound on max|AB - BA| / (max|A| * max|B|) for every pair of a commuting family.
 COMMUTE_TOL = 1e-8
 
-#: band operators of more points than this are solved by ``?stevd``, up to it densely.  The
-#: value was measured against ``?stemr`` and is kept; against ``?stevd`` and a cold scipy
-#: import the break-even is not settled: per solve (fresh interpreters, one BLAS thread)
-#: it lies near 1800 for the grid Hamiltonian alone and near 1100 for it and q together,
-#: and no benchmark workload runs above 1536.
-BAND_CROSSOVER = 1536
-
-#: bytes per matrix entry alive at once while a real band operator is decomposed from its
-#: halves, or whole by ``?stevd``: above the crossover ``?stevd``'s eigenvectors and its
-#: (1 + 4N + N^2)-entry workspace, for bands solved whole (8 + 8).  Every other step holds less:
-#: the second half's solve (the first half's eigenvectors, the filled half, LAPACK's copy,
-#: ``?syevd``'s workspace and the eigenvectors: 2 + 2 + 2 + 4 + 2), the merge (the half
-#: eigenvectors and the real basis: 4 + 8), the phase rule (8 and a block of rows).  No complex
-#: copy of the basis is made.
+#: bytes per matrix entry alive at once while a real band operator is decomposed: ``?stevd``'s
+#: eigenvectors and (1 + 4N + N^2)-entry workspace on whole bands (8 + 8).  The rest holds less: the
+#: halves' solves (2 + 2 + 2), their merge (4 + 8), the phase rule (8).  No complex basis is made.
 BAND_BASIS_BYTES_PER_ENTRY = 8 + 8
-
-#: bytes per matrix entry alive at once while real bands that are not
-#: palindromic are solved densely: the filled tridiagonal, LAPACK's copy of it,
-#: the 2N^2-entry workspace of ``?syevd`` and the eigenvectors.
-WHOLE_BAND_BYTES_PER_ENTRY = 8 + 8 + 16 + 8
 
 _BLAS_THREADS = threading.Lock()
 
 
-class _OneBlasThread:
-    """Context manager holding the OpenBLAS that the extension module ``library`` links (a symbol
-    looked up through it is the BLAS it links) to one thread: LAPACK's eigensolvers reduce and merge
-    through BLAS, whose OpenBLAS blocking, and so whose last bits, follow the thread count (scipy's
-    ``?stevd`` on the grid Hamiltonian's order-800 halves, numpy's ``?syevd`` from order 800).
-    numpy's OpenBLAS is 64-bit indexed, and its functions carry the suffix ``64_``.  Another BLAS,
-    without OpenBLAS's thread setter, is left as it is.  The setting is the process's: one caller
-    at a time holds it, and restores it on exit."""
+@cache
+def _symbol(name: str):
+    """``name`` in the BLAS and LAPACK numpy's linear-algebra module links, under OpenBLAS's prefix and suffix
+    (``scipy_<name>64_`` in numpy's), and the LAPACK integer of that suffix; ``(None, None)`` if absent."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    return next(((getattr(lib, f"{prefix}{name}{suffix}"), np.int64 if suffix else np.int32)
+                 for prefix in ("scipy_", "") for suffix in ("64_", "") if hasattr(lib, f"{prefix}{name}{suffix}")),
+                (None, None))
 
-    def __init__(self, library: str):
-        lib = ctypes.CDLL(library)
-        names = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("", "64_")]
-        self._get, self._set = next(((getattr(lib, get), getattr(lib, put)) for get, put in names
-                                     if hasattr(lib, put)), (None, None))
+
+class _OneBlasThread:
+    """Context manager holding numpy's OpenBLAS to one thread: LAPACK's eigensolvers merge through BLAS,
+    whose OpenBLAS blocking, and so whose last bits, follow the thread count from order 800 up.  Another
+    BLAS is left as it is.  One caller at a time holds the process's setting, and restores it on exit."""
+
+    def __init__(self):
+        self._get, self._set = (_symbol(f"openblas_{verb}_num_threads")[0] for verb in ("get", "set"))
         if self._get is not None:
             self._get.argtypes, self._get.restype = [], ctypes.c_int
             self._set.argtypes, self._set.restype = [ctypes.c_int], None
-        self._held = 1
 
     def __enter__(self):
         if self._get is not None:
@@ -186,10 +168,31 @@ class _OneBlasThread:
             _BLAS_THREADS.release()
 
 
+_one_blas_thread = cache(_OneBlasThread)  # the one instance, made on first use
+
+
+def _array(dtype) -> type:
+    """``ndpointer(dtype, flags="C_CONTIGUOUS")`` passing the bare data address: ``ndpointer`` itself passes
+    ``ndarray.ctypes.data_as``, whose ``ctypes.cast`` leaves a reference cycle per argument and call."""
+    checked = np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+    return type("Array", (checked,),
+                {"from_param": classmethod(lambda _, array: ctypes.c_void_p(checked.from_param(array).data))})
+
+
 @cache
-def _one_blas_thread(library: str) -> _OneBlasThread:
-    """The one :class:`_OneBlasThread` of the extension module ``library``, made on first use."""
-    return _OneBlasThread(library)
+def _lapack():
+    """numpy's own ``?stevd`` and ``?stebz`` through LAPACKE's ``_work`` entry points, whose workspace the
+    caller allocates (so tracemalloc and the memory refusals see it), and LAPACK's integer type."""
+    (stevd, integer), (stebz, _) = _symbol("LAPACKE_dstevd_work"), _symbol("LAPACKE_dstebz_work")
+    if stevd is None or stebz is None:
+        raise LapackError("numpy's LAPACK exports no LAPACKE_dstevd_work or LAPACKE_dstebz_work")
+    real, index, n = _array(np.float64), _array(integer), np.ctypeslib.as_ctypes_type(integer)
+    char, double = ctypes.c_char, ctypes.c_double
+    stevd.argtypes = [ctypes.c_int, char, n, real, real, real, n, real, n, index, n]
+    stebz.argtypes = [char, char, n, double, double, n, n, double, real, real, index, index, real, index, index,
+                      real, index]
+    stevd.restype = stebz.restype = n
+    return stevd, stebz, integer
 
 
 def _group_tol(values: np.ndarray) -> np.ndarray:
@@ -353,7 +356,7 @@ class SpectralDecomposition:
 
     def _coordinates(self, coeffs: np.ndarray) -> np.ndarray:
         """basis^H c of one coefficient vector (N,), without the grid weight."""
-        with _one_blas_thread(_umath_linalg.__file__):
+        with _one_blas_thread():
             if np.iscomplexobj(self._basis):
                 return (coeffs.conj() @ self._basis).conj()
             return (self._basis.T @ _pairs(coeffs)).view(np.complex128)[:, 0]
@@ -362,7 +365,7 @@ class SpectralDecomposition:
         """basis[:, columns] @ w of every row w of ``weights`` (..., n), as one stacked product, so a row
         has the same bytes in any stack as alone."""
         basis = self._basis[:, columns]
-        with _one_blas_thread(_umath_linalg.__file__):
+        with _one_blas_thread():
             if np.iscomplexobj(basis):
                 return np.matmul(basis, weights[..., None])[..., 0]
             return np.matmul(basis, _pairs(weights)).view(np.complex128)[..., 0]
@@ -453,15 +456,10 @@ def _solve(solver, matrix: np.ndarray):
     """Run a LAPACK hermitian solver on numpy's BLAS held to one thread, reporting non-convergence
     as :class:`ConvergenceError`."""
     try:
-        with _one_blas_thread(_umath_linalg.__file__):
+        with _one_blas_thread():
             return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def _band_eigenbasis_bytes(n: int, palindromic: bool = True) -> int:
-    """Bytes alive at once while a real band operator of ``n`` points, palindromic unless said, is decomposed."""
-    return (BAND_BASIS_BYTES_PER_ENTRY if palindromic or n > BAND_CROSSOVER else WHOLE_BAND_BYTES_PER_ENTRY) * n * n
 
 
 def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
@@ -495,26 +493,30 @@ def _band_halves(d: np.ndarray, e: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     return [(even_d, even_e), (odd_d, e[:m - 1])]
 
 
-def _tridiagonal_solve(tridiagonals, n: int, vectors: bool):
-    """Eigenvalues (1, n), and with ``vectors`` real eigenvectors (1, n, n), of a band operator of
-    ``n`` points from its real (diagonal, off-diagonal) ``tridiagonals``: its two parity halves, even
-    first, which :func:`_parity_merge` joins, or its whole bands.  The size alone picks the kernel: up
-    to ``BAND_CROSSOVER`` numpy's ``eigh`` or ``eigvalsh`` on each filled into a zeroed square array,
-    above it ``?stevd`` on the bands, on one BLAS thread."""
-    if n <= BAND_CROSSOVER:
-        solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-        results = [_solve(solver, _fill_tridiagonal(np.zeros((d.size, d.size)), d, e)[None]) for d, e in tridiagonals]
-    else:
-        from scipy.linalg import _flapack
-        from scipy.linalg.lapack import dstevd
+def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool):
+    """Eigenvalues (1, m), and with ``vectors`` eigenvectors (1, m, m), of the real tridiagonal with
+    diagonal ``d`` and off-diagonal ``e`` by ``?stevd`` on one BLAS thread, its workspace freed on return."""
+    (stevd, _, integer), m = _lapack(), d.size
+    values, vectors_t = d.copy(), np.empty((m, m) if vectors else (1, 1))  # column-major: vector j is row j
+    work, iwork = np.empty(1 + 4 * m + m * m if vectors else 1), np.empty(3 + 5 * m if vectors else 1, integer)
+    with _one_blas_thread():
+        info = stevd(102, b"V" if vectors else b"N", m, values, e.copy(), vectors_t, m if vectors else 1, work,
+                     work.size, iwork, iwork.size)
+    if info:
+        raise ConvergenceError(f"eigenvalue iteration failed: ?stevd returned info {info}")
+    return (values[None], vectors_t.T[None]) if vectors else values[None]
 
-        with _one_blas_thread(_flapack.__file__):
-            solved = [dstevd(d, e, compute_v=vectors) for d, e in tridiagonals]
-        for *_, info in solved:
-            if info:
-                raise ConvergenceError(f"eigenvalue iteration failed: ?stevd returned info {info}")
-        results = [(values[None], basis[None]) if vectors else values[None] for values, basis, _ in solved]
-    return _parity_merge(results, n, vectors) if len(results) == 2 else results[0]
+
+def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues, ascending, of the real tridiagonal with diagonal ``d`` and
+    off-diagonal ``e`` by ``?stebz`` bisection (range I, order E, abstol 0), in O(N) memory."""
+    (_, stebz, integer), n = _lapack(), d.size
+    found, levels, blocks = np.zeros(2, integer), np.empty(n), np.empty(2 * n, integer)
+    info = stebz(b"I", b"E", n, 0.0, 0.0, 1, count, 0.0, d, e, found[:1], found[1:], levels, blocks[:n], blocks[n:],
+                 np.empty(4 * n), np.empty(3 * n, integer))
+    if info:
+        raise ConvergenceError(f"eigenvalue iteration failed: ?stebz returned info {info}")
+    return levels[:found[0]]
 
 
 def _parity_merge(results, n: int, vectors: bool):
@@ -550,11 +552,12 @@ def _band_solve(a: BandOperator, vectors: bool):
     """Solve a band operator with real bands from its bands (see the module notes) as :func:`_dense_solve` would."""
     n = a.dim
     palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
-    if vectors or n <= BAND_CROSSOVER:
-        _require_fits(a.grid, _band_eigenbasis_bytes(n, palindromic), f"solving its {n}x{n} tridiagonal")
+    if vectors:
+        _require_fits(a.grid, BAND_BASIS_BYTES_PER_ENTRY * n * n, f"solving its {n}x{n} tridiagonal")
     e = math.frexp(a.scale)[1]
     bands = np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e)
-    result = _tridiagonal_solve(_band_halves(*bands) if palindromic else [bands], n, vectors)
+    results = [_stevd(d, e, vectors) for d, e in (_band_halves(*bands) if palindromic else [bands])]
+    result = _parity_merge(results, n, vectors) if palindromic else results[0]
     return (np.ldexp(result[0], e), [(slice(None), result[1])]) if vectors else np.ldexp(result, e)
 
 

@@ -206,7 +206,7 @@ def test_exit_two_on_eigenbasis_too_large_for_memory(experiment, npoints, tmp_pa
     and is refused before the bands are built."""
     from traceqm import spectral
 
-    if spectral._band_eigenbasis_bytes(npoints) <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if spectral.BAND_BASIS_BYTES_PER_ENTRY * npoints**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         pytest.skip(f"this machine's physical memory holds the eigenbasis of {npoints} points")
     code, out = run_cli([experiment, "--grid-n", str(npoints)], tmp_path)
     assert code == 2
@@ -355,6 +355,22 @@ def test_exit_one_on_zero_grid_hamiltonian(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["spread", "--grid-n", "16"], ["well-spectrum", "--grid-n", "400"]])
+def test_exit_one_without_numpys_tridiagonal_lapack(argv, tmp_path, capsys, monkeypatch):
+    """A numpy whose LAPACK exports no ?stevd or ?stebz is refused at the first band
+    solve with one error line naming what is missing, and exit code 1."""
+    from traceqm import spectral
+
+    spectral._one_blas_thread()  # the thread hold made, and cached, with numpy's own library
+    monkeypatch.setattr(spectral, "_symbol", lambda name: (None, None))
+    monkeypatch.setattr(spectral, "_lapack", spectral._lapack.__wrapped__)  # bound afresh, not from the cache
+    code, out = run_cli(argv, tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == ("error: numpy's LAPACK exports no LAPACKE_dstevd_work or "
+                                       "LAPACKE_dstebz_work\n")
+    assert not out.exists()
+
+
 def test_nan_check_value_fails(tmp_path, capsys, monkeypatch):
     """A check whose value is NaN fails, and the run still writes its artifact."""
     from traceqm import cli
@@ -383,7 +399,7 @@ def test_spread_exit_one_on_a_time_whose_phases_are_roundoff(tmp_path, capsys):
 
 
 def test_spread_holds_one_real_basis_and_its_halves_at_its_peak():
-    """Above the crossover a grid run's traced peak is the merge of the
+    """A grid run's traced peak is the merge of the
     Hamiltonian's two half eigenbases (4 bytes per entry of the N x N basis)
     into its real basis (8), up to 32 float64 vectors of O(N) working set: no
     complex copy of the basis, and no dense q, since dispersion takes q's bands."""
@@ -391,8 +407,8 @@ def test_spread_holds_one_real_basis_and_its_halves_at_its_peak():
 
     npoints = 1600
     cfg = ExperimentConfig("spread", grid_n=npoints)
-    # one run outside the trace imports scipy and fills the interpreter's free
-    # lists, so the trace counts what a run holds
+    # one run outside the trace binds numpy's LAPACK and fills the interpreter's
+    # free lists, so the trace counts what a run holds
     run_spread(cfg)
     tracemalloc.start()
     try:
@@ -663,21 +679,22 @@ def test_well_spectrum_takes_the_band_path(tmp_path, monkeypatch):
     assert counts == [5, 5, 5]
 
 
-def test_experiments_without_levels_never_import_scipy(tmp_path):
-    """scipy is loaded by the band path alone; the other experiments must not pay for it."""
+def test_experiments_never_import_scipy(tmp_path):
+    """No experiment loads scipy: the band solves and the levels call numpy's own LAPACK,
+    on grids of any size."""
     script = f"""
 import sys
 from traceqm.cli import main
 runs = [["cat", "--n", "200"], ["ensemble-density", "--n", "200", "--grid-n", "16"], ["claims"],
         ["poisson", "--d", "8"], ["vn-generator", "--n", "3"],
-        ["spread", "--grid-n", "256", "--times", "0.0,0.0005"]]
+        ["spread", "--grid-n", "256", "--times", "0.0,0.0005"], ["well-spectrum"], ["spread", "--grid-n", "1600"]]
 codes = [main(argv + ["--out", {str(tmp_path)!r} + "/" + argv[0] + ".csv"]) for argv in runs]
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(traceqm.__file__).resolve().parents[1]))
     env.pop("WORKBENCH_SEED", None)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_importing_the_package_does_not_load_numpy_random():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from traceqm import dynamics
+from traceqm import dynamics, spectral
 from traceqm.operators import STATE_NORM_TOL
 from traceqm import (
     BracketCheck,
@@ -284,13 +284,10 @@ def test_grid_levels_count_selects_the_lowest():
 
 
 def test_grid_levels_solver_failure_is_convergence_error(monkeypatch):
-    import scipy.linalg
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("stebz failed")
-
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
-    with pytest.raises(ConvergenceError, match="stebz failed"):
+    """A nonzero ``info`` from ?stebz is a ConvergenceError."""
+    stevd, _, integer = spectral._lapack()
+    monkeypatch.setattr(spectral, "_lapack", lambda: (stevd, lambda *args: 1, integer))
+    with pytest.raises(ConvergenceError, match=r"\?stebz returned info 1"):
         grid_levels(GridMeta(length=1.0, npoints=16), 5)
 
 

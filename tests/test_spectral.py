@@ -1,5 +1,6 @@
 """Spectral engine: decomposition, commuting families, single generator."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -1006,8 +1007,9 @@ def test_group_means_equal_np_mean_bit_for_bit():
 
 # ---------------------------------------------------------------- band operators
 
-#: a grid just above the crossover, whose tridiagonals are solved by ?stevd
-ABOVE_CROSSOVER = spectral.BAND_CROSSOVER + 64
+#: a grid 64 points above 1536, where a dense solve of the filled tridiagonal once gave way to
+#: ?stevd; every band solve now takes ?stevd, and its halves of order 800 merge through dgemm
+ABOVE_CROSSOVER = 1600
 
 
 def grid_band_operators(npoints):
@@ -1072,7 +1074,7 @@ def test_band_solve_above_crossover_is_backward_stable(name):
     assert_band_solve_backward_stable(grid_band_operators(ABOVE_CROSSOVER)[name])
 
 
-@pytest.mark.parametrize("npoints", [spectral.BAND_CROSSOVER - 1, ABOVE_CROSSOVER + 1])
+@pytest.mark.parametrize("npoints", [1535, 1601])
 @pytest.mark.parametrize("name", ["q", "H"])
 def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
     """The same at odd N on both sides of the crossover: H's even sector there
@@ -1082,7 +1084,7 @@ def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
 
 _DECLARED_BAND_SOLVES = [
     ("H", 512, spectral.BAND_BASIS_BYTES_PER_ENTRY),
-    ("q", 512, spectral.WHOLE_BAND_BYTES_PER_ENTRY),
+    ("q", 512, spectral.BAND_BASIS_BYTES_PER_ENTRY),
     ("H", ABOVE_CROSSOVER, spectral.BAND_BASIS_BYTES_PER_ENTRY),
     ("q", ABOVE_CROSSOVER, spectral.BAND_BASIS_BYTES_PER_ENTRY),
 ]
@@ -1090,19 +1092,17 @@ _DECLARED_BAND_SOLVES = [
 
 @pytest.mark.parametrize(
     "name, npoints, bytes_per_entry", _DECLARED_BAND_SOLVES,
-    # position above the crossover declares the Hamiltonian's count; its id names it apart
-    ids=[f"{npoints}-{bytes_per_entry}" + ("-q" if name == "q" and npoints > spectral.BAND_CROSSOVER else "")
+    # position declares the Hamiltonian's count; its id names it apart
+    ids=[f"{npoints}-{bytes_per_entry}" + ("-q" if name == "q" else "")
          for name, npoints, bytes_per_entry in _DECLARED_BAND_SOLVES],
 )
 def test_band_solve_declares_what_it_allocates(name, npoints, bytes_per_entry, monkeypatch):
     """Each band path refuses by its own byte count, and that count covers the
     traced peak of the decomposition, up to 32 float64 vectors of O(N) workspace.
-    H's palindromic bands are solved from their half tridiagonals at every N;
-    position's bands are not palindromic, so it is solved whole, densely up
-    to the crossover and by ?stevd above it."""
-    import scipy.linalg  # noqa: F401  (imported outside the trace)
-
+    H's palindromic bands are solved from their half tridiagonals; position's
+    bands are not palindromic, so it is solved whole.  Both go to ?stevd at every N."""
     op = grid_band_operators(npoints)[name]
+    eigendecompose(grid_band_operators(16)[name])  # LAPACK bound outside the trace
     declared = []
     monkeypatch.setattr(spectral, "_require_fits", lambda grid, need, what: declared.append(need))
     tracemalloc.start()
@@ -1146,6 +1146,29 @@ def test_grid_decomposition_keeps_two_vectors_beyond_its_basis():
         tracemalloc.stop()
     held = dec.eigenvalues.nbytes + np.dtype(np.intp).itemsize * (npoints + 1)
     assert kept - dec._basis.nbytes <= held + 4096
+
+
+def test_band_solve_builds_no_reference_cycles():
+    """With the cyclic collector off, 20 more band solves of the grid Hamiltonian
+    leave tracemalloc's total where one left it, within the 4 KiB of numpy's and
+    the interpreter's caches: the LAPACK binding builds no cycle that only the
+    collector would free (``ndarray.ctypes.data_as``, and so ``ndpointer``'s own
+    conversion, builds one per array argument and call, about 4 KiB a solve)."""
+    hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=512))
+    for _ in range(20):  # LAPACK bound and the caches filled outside the trace
+        eigendecompose(hamiltonian)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        eigendecompose(hamiltonian)
+        first, _ = tracemalloc.get_traced_memory()
+        for _ in range(20):
+            eigendecompose(hamiltonian)
+        total, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert total - first <= 4096
 
 
 def test_band_operator_builds_its_matrix_once_on_demand():
@@ -1292,60 +1315,62 @@ def spy_on_lapack(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("npoints, calls", [
-    (512, [("eigh", (1, 256, 256), np.float64), ("eigh", (1, 256, 256), np.float64)]),
-    (513, [("eigh", (1, 257, 257), np.float64), ("eigh", (1, 256, 256), np.float64)]),
-])
+def spy_on_stevd(monkeypatch):
+    """Record the order, the diagonal's last entry and ``jobz`` of every ``?stevd`` call, and a
+    copy of its (diagonal, off-diagonal) input."""
+    seen, inputs = [], []
+    stevd, stebz, integer = spectral._lapack()
+
+    def recorded(layout, jobz, n, d, e, *rest):
+        seen.append((n, float(d[-1]), jobz.decode()))
+        inputs.append((d.copy(), e.copy()))
+        return stevd(layout, jobz, n, d, e, *rest)
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: (recorded, stebz, integer))
+    return seen, inputs
+
+
+@pytest.mark.parametrize("npoints, calls", [(512, [256, 256]), (513, [257, 256])])
 def test_grid_hamiltonian_is_solved_in_its_parity_sectors(npoints, calls, monkeypatch):
-    """The Hamiltonian's even and odd sectors go to LAPACK as two calls, even
-    first; at odd N the even sector is one row and column larger."""
+    """The Hamiltonian's even and odd sectors go to ?stevd as two calls, even
+    first; at odd N the even sector is one row and column larger.  No dense
+    sector is formed for numpy's LAPACK."""
     hamiltonian = grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))
-    seen = spy_on_lapack(monkeypatch)
+    dense = spy_on_lapack(monkeypatch)
+    seen, _ = spy_on_stevd(monkeypatch)
     eigendecompose(hamiltonian)
-    assert seen == calls
+    assert [(size, jobz) for size, _, jobz in seen] == [(size, "V") for size in calls]
     seen.clear()
     eigenvalues(hamiltonian)
-    assert seen == [("eigvalsh", shape, dtype) for _, shape, dtype in calls]
-
-
-def spy_on_stevd(monkeypatch):
-    """Record the diagonal's length, its last entry and ``compute_v`` of every ``dstevd`` call."""
-    from scipy.linalg import lapack
-
-    seen = []
-    solver = lapack.dstevd
-
-    def recorded(d, e, compute_v=1):
-        seen.append((d.size, float(d[-1]), compute_v))
-        return solver(d, e, compute_v=compute_v)
-
-    monkeypatch.setattr(lapack, "dstevd", recorded)
-    return seen
+    assert [(size, jobz) for size, _, jobz in seen] == [(size, "N") for size in calls]
+    assert dense == []
 
 
 @pytest.mark.parametrize("name, npoints, sizes", [
     ("H", ABOVE_CROSSOVER, [800, 800]),
     ("H", ABOVE_CROSSOVER + 1, [801, 800]),
     ("q", ABOVE_CROSSOVER, [ABOVE_CROSSOVER]),
-    ("H", spectral.BAND_CROSSOVER, []),
-    ("q", spectral.BAND_CROSSOVER, []),
+    ("H", 1536, [768, 768]),
+    ("q", 1536, [1536]),
+    ("H", 16, [8, 8]),
+    ("q", 16, [16]),
+    ("H", 512, [256, 256]),
+    ("q", 512, [512]),
 ])
 def test_band_operators_above_the_crossover_are_solved_by_stevd(name, npoints, sizes, monkeypatch):
-    """Above the crossover each tridiagonal goes to ?stevd from its bands: the
+    """At every N each tridiagonal goes to ?stevd from its bands: the
     Hamiltonian's two halves, even first (at even N the even half's last
     diagonal entry is 2k - k, the odd half's 2k + k), and position's
-    non-palindromic bands whole; eigenvalues() asks for no vectors.  At the
-    crossover no call is made."""
+    non-palindromic bands whole; eigenvalues() asks for no vectors."""
     op = grid_band_operators(npoints)[name]
-    seen = spy_on_stevd(monkeypatch)
+    seen, _ = spy_on_stevd(monkeypatch)
     eigendecompose(op)
-    assert [(size, compute_v) for size, _, compute_v in seen] == [(size, 1) for size in sizes]
-    if name == "H" and npoints % 2 == 0 and sizes:
+    assert [(size, jobz) for size, _, jobz in seen] == [(size, "V") for size in sizes]
+    if name == "H" and npoints % 2 == 0:
         assert seen[0][1] < seen[1][1]
     seen.clear()
     eigenvalues(op)
-    assert [(size, compute_v) for size, _, compute_v in seen] == [(size, 0) for size in sizes]
-
+    assert [(size, jobz) for size, _, jobz in seen] == [(size, "N") for size in sizes]
 
 
 def test_band_solve_above_crossover_gives_the_same_bytes_on_one_blas_thread_and_two():
@@ -1387,18 +1412,23 @@ def palindromic_bands(rng, n):
 
 @pytest.mark.parametrize("npoints", [8, 9, 16, 33, 128, 129])
 def test_band_half_blocks_are_the_dense_half_blocks(npoints, monkeypatch):
-    """Palindromic bands feed LAPACK the half blocks the dense path forms from
-    the band operator's matrix, to the byte and down to the sign of a zero."""
+    """Palindromic bands feed ?stevd the half tridiagonals whose fill is the half
+    blocks the dense path forms from the band operator's matrix, to the byte and
+    down to the sign of a zero, and the levels and bases agree to the byte.  (On
+    larger sectors, as at N = 1000, ?syevd's blocked reduction subtracts zero
+    products, which can turn a diagonal -0.0 into +0.0, so an exactly zero level
+    may then differ from ?stevd's in its sign alone.)"""
     rng = np.random.default_rng(SEED + 80 + npoints)
     d, u = palindromic_bands(rng, npoints)
     op = BandOperator(d, u, GridMeta(length=1.0, npoints=npoints))
-    inputs = []
+    sectors = []
     solver = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: inputs.append(matrix.copy()) or solver(matrix))
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: sectors.append(matrix[0].copy()) or solver(matrix))
+    _, halves = spy_on_stevd(monkeypatch)
     band = eigendecompose(op)
     reference = eigendecompose(certify_hermitian(op.matrix))
-    half = len(inputs) // 2
-    assert half and [x.tobytes() for x in inputs[:half]] == [x.tobytes() for x in inputs[half:]]
+    filled = [operators._fill_tridiagonal(np.zeros((h.size, h.size)), h, e) for h, e in halves]
+    assert len(filled) == 2 and [x.tobytes() for x in filled] == [x.tobytes() for x in sectors]
     assert band.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
     assert band.basis.tobytes() == reference.basis.tobytes()
     assert_backward_stable_basis(op._dense(np.float64), band)

@@ -38,7 +38,7 @@ EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ens
 #: extra runs beyond the defaults: (label, arguments).
 EXTRA = (
     ("spread-times", ("spread", "--times", "0,0.001")),
-    # a grid above spectral.BAND_CROSSOVER: the Hamiltonian's half tridiagonals solved by ?stevd
+    # halves of order 800, where ?stevd's merge would follow the BLAS thread count unheld
     ("spread-n1600", ("spread", "--grid-n", "1600", "--times", "0,0.001")),
     ("cat-seed7", ("cat", "--seed", "7")),
     # the small-algebra benchmark workload's inputs
@@ -76,7 +76,7 @@ EXTRA = (
     ("poisson-hbar1e-300", ("poisson", "--hbar", "1e-300")),
     # an odd grid: the Hamiltonian's even parity sector has the centre row
     ("spread-n513", ("spread", "--grid-n", "513")),
-    # an odd grid above spectral.BAND_CROSSOVER: the odd-N halves solved by ?stevd
+    # an odd grid with halves of order 800: the odd-N halves solved by ?stevd
     ("spread-n1601", ("spread", "--grid-n", "1601", "--times", "0,0.001")),
     # the spreading time 2 m sigma0^2 / hbar overflows, so the default times are NaN
     ("spread-length1e300", ("spread", "--length", "1e300")),
@@ -90,13 +90,13 @@ EXTRA = (
     ("spread-length1e-12", ("spread", "--length", "1e-12")),
     # brackets of about 1e8, where an absolute gap bound failed on a roundoff gap
     ("poisson-omega1e4", ("poisson", "--omega", "1e4")),
-    # the largest grid solved densely, from the Hamiltonian's two parity sectors
+    # the largest grid once solved densely from its two parity sectors, now by ?stevd on its halves
     ("spread-n1536", ("spread", "--grid-n", "1536")),
     # odd-N sectors, and position's bands, which are not palindromic, solved whole
     ("ensemble-density-n257", ("ensemble-density", "--grid-n", "257")),
     # hbar^2 and 2 m h^2 both overflow, while the stencil coupling is about 2.0e6
     ("well-spectrum-hbar1e300-length1e300", ("well-spectrum", "--hbar", "1e300", "--length", "1e300")),
-    # an odd grid above spectral.BAND_CROSSOVER: the odd-N halves and position's
+    # an odd grid with halves of order 800: the odd-N halves and position's
     # whole bands solved by ?stevd
     ("ensemble-density-n1601", ("ensemble-density", "--grid-n", "1601", "--n", "1000")),
 )
