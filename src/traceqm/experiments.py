@@ -10,6 +10,7 @@ whatever bound was actually used is echoed in the check record.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,12 +307,52 @@ def _canned_generator():
     return result, deviation, exact
 
 
-#: random trials ``_worst_family_recon`` and the ``claims`` sweeps draw and
-#: solve together.  On 1000 recon families (one core, one BLAS thread, best of
-#: 12) chunks of 256 take 54 ms against 43 ms in one chunk, and hold a working
-#: set of 1.0 MB against 3.2 MB (``tracemalloc`` peak), which would show in
-#: the process's peak RSS.
-RECON_CHUNK = 256
+#: the working-set budget, in bytes, of one stack of a random sweep's trials.
+#: ``_worst_family_recon`` and the ``claims`` sweeps draw each trial into its
+#: dimension's pending stack and solve the stack once it holds as many trials
+#: as fit in this budget at the sweep's declared bytes per trial
+#: (:func:`_trial_bytes` of its ``TRIAL_MATRICES`` entry).  Each stack pays
+#: about half a millisecond of numpy dispatch whatever its size, while the
+#: working set shows in the process's peak RSS.
+STACK_BYTES = 2**20
+
+#: complex matrices of order N + 1 that one trial of dimension N of each sweep
+#: holds at most while its stack is drawn and solved: its draws, and its share
+#: of the solve's N x N matrices with their N-vectors and array headers.
+TRIAL_MATRICES = {"recon": 8, "weak": 6, "av-split": 4, "dispersion-free": 6}
+
+
+def _trial_bytes(sweep: str, dim: int) -> int:
+    """Declared bytes one trial of dimension ``dim`` of ``sweep`` holds (see ``TRIAL_MATRICES``)."""
+    return TRIAL_MATRICES[sweep] * 16 * (dim + 1) ** 2
+
+
+def _stacks(dims, sweep: str, arrays, draw):
+    """Trials drawn in order into pending stacks, one per dimension: yields
+    ``(dim, stack)`` for each stack to solve.
+
+    ``dims`` yields each trial's dimension in draw order, and may draw it.  A
+    dimension's stack is the tuple ``arrays(dim, cap)`` of arrays with one
+    row per trial and at most ``cap`` rows, where ``cap`` trials of
+    ``_trial_bytes(sweep, dim)`` fit in ``STACK_BYTES`` (at least one); and
+    ``draw(stack, i)`` draws one trial into row i.  A stack is yielded as
+    soon as it is full, and its arrays are then filled again, so each is
+    valid until the next is asked for.  What is pending after the last trial
+    is yielded last, in order of each dimension's first trial.
+    """
+    pending = {}  # dim: [stack, rows drawn]
+    for dim in dims:
+        if dim not in pending:
+            pending[dim] = [arrays(dim, max(1, STACK_BYTES // _trial_bytes(sweep, dim))), 0]
+        entry = pending[dim]
+        draw(entry[0], entry[1])
+        entry[1] += 1
+        if entry[1] == len(entry[0][0]):
+            entry[1] = 0
+            yield dim, entry[0]
+    for dim, (stack, filled) in pending.items():
+        if filled:
+            yield dim, tuple(array[:filled] for array in stack)
 
 
 def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
@@ -320,19 +361,23 @@ def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
     decomposition of the family's single generator through its table.
 
     Each family draws its dimension, its base's two normal matrices and its
-    members' three coefficient triples, in that order.  Families are drawn
-    ``RECON_CHUNK`` at a time and solved as one stack per dimension, so the
-    working set does not grow with ``trials``.
+    members' three coefficient triples, in that order, straight into its
+    dimension's pending stack (:func:`_stacks`), so the working set does not
+    grow with ``trials``.  The triples are drawn as the unit uniforms u that
+    ``uniform(-2, 2)`` maps to -2 + 4u: the same variates, at a third of
+    the call's cost.
     """
+    def arrays(dim, cap):
+        return np.empty((cap, 2, dim, dim)), np.empty((cap, 3, 3))
+
+    def draw(stack, i):
+        rng.standard_normal(out=stack[0][i])
+        rng.random(out=stack[1][i])
+
     worst = 0.0
-    for lo in range(0, trials, RECON_CHUNK):
-        drawn: dict[int, list] = {}
-        for _ in range(min(RECON_CHUNK, trials - lo)):
-            dim = int(rng.integers(3, 9))
-            drawn.setdefault(dim, []).append((rng.standard_normal((2, dim, dim)), rng.uniform(-2.0, 2.0, size=(3, 3))))
-        for draws in drawn.values():
-            normals, coeffs = (np.stack(column) for column in zip(*draws))
-            worst = float(np.maximum(worst, _family_recon_error(normals, coeffs)))
+    dims = (int(rng.integers(3, 9)) for _ in range(trials))
+    for _, (normals, units) in _stacks(dims, "recon", arrays, draw):
+        worst = float(np.maximum(worst, _family_recon_error(normals, -2.0 + 4.0 * units)))
     return worst
 
 
@@ -340,9 +385,16 @@ def _family_recon_error(normals: np.ndarray, coeffs: np.ndarray) -> float:
     """Worst entry error of :func:`_worst_family_recon` over k families of one
     dimension, drawn as ``normals`` (k, 2, N, N) and ``coeffs`` (k, 3, 3)."""
     base = _hermitian_part(normals)
-    c = coeffs.transpose(1, 2, 0)[..., None, None]  # member, coefficient, family
-    members = c[:, 0] * np.eye(base.shape[-1]) + c[:, 1] * base + c[:, 2] * (base @ base)
-    scales = _certify_stack(members.reshape(-1, *base.shape[1:]))[0].reshape(3, -1)
+    square, identity = base @ base, np.eye(base.shape[-1])
+    members = np.empty((3, *base.shape), dtype=np.complex128)
+    # each member c0 I + c1 base + c2 base^2 in its own slot, one temporary at a time
+    for member, (c0, c1, c2) in zip(members, coeffs.transpose(1, 2, 0)[..., None, None]):
+        np.multiply(c1, base, out=member)
+        np.add(c0 * identity, member, out=member)
+        member += c2 * square
+    del base, square
+    # each member certified in turn, which refuses the first matrix in member order as one stack would
+    scales = np.array([_certify_stack(member)[0] for member in members])
     generators, tables, counts = _vn_generator_stack(list(members), scales)
     values, basis = _eigendecompose_stack(generators, _certify_stack(generators)[0])
     # round half to even, as round() does
@@ -353,8 +405,10 @@ def _family_recon_error(normals: np.ndarray, coeffs: np.ndarray) -> float:
         raise NumericalError(f"generator eigenvalue {values[f, k]:.17g} rounds to {labels[f, k]:g}, "
                              f"outside the labels 0 .. {counts[f] - 1}")
     rebuilt_values = np.take_along_axis(tables, labels.astype(np.intp)[:, None, :], axis=-1)
-    # all three members at once, on the (k, N, N) basis stack broadcast over them
-    return float(np.max(abs(_spectral_sum(basis, rebuilt_values.transpose(1, 0, 2)) - members)))
+    worst = 0.0
+    for member, values in zip(members, rebuilt_values.transpose(1, 0, 2)):  # one member's temporaries at a time
+        worst = np.maximum(worst, abs(_spectral_sum(basis, values) - member).max())
+    return float(worst)
 
 
 def run_vn_generator(cfg: ExperimentConfig):
@@ -413,29 +467,27 @@ def run_ensemble_density(cfg: ExperimentConfig):
 # claims
 # ---------------------------------------------------------------------------
 
-def _trial_normals(rng: np.random.Generator, dims: list[int], shapes):
-    """Standard normals of trials of dimensions ``dims``, trial by trial in order,
-    each drawing one array of every shape in ``shapes(dim)`` in turn.
+def _trial_normals(rng: np.random.Generator, dims: list[int], sweep: str, shapes):
+    """Standard normals of trials of dimensions ``dims``, trial by trial in
+    order, each drawing one array of every shape in ``shapes(dim)`` in turn.
 
-    The trials are drawn ``RECON_CHUNK`` at a time, by one call per chunk cut
-    per trial (the same variates as one call per array: numpy fills arrays
-    variate by variate).  Yields, per chunk and per dimension in order of
-    first appearance, one (k, *shape) array per shape over that dimension's
-    k trials of the chunk.
+    Each trial is drawn by one call straight into its dimension's pending
+    stack of ``sweep`` (:func:`_stacks`), which gives the same variates as one
+    call per array: numpy fills arrays variate by variate.  A stack holds no
+    more rows than its dimension has trials.  Yields, per stack, one
+    (k, *shape) array per shape over its k trials.
     """
-    for lo in range(0, len(dims), RECON_CHUNK):
-        chunk = np.array(dims[lo:lo + RECON_CHUNK])
-        cuts = {dim: [math.prod(shape) for shape in shapes(dim)] for dim in dict.fromkeys(chunk.tolist())}
-        sizes = np.array([sum(cuts[dim]) for dim in chunk.tolist()])
-        flat = rng.standard_normal(int(sizes.sum()))
-        starts = np.cumsum(sizes) - sizes
-        # every dimension's trials gathered before any is solved, so the draw is not held meanwhile
-        blocks = [flat[starts[chunk == dim][:, None] + np.arange(sum(cut))] for dim, cut in cuts.items()][::-1]
-        del flat
-        for dim, cut in cuts.items():
-            block = blocks.pop()  # held only by its parts
-            ends = np.cumsum([0, *cut]).tolist()
-            yield [block[:, a:b].reshape(len(block), *shape) for a, b, shape in zip(ends, ends[1:], shapes(dim))]
+    counts = Counter(dims)
+
+    def arrays(dim, cap):
+        return (np.empty((min(cap, counts[dim]), sum(math.prod(shape) for shape in shapes(dim)))),)
+
+    def draw(stack, i):
+        rng.standard_normal(out=stack[0][i])
+
+    for dim, (block,) in _stacks(dims, sweep, arrays, draw):
+        ends = np.cumsum([0, *(math.prod(shape) for shape in shapes(dim))]).tolist()
+        yield [block[:, a:b].reshape(len(block), *shape) for a, b, shape in zip(ends, ends[1:], shapes(dim))]
 
 
 def _worst_weak(rng: np.random.Generator, trials: int) -> float:
@@ -443,7 +495,7 @@ def _worst_weak(rng: np.random.Generator, trials: int) -> float:
     dimension 2 + trial % 7, each trial drawing A, B, then psi."""
     worst = 0.0
     dims = [2 + trial % 7 for trial in range(trials)]
-    for a, b, re, im in _trial_normals(rng, dims, lambda d: [(2, d, d), (2, d, d), (d,), (d,)]):
+    for a, b, re, im in _trial_normals(rng, dims, "weak", lambda d: [(2, d, d), (2, d, d), (d,), (d,)]):
         a, b = _hermitian_part(a), _hermitian_part(b)
         _certify_stack(a)
         _certify_stack(b)
@@ -458,7 +510,7 @@ def _worst_av_split(rng: np.random.Generator, trials: int) -> tuple[float, float
     of dimension 2 + trial % 7, each trial drawing A, then psi."""
     worst_residual, worst_orth, min_beta = 0.0, 0.0, np.inf
     dims = [2 + trial % 7 for trial in range(trials)]
-    for a, re, im in _trial_normals(rng, dims, lambda d: [(2, d, d), (d,), (d,)]):
+    for a, re, im in _trial_normals(rng, dims, "av-split", lambda d: [(2, d, d), (d,), (d,)]):
         a = _hermitian_part(a)
         _certify_stack(a)
         psi = _unit_rows(re + 1j * im, None)
@@ -480,7 +532,7 @@ def _worst_dispersion_free(rng: np.random.Generator, trials: int) -> tuple[float
     worst_spread, worst_eig = 0.0, 0.0
     cycle = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
     dims = [cycle[trial % len(cycle)] for trial in range(trials)]
-    for (a,) in _trial_normals(rng, dims, lambda d: [(2, d, d)]):
+    for (a,) in _trial_normals(rng, dims, "dispersion-free", lambda d: [(2, d, d)]):
         a = _hermitian_part(a)
         values, basis = _eigendecompose_stack(a, _certify_stack(a)[0])
         norm = abs(values).max(axis=-1)

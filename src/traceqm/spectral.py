@@ -683,7 +683,9 @@ def _worst_commutator(members, scales) -> tuple[np.ndarray, np.ndarray]:
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             ai, aj = scaled[i], scaled[j]
-            deviation = abs(ai @ aj - aj @ ai).max(axis=(1, 2))
+            commutator = ai @ aj
+            commutator -= aj @ ai
+            deviation = abs(commutator).max(axis=(1, 2))
             relative = np.divide(deviation, units[i] * units[j], out=np.zeros_like(deviation), where=deviation != 0)
             worse = relative > worst
             worst_pair[worse], worst[worse] = (i, j), relative[worse]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -806,11 +807,49 @@ def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
     assert sum(solved) == 25
 
 
-@pytest.mark.parametrize("chunk, trials", [(1, 9), (7, 30), (16, 16), (16, 17)])
-def test_worst_family_recon_equals_per_member_rebuild_across_chunks(chunk, trials, monkeypatch):
-    monkeypatch.setattr(experiments, "RECON_CHUNK", chunk)
-    worst = experiments._worst_family_recon(np.random.default_rng(SEED + 62 + chunk), trials)
-    assert worst == loop_worst_family_recon(np.random.default_rng(SEED + 62 + chunk), trials)
+def recorded_stacks(monkeypatch):
+    """``(sweep, dim, rows)`` of every stack the sweeps solve from now on."""
+    stacks = []
+    real = experiments._stacks
+
+    def recording(dims, sweep, arrays, draw):
+        for dim, stack in real(dims, sweep, arrays, draw):
+            stacks.append((sweep, dim, len(stack[0])))
+            yield dim, stack
+
+    monkeypatch.setattr(experiments, "_stacks", recording)
+    return stacks
+
+
+def assert_cut(stacks, budget):
+    """Stacks of one trial each under a one-byte budget; under a budget of two
+    8-dimensional recon families, some dimension in several stacks, some
+    stack of several trials; under 1 GiB, one stack per sweep and dimension."""
+    rows = [r for _, _, r in stacks]
+    per_dim = Counter((sweep, dim) for sweep, dim, _ in stacks)
+    if budget == 1:
+        assert set(rows) == {1}
+    elif budget == SPLIT_BUDGET:
+        assert max(per_dim.values()) > 1 and max(rows) > 1
+    else:
+        assert set(per_dim.values()) == {1}
+
+
+#: two 8-dimensional recon families' declared bytes: it splits that dimension
+#: of a 30-family sweep, and of every claims sweep but the alpha/beta split
+SPLIT_BUDGET = 2 * experiments._trial_bytes("recon", 8)
+
+
+@pytest.mark.parametrize("budget, trials", [(1, 9), (SPLIT_BUDGET, 30), (2**30, 17)])
+def test_worst_family_recon_equals_per_member_rebuild_across_chunks(budget, trials, monkeypatch):
+    """The same worst error whether each stack holds one family, part of a
+    dimension's families, or all of them."""
+    monkeypatch.setattr(experiments, "STACK_BYTES", budget)
+    stacks = recorded_stacks(monkeypatch)
+    worst = experiments._worst_family_recon(np.random.default_rng(SEED + 62 + trials), trials)
+    assert worst == loop_worst_family_recon(np.random.default_rng(SEED + 62 + trials), trials)
+    assert sum(rows for _, _, rows in stacks) == trials
+    assert_cut(stacks, budget)
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1.0])
@@ -905,12 +944,97 @@ def test_run_claims_equals_per_trial_loop(seed):
     assert claims_bits(*experiments.run_claims(cfg)) == claims_bits(*loop_run_claims(cfg))
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_run_claims_equals_per_trial_loop_across_chunks(chunk, monkeypatch):
-    cfg = experiments.ExperimentConfig("claims", seed=SEED + 64 + chunk)
+@pytest.mark.parametrize("budget", [1, SPLIT_BUDGET, 2**30])
+def test_run_claims_equals_per_trial_loop_across_chunks(budget, monkeypatch):
+    """The same bits whether each stack holds one trial, part of a dimension's
+    trials, or all of them."""
+    cfg = experiments.ExperimentConfig("claims", seed=SEED + 64 + budget % 97)
     expected = claims_bits(*loop_run_claims(cfg))
-    monkeypatch.setattr(experiments, "RECON_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "STACK_BYTES", budget)
+    stacks = recorded_stacks(monkeypatch)
     assert claims_bits(*experiments.run_claims(cfg)) == expected
+    assert_cut(stacks, budget)
+
+
+def stack_peak_bound(sweep, dims, draw_bytes):
+    """What a sweep over ``dims`` may hold at once: one stack being drawn and
+    solved, at most ``STACK_BYTES`` (or one trial's declared bytes, if more),
+    and the draws pending in every dimension's full stack."""
+    declared = [experiments._trial_bytes(sweep, dim) for dim in dims]
+    budget = experiments.STACK_BYTES
+    return max(budget, *declared) + sum(max(1, budget // trial) * draw_bytes(dim)
+                                        for dim, trial in zip(dims, declared))
+
+
+#: each sweep: its run, its dimensions and its draw bytes per trial
+SWEEP_PEAKS = {
+    "recon": (experiments._worst_family_recon, range(3, 9), lambda d: 8 * (2 * d * d + 9)),
+    "weak": (experiments._worst_weak, range(2, 9), lambda d: 8 * (4 * d * d + 2 * d)),
+    "av-split": (experiments._worst_av_split, range(2, 9), lambda d: 8 * (2 * d * d + 2 * d)),
+    "dispersion-free": (experiments._worst_dispersion_free, (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
+                        lambda d: 16 * d * d),
+}
+
+
+def solve_one_stack(sweep, draws):
+    """Run ``sweep`` on one stack of ``draws``, the arrays its trials draw, as the sweep's only stack."""
+    if sweep == "recon":
+        experiments._family_recon_error(*draws)
+        return
+    run = SWEEP_PEAKS[sweep][0]
+    real = experiments._trial_normals
+    experiments._trial_normals = lambda *args: iter([draws])
+    try:
+        run(np.random.default_rng(0), 1)
+    finally:
+        experiments._trial_normals = real
+
+
+STACK_SHAPES = {
+    "recon": lambda d: [(2, d, d), (3, 3)],
+    "weak": lambda d: [(2, d, d), (2, d, d), (d,), (d,)],
+    "av-split": lambda d: [(2, d, d), (d,), (d,)],
+    "dispersion-free": lambda d: [(2, d, d)],
+}
+
+
+@pytest.mark.parametrize("sweep, dim", [(sweep, dim) for sweep, (_, dims, _) in SWEEP_PEAKS.items() for dim in dims])
+def test_declared_trial_bytes_cover_a_full_stack(sweep, dim):
+    """Drawing and solving a full stack of a sweep's trials at the default
+    budget holds at most its declared bytes per trial, up to 8 KiB of array
+    headers and loop state."""
+    rows = max(1, experiments.STACK_BYTES // experiments._trial_bytes(sweep, dim))
+    solve_one_stack(sweep, [np.ones((1, *shape)) for shape in STACK_SHAPES[sweep](dim)])  # lazy set-up
+    rng = np.random.default_rng(SEED + 66 + dim)
+    tracemalloc.start()
+    try:
+        draws = [rng.standard_normal((rows, *shape)) for shape in STACK_SHAPES[sweep](dim)]
+        solve_one_stack(sweep, draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * experiments._trial_bytes(sweep, dim) + 2**13
+
+
+@pytest.mark.parametrize("budget", [experiments.STACK_BYTES, 2**16])
+@pytest.mark.parametrize("sweep, trials", [("recon", 1000), ("recon", 5000), ("weak", 1000), ("av-split", 500),
+                                           ("dispersion-free", 44)])
+def test_sweep_peak_is_bounded_by_the_stack_budget(sweep, trials, budget, monkeypatch):
+    """Each random sweep's traced peak stays within its stack bound, whatever
+    its trial count, and with the dispersion-free sweep's 48- and
+    64-dimensional trials, up to 16 KiB of array headers and loop state.  The
+    bound also holds at a budget of 64 KiB, where every large dimension is
+    cut into several stacks."""
+    run, dims, draw_bytes = SWEEP_PEAKS[sweep]
+    monkeypatch.setattr(experiments, "STACK_BYTES", budget)
+    run(np.random.default_rng(SEED + 65), 50)  # caches and lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        run(np.random.default_rng(SEED + 65), trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack_peak_bound(sweep, dims, draw_bytes) + 2**14
 
 
 def stacked_family_results(families):
