@@ -230,8 +230,17 @@ def run_spread(cfg: ExperimentConfig):
     model = _grid_model(cfg)
     grid = model.grid
 
-    center = cfg.length / 2.0
-    psi0 = grid_sample(lambda x: np.exp(-((x - center) ** 2) / (4.0 * sigma0 * sigma0)), grid)
+    # formed at sigma0's power of two 2**e, where neither (x - c)^2 nor 4 sigma0^2 leaves float range
+    e = math.frexp(sigma0)[1]
+    center, scaled = math.ldexp(cfg.length / 2.0, -e), math.ldexp(sigma0, -e)
+    width = 4.0 * scaled * scaled
+
+    def packet(x):
+        """exp(-(x - c)^2 / (4 sigma0^2)): d = (x - c) 2**-e exactly, and d * d correctly rounded."""
+        d = math.ldexp(x, -e) - center
+        return np.exp(-(d * d) / width)
+
+    psi0 = grid_sample(packet, grid)
 
     rows = []
     free_errors = []

@@ -448,6 +448,17 @@ def test_spread_passes_at_small_hbar(hbar, tmp_path):
     assert out.exists()
 
 
+def test_spread_passes_at_a_length_whose_square_overflows(tmp_path):
+    """At length 1e160, (x - c)^2 overflowed although the packet's exponent is
+    at most about 400; the packet is formed at sigma0's power of two, and the
+    run passes with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["spread", "--length", "1e160", "--times", "0,1"], tmp_path)
+    assert code == 0
+    assert out.exists()
+
+
 def test_exit_one_on_stencil_coupling_underflow(tmp_path, capsys):
     """At length 1e200, 2 m h^2 overflows and k would be zero: one error line, no warning."""
     with warnings.catch_warnings():

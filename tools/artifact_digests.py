@@ -61,7 +61,7 @@ EXTRA = (
     ("cat-a1e-300", ("cat", "--a1", "1e-300", "--a2", "-1e-300")),
     # a tiny spectrum away from zero, held to bounds at its own scale
     ("cat-a1e-200", ("cat", "--a1", "1e-200", "--a2", "3e-200")),
-    # families solved in many chunks of experiments.RECON_CHUNK
+    # families solved in several stacks per dimension (experiments.STACK_BYTES)
     ("vn-generator-n5000", ("vn-generator", "--n", "5000")),
     # the benchmark's held-out seed
     ("vn-generator-n1000-seed9001", ("vn-generator", "--n", "1000", "--seed", "9001")),
@@ -99,6 +99,8 @@ EXTRA = (
     # an odd grid with halves of order 800: the odd-N halves and position's
     # whole bands solved by ?stevd
     ("ensemble-density-n1601", ("ensemble-density", "--grid-n", "1601", "--n", "1000")),
+    # a packet whose square (x - c)^2 overflowed although its exponent is at most about 400
+    ("spread-length1e160", ("spread", "--length", "1e160", "--times", "0,1")),
 )
 
 
