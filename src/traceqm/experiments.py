@@ -373,7 +373,7 @@ def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
     members' three coefficient triples, in that order, straight into its
     dimension's pending stack (:func:`_stacks`), so the working set does not
     grow with ``trials``.  The triples are drawn as the unit uniforms u that
-    ``uniform(-2, 2)`` maps to -2 + 4u: the same variates, at a third of
+    ``uniform(-2, 2)`` maps to -2 + 4u: the same variates, at under half
     the call's cost.
     """
     def arrays(dim, cap):

@@ -324,7 +324,7 @@ def test_ladder_refuses_underflowing_mass_times_omega():
 
 def test_declared_band_working_set_bounds_traced_peak():
     """The byte count behind the band path's memory refusal covers what it allocates."""
-    grid_levels(GridMeta(length=1.0, npoints=16), 5)  # import scipy outside the trace
+    grid_levels(GridMeta(length=1.0, npoints=16), 5)  # bind numpy's LAPACK outside the trace
     g = GridMeta(length=1.0, npoints=100_000)
     tracemalloc.start()
     try:

@@ -14,9 +14,15 @@ one BLAS thread, it times:
 - on the 512-point grid of ``spread``'s defaults: ``eigendecompose`` of the
   grid Hamiltonian, ``evolve_state`` of ``spread``'s packet to one time,
   ``spread_series`` over ``spread``'s five default times, and
-  ``dispersion`` of the position operator in the packet.
+  ``dispersion`` of the position operator in the packet;
+- the random sweeps behind ``vn-generator`` and ``claims``: the ``recon``
+  sweep per family at ``vn-generator --n 1000``, and per run each ``claims``
+  sweep at its trial count (weak commutativity 1000, the alpha/beta split
+  500, dispersion-free 44, ``recon`` 100), each from a fresh generator.
 
 Each row is the best of five timed runs divided by the calls of one run.
+A ``stacks`` row after each sweep counts the stacks one run of it solves
+(calls of ``_family_recon_error`` and stacks of ``_trial_normals``).
 ``--root`` names the checkout whose ``src/traceqm`` is timed (default: the
 one holding this script), so two checkouts compare as::
 
@@ -47,6 +53,28 @@ def best_us(run, calls: int) -> float:
     return best / calls * 1e6
 
 
+def stacks(experiments, run) -> int:
+    """Stacks one ``run()`` solves: calls of ``_family_recon_error`` and stacks yielded by ``_trial_normals``."""
+    solved = []
+    recon, normals = experiments._family_recon_error, experiments._trial_normals
+
+    def counted_recon(*args):
+        solved.append(1)
+        return recon(*args)
+
+    def counted_normals(*args):
+        for stack in normals(*args):
+            solved.append(1)
+            yield stack
+
+    experiments._family_recon_error, experiments._trial_normals = counted_recon, counted_normals
+    try:
+        run()
+    finally:
+        experiments._family_recon_error, experiments._trial_normals = recon, normals
+    return len(solved)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -58,7 +86,7 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from traceqm import GridMeta, StateVector, certify_hermitian, dispersion, grid_sample, normalize
+    from traceqm import GridMeta, StateVector, certify_hermitian, dispersion, experiments, grid_sample, normalize
     from traceqm.dynamics import build_grid_model, evolve_state, spread_series
     from traceqm.measurement import measure_once, repeat_experiment, sample_rng
     from traceqm.spectral import eigendecompose
@@ -111,10 +139,22 @@ def main() -> int:
         ("spread_series.grid512.5_times", lambda: [spread_series(spread_model, packet, times) for _ in range(50)], 50),
         ("dispersion.grid512.q", lambda: [dispersion(spread_model.q, packet) for _ in range(500)], 500),
     ]
+    # (name, sweep, trials, calls per run): one row per family or per run
+    sweeps = [
+        ("worst_family_recon.n1000.per_family", experiments._worst_family_recon, 1000, 1000),
+        ("claims.weak.per_run", experiments._worst_weak, 1000, 1),
+        ("claims.av_split.per_run", experiments._worst_av_split, 500, 1),
+        ("claims.dispersion_free.per_run", experiments._worst_dispersion_free, 44, 1),
+        ("claims.recon.per_run", experiments._worst_family_recon, 100, 1),
+    ]
+    rows += [(name, lambda sweep=sweep, trials=trials: sweep(np.random.default_rng(seed), trials), count)
+             for name, sweep, trials, count in sweeps]
     for _, run, _ in rows:
         run()  # warm lazy caches, seed blocks and imports
     for name, run, count in rows:
         print(f"{name} {best_us(run, count):.3f} us")
+        if name.startswith(("worst_family_recon", "claims")):
+            print(f"{name.rsplit('.', 1)[0]}.stacks {stacks(experiments, run)}")
     return 0
 
 
