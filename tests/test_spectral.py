@@ -1,6 +1,7 @@
 """Spectral engine: decomposition, commuting families, single generator."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -807,6 +808,11 @@ def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
     assert sum(solved) == 25
 
 
+#: two 8-dimensional recon families' declared bytes: it splits that dimension
+#: of a 30-family sweep, and some dimension of every claims sweep
+SPLIT_BUDGET = 2 * experiments._trial_bytes("recon", 8)
+
+
 def recorded_stacks(monkeypatch):
     """``(sweep, dim, rows)`` of every stack the sweeps solve from now on."""
     stacks = []
@@ -833,11 +839,6 @@ def assert_cut(stacks, budget):
         assert max(per_dim.values()) > 1 and max(rows) > 1
     else:
         assert set(per_dim.values()) == {1}
-
-
-#: two 8-dimensional recon families' declared bytes: it splits that dimension
-#: of a 30-family sweep, and of every claims sweep but the alpha/beta split
-SPLIT_BUDGET = 2 * experiments._trial_bytes("recon", 8)
 
 
 @pytest.mark.parametrize("budget, trials", [(1, 9), (SPLIT_BUDGET, 30), (2**30, 17)])
@@ -956,64 +957,52 @@ def test_run_claims_equals_per_trial_loop_across_chunks(budget, monkeypatch):
     assert_cut(stacks, budget)
 
 
-def stack_peak_bound(sweep, dims, draw_bytes):
-    """What a sweep over ``dims`` may hold at once: one stack being drawn and
-    solved, at most ``STACK_BYTES`` (or one trial's declared bytes, if more),
-    and the draws pending in every dimension's full stack."""
-    declared = [experiments._trial_bytes(sweep, dim) for dim in dims]
-    budget = experiments.STACK_BYTES
-    return max(budget, *declared) + sum(max(1, budget // trial) * draw_bytes(dim)
-                                        for dim, trial in zip(dims, declared))
-
-
-#: each sweep: its run, its dimensions and its draw bytes per trial
-SWEEP_PEAKS = {
-    "recon": (experiments._worst_family_recon, range(3, 9), lambda d: 8 * (2 * d * d + 9)),
-    "weak": (experiments._worst_weak, range(2, 9), lambda d: 8 * (4 * d * d + 2 * d)),
-    "av-split": (experiments._worst_av_split, range(2, 9), lambda d: 8 * (2 * d * d + 2 * d)),
+#: each sweep: its run, its dimensions and the shapes of the arrays one trial draws
+SWEEPS = {
+    "recon": (experiments._worst_family_recon, range(3, 9), lambda d: [(2, d, d), (3, 3)]),
+    "weak": (experiments._worst_weak, range(2, 9), lambda d: [(2, d, d), (2, d, d), (d,), (d,)]),
+    "av-split": (experiments._worst_av_split, range(2, 9), lambda d: [(2, d, d), (d,), (d,)]),
     "dispersion-free": (experiments._worst_dispersion_free, (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
-                        lambda d: 16 * d * d),
+                        lambda d: [(2, d, d)]),
 }
 
 
-def solve_one_stack(sweep, draws):
-    """Run ``sweep`` on one stack of ``draws``, the arrays its trials draw, as the sweep's only stack."""
+def solve_one_stack(sweep, draws, monkeypatch):
+    """Run ``sweep`` on ``draws``, the arrays its trials draw, as its only stack."""
     if sweep == "recon":
         experiments._family_recon_error(*draws)
         return
-    run = SWEEP_PEAKS[sweep][0]
-    real = experiments._trial_normals
-    experiments._trial_normals = lambda *args: iter([draws])
-    try:
-        run(np.random.default_rng(0), 1)
-    finally:
-        experiments._trial_normals = real
+    monkeypatch.setattr(experiments, "_trial_normals", lambda *args: iter([draws]))
+    SWEEPS[sweep][0](np.random.default_rng(0), 1)
 
 
-STACK_SHAPES = {
-    "recon": lambda d: [(2, d, d), (3, 3)],
-    "weak": lambda d: [(2, d, d), (2, d, d), (d,), (d,)],
-    "av-split": lambda d: [(2, d, d), (d,), (d,)],
-    "dispersion-free": lambda d: [(2, d, d)],
-}
-
-
-@pytest.mark.parametrize("sweep, dim", [(sweep, dim) for sweep, (_, dims, _) in SWEEP_PEAKS.items() for dim in dims])
-def test_declared_trial_bytes_cover_a_full_stack(sweep, dim):
+@pytest.mark.parametrize("sweep, dim", [(sweep, dim) for sweep, (_, dims, _) in SWEEPS.items() for dim in dims])
+def test_declared_trial_bytes_cover_a_full_stack(sweep, dim, monkeypatch):
     """Drawing and solving a full stack of a sweep's trials at the default
     budget holds at most its declared bytes per trial, up to 8 KiB of array
     headers and loop state."""
+    shapes = SWEEPS[sweep][2](dim)
     rows = max(1, experiments.STACK_BYTES // experiments._trial_bytes(sweep, dim))
-    solve_one_stack(sweep, [np.ones((1, *shape)) for shape in STACK_SHAPES[sweep](dim)])  # lazy set-up
+    solve_one_stack(sweep, [np.ones((1, *shape)) for shape in shapes], monkeypatch)  # lazy set-up
     rng = np.random.default_rng(SEED + 66 + dim)
     tracemalloc.start()
     try:
-        draws = [rng.standard_normal((rows, *shape)) for shape in STACK_SHAPES[sweep](dim)]
-        solve_one_stack(sweep, draws)
+        solve_one_stack(sweep, [rng.standard_normal((rows, *shape)) for shape in shapes], monkeypatch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= rows * experiments._trial_bytes(sweep, dim) + 2**13
+
+
+def stack_peak_bound(sweep):
+    """What a sweep may hold at once: one stack being drawn and solved, at
+    most ``STACK_BYTES`` (or one trial's declared bytes, if more), and the
+    draws pending in every dimension's full stack."""
+    _, dims, shapes = SWEEPS[sweep]
+    declared = [experiments._trial_bytes(sweep, dim) for dim in dims]
+    budget = experiments.STACK_BYTES
+    return max(budget, *declared) + sum(max(1, budget // trial) * 8 * sum(math.prod(s) for s in shapes(dim))
+                                        for dim, trial in zip(dims, declared))
 
 
 @pytest.mark.parametrize("budget", [experiments.STACK_BYTES, 2**16])
@@ -1025,7 +1014,7 @@ def test_sweep_peak_is_bounded_by_the_stack_budget(sweep, trials, budget, monkey
     64-dimensional trials, up to 16 KiB of array headers and loop state.  The
     bound also holds at a budget of 64 KiB, where every large dimension is
     cut into several stacks."""
-    run, dims, draw_bytes = SWEEP_PEAKS[sweep]
+    run = SWEEPS[sweep][0]
     monkeypatch.setattr(experiments, "STACK_BYTES", budget)
     run(np.random.default_rng(SEED + 65), 50)  # caches and lazy imports outside the trace
     tracemalloc.start()
@@ -1034,7 +1023,7 @@ def test_sweep_peak_is_bounded_by_the_stack_budget(sweep, trials, budget, monkey
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= stack_peak_bound(sweep, dims, draw_bytes) + 2**14
+    assert peak <= stack_peak_bound(sweep) + 2**14
 
 
 def stacked_family_results(families):
