@@ -812,6 +812,10 @@ def test_worst_family_recon_decomposes_each_generator_once(monkeypatch):
 #: of a 30-family sweep, and some dimension of every claims sweep
 SPLIT_BUDGET = 2 * experiments._trial_bytes("recon", 8)
 
+#: sixteen 8-dimensional recon families' declared bytes: every dimension of a
+#: 16- or 17-family sweep fits in one stack; its cases are named by that count
+WHOLE_BUDGET = 16 * experiments._trial_bytes("recon", 8)
+
 
 def recorded_stacks(monkeypatch):
     """``(sweep, dim, rows)`` of every stack the sweeps solve from now on."""
@@ -830,7 +834,8 @@ def recorded_stacks(monkeypatch):
 def assert_cut(stacks, budget):
     """Stacks of one trial each under a one-byte budget; under a budget of two
     8-dimensional recon families, some dimension in several stacks, some
-    stack of several trials; under 1 GiB, one stack per sweep and dimension."""
+    stack of several trials; under a larger budget, one stack per sweep and
+    dimension."""
     rows = [r for _, _, r in stacks]
     per_dim = Counter((sweep, dim) for sweep, dim, _ in stacks)
     if budget == 1:
@@ -841,7 +846,9 @@ def assert_cut(stacks, budget):
         assert set(per_dim.values()) == {1}
 
 
-@pytest.mark.parametrize("budget, trials", [(1, 9), (SPLIT_BUDGET, 30), (2**30, 17)])
+@pytest.mark.parametrize("budget, trials", [
+    (1, 9), (SPLIT_BUDGET, 30),
+    pytest.param(WHOLE_BUDGET, 16, id="16-16"), pytest.param(WHOLE_BUDGET, 17, id="16-17")])
 def test_worst_family_recon_equals_per_member_rebuild_across_chunks(budget, trials, monkeypatch):
     """The same worst error whether each stack holds one family, part of a
     dimension's families, or all of them."""
