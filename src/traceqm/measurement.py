@@ -478,9 +478,10 @@ def reconstruct_density(reports, grid: GridMeta) -> list[tuple[float, float]]:
     total = 0
     for report in reports:
         for value, count in report.counts.items():
-            if not math.isfinite(value):
+            index = float(value) / grid.spacing  # not finite for a NaN or inf outcome, or if it overflows
+            if not math.isfinite(index):
                 raise InputError(f"outcome {value!r} is not a position on this grid")
-            j = int(np.round(value / grid.spacing)) - 1
+            j = int(np.round(index)) - 1
             if j < 0 or j >= grid.npoints or abs(positions[j] - value) > tol:
                 raise InputError(f"outcome {value!r} is not a position on this grid")
             tally[j] += count

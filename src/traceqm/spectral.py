@@ -45,31 +45,25 @@ and imaginary parts of the complex coefficients, (..., N, 2).  A stack of
 coefficient rows is multiplied as one stacked product, which gives each row
 the bytes it has alone.
 
-A real matrix equal to its reflection, A = JAJ with J the exchange matrix
-(centrosymmetric: the grid Hamiltonian commutes with x -> L - x), is block
-diagonal in J's +1 and -1 eigenspaces, and is solved from those two parity
-sectors of half its order (Cantoni and Butler, "Eigenvalues and
-eigenvectors of symmetric centrosymmetric matrices", Linear Algebra Appl.
-13, 275-288, 1976): with N = 2m or 2m + 1, B = A[:m, :m] and
-C = A[N - m:, :m], the even sector is B + JC (bordered for odd N by
-sqrt(2) A[:m, m] and A[m, m]) and the odd sector B - JC, which go to LAPACK
-as two stacks at every N.  Their eigenvalues are merged by a stable
-ascending sort, and a tie across the parities is one degenerate group like
-any other.  This is the refinement :func:`simultaneous_diagonalize` would
-find with J first in the family, in closed form.  It rests only on the
-exact equality, so it has no option and no size threshold.
-
 A :class:`~traceqm.operators.BandOperator` with real bands (the grid
 position and kinetic Hamiltonian) is solved from its bands, never from its
-dense complex matrix: palindromic bands as their two half tridiagonals, the
-parity sectors above (``_band_halves``), other bands whole, each by LAPACK
-``?stevd`` (divide and conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl.
-16, 172-191, 1995) from numpy's own LAPACK at every size (``_lapack``, or
-:class:`LapackError` if it has none).  numpy's ``?syevd`` reduces the filled
-tridiagonal with tau = 0 and calls the same ``?stedc``: the bytes are the
-dense path's up to the sign of a zero level.  Every LAPACK solve runs on one
-BLAS thread (``_one_blas_thread``).  Each path refuses, before allocating, a
-working set that would not fit in physical memory.
+dense complex matrix.  Palindromic bands (the Hamiltonian's: it commutes
+with x -> L - x) are block diagonal in the exchange matrix's +1 and -1
+eigenspaces, so they are solved as those two parity sectors of half the
+order (Cantoni and Butler, "Eigenvalues and eigenvectors of symmetric
+centrosymmetric matrices", Linear Algebra Appl. 13, 275-288, 1976): two
+half tridiagonals cut in O(N) (``_band_halves``) whose eigenvalues are
+merged by a stable ascending sort (``_parity_merge``), a tie across the
+parities being one degenerate group like any other.  Other bands are solved
+whole.  Each tridiagonal goes to LAPACK ``?stevd`` (divide and conquer; Gu
+and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172-191, 1995) from numpy's
+own LAPACK at every size (``_lapack``, or :class:`LapackError` if it has
+none).  numpy's ``?syevd`` reduces the filled tridiagonal with tau = 0 and
+calls the same ``?stedc``, so whole bands give the dense path's bytes up to
+the sign of a zero level, and the halves agree with it to roundoff.  Every
+LAPACK solve runs on one BLAS thread (``_one_blas_thread``).  Each path
+refuses, before allocating, a working set that would not fit in physical
+memory.
 :func:`eigendecompose`, :func:`eigenvalues` and the first member of
 :func:`simultaneous_diagonalize` all take this one rule
 (``_hermitian_solve``).  :func:`eigenvalues` returns the ascending spectrum
@@ -462,39 +456,20 @@ def _solve(solver, matrix: np.ndarray):
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def _centrosymmetric(matrices: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (k, N, N) stack equals its reflection J A J exactly."""
-    return (matrices == matrices[:, ::-1, ::-1]).all(axis=(1, 2))
-
-
-def _sectors(s: np.ndarray) -> list[np.ndarray]:
-    """Even and odd parity sectors (see the module notes) of a centrosymmetric real symmetric (k, N, N) stack."""
-    k, n = s.shape[:2]
-    m = n // 2
-    b, jc = s[:, :m, :m], s[:, n - m:, :m][:, ::-1]
-    even = np.empty((k, n - m, n - m))
-    np.add(b, jc, out=even[:, :m, :m])
-    if n % 2:
-        np.multiply(math.sqrt(2.0), s[:, :m, m], out=even[:, :m, m])
-        np.multiply(math.sqrt(2.0), s[:, m, :m], out=even[:, m, :m])
-        even[:, m, m] = s[:, m, m]
-    return [even, b - jc]
-
-
 def _band_halves(d: np.ndarray, e: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Even and odd (diagonal, off-diagonal) halves of palindromic real bands: in O(N), the parity
-    sectors that :func:`_sectors` cuts from their filled tridiagonal, and filling to its bytes."""
+    """Even and odd (diagonal, off-diagonal) halves of palindromic real bands: their parity sectors
+    (see the module notes), cut in O(N)."""
     m = d.size // 2
-    even_d, even_e = d[:m] + 0.0, e[:m - 1] + 0.0  # the sectors add the reflection's zeros: -0.0 reads +0.0
     if d.size % 2:
-        return [(np.append(even_d, d[m]), np.append(even_e, math.sqrt(2.0) * e[m - 1])), (d[:m], e[:m - 1])]
-    odd_d, reflected = d[:m].copy(), e[m - 1] + 0.0  # the subdiagonal entry, as the fill holds it
-    even_d[-1], odd_d[-1] = d[m - 1] + reflected, d[m - 1] - reflected
-    return [(even_d, even_e), (odd_d, e[:m - 1])]
+        return [(d[:m + 1], np.append(e[:m - 1], math.sqrt(2.0) * e[m - 1])), (d[:m], e[:m - 1])]
+    even_d, odd_d = d[:m].copy(), d[:m].copy()
+    even_d[-1] += e[m - 1]
+    odd_d[-1] -= e[m - 1]
+    return [(even_d, e[:m - 1]), (odd_d, e[:m - 1])]
 
 
 def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool):
-    """Eigenvalues (1, m), and with ``vectors`` eigenvectors (1, m, m), of the real tridiagonal with
+    """Eigenvalues (m,), and with ``vectors`` eigenvectors (m, m), of the real tridiagonal with
     diagonal ``d`` and off-diagonal ``e`` by ``?stevd`` on one BLAS thread, its workspace freed on return."""
     (stevd, _, integer), m = _lapack(), d.size
     values, vectors_t = d.copy(), np.empty((m, m) if vectors else (1, 1))  # column-major: vector j is row j
@@ -504,7 +479,7 @@ def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool):
                      work.size, iwork, iwork.size)
     if info:
         raise ConvergenceError(f"eigenvalue iteration failed: ?stevd returned info {info}")
-    return (values[None], vectors_t.T[None]) if vectors else values[None]
+    return (values, vectors_t.T) if vectors else values
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
@@ -520,36 +495,35 @@ def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
 
 
 def _parity_merge(results, n: int, vectors: bool):
-    """Eigenvalues (k, n), and with ``vectors`` real eigenvectors (k, n, n), of k centrosymmetric
-    matrices of order ``n`` from the ``results`` of their parity sectors, even first: each sector's
-    eigenvalues (k, m), and eigenvectors (k, m, m).  The eigenvalues are merged by a stable sort,
-    even before odd where they tie; an even vector (x, xi) becomes [x; sqrt(2) xi; Jx]/sqrt(2) and
-    an odd vector x becomes [x; 0; -Jx]/sqrt(2), the centre row existing only for odd n."""
+    """Eigenvalues (n,), and with ``vectors`` real eigenvectors (n, n), of palindromic bands of
+    order ``n`` from the ``results`` of their parity halves, even first: each half's eigenvalues
+    (m,), and eigenvectors (m, m).  The eigenvalues are merged by a stable sort, even before odd
+    where they tie; an even vector (x, xi) becomes [x; sqrt(2) xi; Jx]/sqrt(2) and an odd vector
+    x becomes [x; 0; -Jx]/sqrt(2), the centre row existing only for odd n."""
     values, halves = zip(*results) if vectors else (results, None)
-    merged = np.concatenate(values, axis=-1)
-    order = np.argsort(merged, axis=-1, kind="stable")
-    values = np.take_along_axis(merged, order, axis=-1)
+    merged = np.concatenate(values)
+    order = np.argsort(merged, kind="stable")
+    values = merged[order]
     if not vectors:
         return values
     even, odd = halves
     m, r = n // 2, math.sqrt(0.5)
-    basis = np.empty((len(order), n, n))
-    top, bottom = basis[:, :m], basis[:, n - m:]
+    basis = np.empty((n, n))
+    top, bottom = basis[:m], basis[n - m:]
     # the top half of every vector, in ascending order, gathered through the bottom half's rows so
     # that no other N x N/2 array is formed; the bottom half then mirrors it
-    np.concatenate((even[:, :m], odd), axis=-1, out=bottom)
-    for gathered, into, columns in zip(bottom, top, order):
-        np.take(gathered, columns, axis=-1, out=into, mode="clip")  # "raise" would buffer the output
-    np.multiply(top[:, ::-1], np.where(order < even.shape[-1], r, -r)[:, None, :], out=bottom)
+    np.concatenate((even[:m], odd), axis=-1, out=bottom)
+    np.take(bottom, order, axis=-1, out=top, mode="clip")  # "raise" would buffer the output
+    np.multiply(top[::-1], np.where(order < even.shape[-1], r, -r), out=bottom)
     top *= r
     if n % 2:
-        centre = np.concatenate((even[:, m], np.zeros((len(order), m))), axis=-1)
-        basis[:, m] = np.take_along_axis(centre, order, axis=-1)
+        basis[m] = np.concatenate((even[m], np.zeros(m)))[order]
     return values, basis
 
 
 def _band_solve(a: BandOperator, vectors: bool):
-    """Solve a band operator with real bands from its bands (see the module notes) as :func:`_dense_solve` would."""
+    """Solve a band operator with real bands from its bands (see the module notes), returning what
+    :func:`_dense_solve` returns for a stack of one."""
     n = a.dim
     palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
     if vectors:
@@ -558,7 +532,9 @@ def _band_solve(a: BandOperator, vectors: bool):
     bands = np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e)
     results = [_stevd(d, e, vectors) for d, e in (_band_halves(*bands) if palindromic else [bands])]
     result = _parity_merge(results, n, vectors) if palindromic else results[0]
-    return (np.ldexp(result[0], e), [(slice(None), result[1])]) if vectors else np.ldexp(result, e)
+    if not vectors:
+        return np.ldexp(result, e)[None]
+    return np.ldexp(result[0], e)[None], [(slice(None), result[1][None])]
 
 
 def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True):
@@ -566,23 +542,18 @@ def _dense_solve(matrices: np.ndarray, scales: np.ndarray, vectors: bool = True)
 
     Each matrix is solved as 2**-e A, with max|A| (its ``scales`` entry) in
     [0.5, 1), and its eigenvalues are scaled back exactly.  The matrices with
-    an exactly zero imaginary part are solved in real arithmetic: those equal
-    to J A J together from their parity sectors (:func:`_parity_merge`), the
-    others together whole; the rest together by the complex solver.  The
-    eigenvectors come as ``[(rows, basis)]``: one part for each of these
-    groups used, ``rows`` selecting its matrices and ``basis`` float64 or
-    complex128 accordingly.
+    an exactly zero imaginary part are solved together in real arithmetic, the
+    rest together by the complex solver.  The eigenvectors come as
+    ``[(rows, basis)]``: one part for each of these two groups used, ``rows``
+    selecting its matrices and ``basis`` float64 or complex128 accordingly.
     """
     e = np.frexp(scales)[1]
     scaled = np.ldexp(matrices.view(np.float64), -e[:, None, None]).view(np.complex128)
     real = ~matrices.imag.any(axis=(1, 2))
-    split = real & _centrosymmetric(matrices.real) if real.any() else real
-    whole = partial(_solve, np.linalg.eigh if vectors else np.linalg.eigvalsh)
-    n = matrices.shape[-1]
+    solve = partial(_solve, np.linalg.eigh if vectors else np.linalg.eigvalsh)
     values = np.empty(matrices.shape[:2])
     parts = []
-    for rows, stack, solve in ((split, scaled.real, lambda s: _parity_merge(list(map(whole, _sectors(s))), n, vectors)),
-                               (real & ~split, scaled.real, whole), (~real, scaled, whole)):
+    for rows, stack in ((real, scaled.real), (~real, scaled)):
         if rows.all():
             rows = slice(None)
         elif rows.any():
@@ -603,11 +574,10 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
     """:func:`_dense_solve` of a certified hermitian ``a`` as a stack of one.
 
     A band operator with real bands is instead solved from its bands by
-    :func:`_band_solve`, at the same exact power-of-two scale and by the same
-    parity rule.  Either way a matrix with any nonzero imaginary entry,
-    however small, keeps the complex solver.  The scaling avoids LAPACK's own
-    rescale of a norm outside about [1.5e-146, 6.7e145] by a factor that is
-    not a power of two.
+    :func:`_band_solve`, at the same exact power-of-two scale.  Either way a
+    matrix with any nonzero imaginary entry, however small, keeps the complex
+    solver.  The scaling avoids LAPACK's own rescale of a norm outside about
+    [1.5e-146, 6.7e145] by a factor that is not a power of two.
     """
     if not isinstance(a, HermitianOperator):
         raise InputError(f"{caller} needs a certified HermitianOperator")

@@ -339,8 +339,9 @@ def test_density_rejects_non_position_outcomes():
         reconstruct_density([], g)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
 def test_density_rejects_a_non_finite_outcome(value):
+    """NaN and infinite outcomes, and outcomes whose grid index overflows, are refused."""
     g = GridMeta(length=1.0, npoints=8)
     fake = EnsembleReport(counts={value: 10}, n=10, empirical_mean=value, empirical_std=0.0, seed=0)
     with pytest.raises(InputError):

@@ -354,7 +354,7 @@ def test_tiny_imaginary_part_keeps_complex_path(monkeypatch):
         solver = getattr(np.linalg, name)
 
         def recorded(matrix):
-            seen.append((name, matrix.dtype))
+            seen.append((name, matrix.shape, matrix.dtype))
             return solver(matrix)
         return recorded
 
@@ -367,10 +367,10 @@ def test_tiny_imaginary_part_keeps_complex_path(monkeypatch):
         a = certify_hermitian(matrix)
         eigendecompose(a)
         eigenvalues(a)
-    # PAULI_X equals its reflection, so its real path is its two 1 x 1 parity sectors
+    # PAULI_X's real path is one whole 2 x 2 solve
     assert seen == [
-        ("eigh", np.complex128), ("eigvalsh", np.complex128),
-        ("eigh", np.float64), ("eigh", np.float64), ("eigvalsh", np.float64), ("eigvalsh", np.float64),
+        ("eigh", (1, 2, 2), np.complex128), ("eigvalsh", (1, 2, 2), np.complex128),
+        ("eigh", (1, 2, 2), np.float64), ("eigvalsh", (1, 2, 2), np.float64),
     ]
 
 
@@ -1141,9 +1141,14 @@ def grid_band_operators(npoints):
 @pytest.mark.parametrize("npoints", [16, 128, 512])
 @pytest.mark.parametrize("name", ["q", "p", "H"])
 def test_band_solve_below_crossover_keeps_the_dense_bytes(name, npoints):
-    """Up to the crossover a band operator is solved to the bytes of its certified dense matrix."""
+    """q's whole bands and p's complex ones are solved to the bytes of their certified
+    dense matrices.  H, solved from its parity halves where the dense solve takes it
+    whole, is held to backward stability instead."""
     op = grid_band_operators(npoints)[name]
     assert isinstance(op, BandOperator)
+    if name == "H":
+        assert_band_solve_backward_stable(op)
+        return
     band = eigendecompose(op)
     values = eigenvalues(op)
     dense = certify_hermitian(op.matrix)
@@ -1188,7 +1193,7 @@ def assert_band_solve_backward_stable(op):
 
 @pytest.mark.parametrize("name", ["q", "H"])
 def test_band_solve_above_crossover_is_backward_stable(name):
-    """?stemr's levels lie within N*eps*||A|| of the dense solve's, as both are
+    """?stevd's levels lie within N*eps*||A|| of the dense solve's, as both are
     backward stable; its basis is orthonormal to N*eps, each eigenpair's
     residual is within N*eps*||A||, and the conventions hold."""
     assert_band_solve_backward_stable(grid_band_operators(ABOVE_CROSSOVER)[name])
@@ -1197,8 +1202,8 @@ def test_band_solve_above_crossover_is_backward_stable(name):
 @pytest.mark.parametrize("npoints", [1535, 1601])
 @pytest.mark.parametrize("name", ["q", "H"])
 def test_band_solve_is_backward_stable_at_odd_n(name, npoints):
-    """The same at odd N on both sides of the crossover: H's even sector there
-    has the centre row, and below the crossover it is solved from its sectors."""
+    """The same at odd N, below and above ABOVE_CROSSOVER: H's even half there
+    has the centre row."""
     assert_band_solve_backward_stable(grid_band_operators(npoints)[name])
 
 
@@ -1370,12 +1375,12 @@ _PARITY_KINDS = ["random", "zero", "identity", "palindromic-diagonal", "decouple
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), kind=st.sampled_from(_PARITY_KINDS))
 def test_parity_split_is_backward_stable(seed, n, kind):
-    """The split solve of a centrosymmetric matrix is as good as LAPACK's whole solve.
+    """The real solve of a centrosymmetric matrix, whose parities plant ties
+    across them, is backward stable.
 
     LAPACK bounds its own errors by p(N)*eps, p growing modestly: on these
     matrices its whole solve reaches 3*N*eps orthogonality at N = 3 (60000
-    draws of orders 2 to 9), and the split, whose sectors are LAPACK solves of
-    order about N/2, 2*N*eps.  The split is held to these bounds with a factor of 4."""
+    draws of orders 2 to 9).  The solve is held to that bound with a factor of 4."""
     a = centrosymmetric(np.random.default_rng(seed), n, kind)
     assert np.array_equal(a, a[::-1, ::-1]) and np.array_equal(a, a.T)
     op = certify_hermitian(a)
@@ -1392,7 +1397,8 @@ def test_parity_split_is_backward_stable(seed, n, kind):
        data=st.data())
 def test_parity_split_does_not_depend_on_the_stack(seed, n, kinds, data):
     """A matrix gives the same bytes alone as anywhere in a stack mixing
-    centrosymmetric, other real and complex matrices, and as eigendecompose."""
+    centrosymmetric matrices, with their planted cross-parity ties, other real
+    and complex matrices, and as eigendecompose."""
     rng = np.random.default_rng(seed)
     matrices = []
     for kind in kinds:
@@ -1530,25 +1536,32 @@ def palindromic_bands(rng, n):
     return np.where(np.arange(n) < n // 2, d, d[::-1]), np.where(np.arange(n - 1) < (n - 1) // 2, u, u[::-1])
 
 
+def parity_sectors(s):
+    """The even and odd parity sectors of a centrosymmetric real symmetric matrix, cut from it
+    densely (Cantoni and Butler): with N = 2m or 2m + 1, B = s[:m, :m] and C = s[N - m:, :m],
+    the even sector is B + JC (bordered for odd N by sqrt(2) s[:m, m] and s[m, m]), the odd B - JC."""
+    n = s.shape[0]
+    m = n // 2
+    b, jc = s[:m, :m], s[n - m:, :m][::-1]
+    even = np.empty((n - m, n - m))
+    even[:m, :m] = b + jc
+    if n % 2:
+        even[:m, m] = even[m, :m] = math.sqrt(2.0) * s[:m, m]
+        even[m, m] = s[m, m]
+    return [even, b - jc]
+
+
 @pytest.mark.parametrize("npoints", [8, 9, 16, 33, 128, 129])
 def test_band_half_blocks_are_the_dense_half_blocks(npoints, monkeypatch):
-    """Palindromic bands feed ?stevd the half tridiagonals whose fill is the half
-    blocks the dense path forms from the band operator's matrix, to the byte and
-    down to the sign of a zero, and the levels and bases agree to the byte.  (On
-    larger sectors, as at N = 1000, ?syevd's blocked reduction subtracts zero
-    products, which can turn a diagonal -0.0 into +0.0, so an exactly zero level
-    may then differ from ?stevd's in its sign alone.)"""
+    """Palindromic bands feed ?stevd the half tridiagonals whose fill is the parity
+    sectors of the band operator's matrix at the solve's power-of-two scale, and the
+    basis they give is backward stable."""
     rng = np.random.default_rng(SEED + 80 + npoints)
     d, u = palindromic_bands(rng, npoints)
     op = BandOperator(d, u, GridMeta(length=1.0, npoints=npoints))
-    sectors = []
-    solver = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: sectors.append(matrix[0].copy()) or solver(matrix))
     _, halves = spy_on_stevd(monkeypatch)
     band = eigendecompose(op)
-    reference = eigendecompose(certify_hermitian(op.matrix))
     filled = [operators._fill_tridiagonal(np.zeros((h.size, h.size)), h, e) for h, e in halves]
-    assert len(filled) == 2 and [x.tobytes() for x in filled] == [x.tobytes() for x in sectors]
-    assert band.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
-    assert band.basis.tobytes() == reference.basis.tobytes()
+    sectors = parity_sectors(np.ldexp(op._dense(np.float64), -math.frexp(op.scale)[1]))
+    assert len(filled) == 2 and all(np.array_equal(x, y) for x, y in zip(filled, sectors))
     assert_backward_stable_basis(op._dense(np.float64), band)

@@ -90,7 +90,7 @@ EXTRA = (
     ("spread-length1e-12", ("spread", "--length", "1e-12")),
     # brackets of about 1e8, where an absolute gap bound failed on a roundoff gap
     ("poisson-omega1e4", ("poisson", "--omega", "1e4")),
-    # the largest grid once solved densely from its two parity sectors, now by ?stevd on its halves
+    # a Hamiltonian of order 1536 solved by ?stevd on its two parity halves of order 768
     ("spread-n1536", ("spread", "--grid-n", "1536")),
     # odd-N sectors, and position's bands, which are not palindromic, solved whole
     ("ensemble-density-n257", ("ensemble-density", "--grid-n", "257")),

@@ -11,6 +11,9 @@ one BLAS thread, it times:
 - ``repeat_experiment`` per sample: the cat state on the cat observable
   (``cat``'s default n), and the 128-point ground state on the position
   operator (``ensemble-density``'s defaults);
+- ``eigendecompose`` per call of small dense operators: the cat observable
+  diag(1, -1), Pauli X, and seeded 6x6 real symmetric, centrosymmetric
+  (equal to its reflection J A J) and complex hermitian matrices;
 - on the 512-point grid of ``spread``'s defaults: ``eigendecompose`` of the
   grid Hamiltonian, ``evolve_state`` of ``spread``'s packet to one time,
   ``spread_series`` over ``spread``'s five default times, and
@@ -107,6 +110,15 @@ def main() -> int:
     sigma0 = grid.length / 40.0
     tau = 2.0 * grid.mass * sigma0 * sigma0 / grid.hbar
     times = [factor * tau for factor in (0.0, 0.5, 1.0, 3.0 ** 0.5, 2.0)]
+    draws6 = np.random.default_rng(seed + 2).standard_normal((2, 6, 6))
+    real6 = draws6[0] + draws6[0].T
+    small = [
+        ("cat", cat_observable),
+        ("pauli_x", certify_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        ("real6", certify_hermitian(real6)),
+        ("centrosymmetric6", certify_hermitian(real6 + real6[::-1, ::-1])),
+        ("complex6", certify_hermitian(real6 + 1j * (draws6[1] - draws6[1].T))),
+    ]
     packet = grid_sample(lambda x: np.exp(-((x - grid.length / 2.0) ** 2) / (4.0 * sigma0 * sigma0)), grid)
 
     def rngs():
@@ -134,6 +146,7 @@ def main() -> int:
          lambda: repeat_experiment(lambda: cat, cat_observable, 10_000, seed), 10_000),
         ("repeat_experiment.position128.per_sample",
          lambda: repeat_experiment(lambda: ground, model.q, 50_000, seed), 50_000),
+        *[(f"eigendecompose.{name}", lambda a=a: [eigendecompose(a) for _ in range(2000)], 2000) for name, a in small],
         ("eigendecompose.grid512", lambda: [eigendecompose(spread_model.hamiltonian) for _ in range(20)], 20),
         ("evolve_state.grid512", lambda: [evolve_state(spread_model, packet, tau) for _ in range(200)], 200),
         ("spread_series.grid512.5_times", lambda: [spread_series(spread_model, packet, times) for _ in range(50)], 50),
