@@ -8,14 +8,17 @@ probability catches the roundoff sliver at the top), and collapses the state
 onto that eigenspace.
 Each decomposition remembers the outcome bounds of the last few states
 measured on it and every collapse built from them (at most ``MEMO_ENTRIES``
-entries, the oldest evicted first), found by one lookup in :func:`measure_once`
-and :func:`repeat_experiment`.  The last ``MEMO_ENTRIES`` state objects looked
-up are known by identity, from a table that holds each of them so that its id
-is not reused; any other state is looked up by its grid and coefficient bytes,
-so an equal copy reuses the entry.  A measurement whose state and outcome are
-known costs one variate, one bisection of the bounds and two dict lookups:
+entries, the oldest evicted first).  A state's entry carries an outcome table
+with one slot per group, holding that group's collapse while the memo holds
+it.  The last ``MEMO_ENTRIES`` state objects looked up are known by identity,
+from a table that holds each of them so that its id is not reused; any other
+state is looked up by its grid and coefficient bytes, so an equal copy reuses
+the entry.  A measurement whose state object and outcome are known costs one
+variate, one identity lookup, one bisection of the bounds and one table slot:
 replaying samples, or measuring a collapsed state again, repeats no Born
-computation and hashes no coefficients.
+computation, hashes no coefficients and looks up nothing in the memo.
+:func:`repeat_experiment` tallies the variates of a chunk under one state's
+bounds together, by sorting them and counting those below each bound.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
 its preparation recipe, measures, and discards.  Randomness comes from one
@@ -128,20 +131,21 @@ _XSHIFT = 16
 _PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
 
 
-def _hashmix(value, hash_const: int, mult: int = _MULT_A) -> tuple:
-    """SeedSequence's hashmix on an int or a uint64 array of uint32 values; returns the next constant."""
+def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple:
+    """SeedSequence's hashmix on a uint32 array, wrapping mod 2**32; returns the next constant."""
     value = value ^ hash_const
     hash_const = (hash_const * mult) & _MASK32
     value *= hash_const
-    value &= _MASK32
     value ^= value >> _XSHIFT
     return value, hash_const
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 values (ints or uint64 arrays)."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    result &= _MASK32
+def _mix(x: int, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a uint32 int and a uint32 array, wrapping mod 2**32.
+
+    The int's product is reduced first: numpy refuses a Python int beyond uint32.
+    """
+    result = ((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y
     result ^= result >> _XSHIFT
     return result
 
@@ -193,24 +197,18 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
     words = max(1, -(-seed.bit_length() // 32))
     hashes = _POOL_SIZE**2 + _POOL_SIZE * max(0, words - _POOL_SIZE)
     hash_const = (_INIT_A * pow(_MULT_A, hashes, 1 << 32)) & _MASK32
-    # the spawn word, in uint64 lanes holding uint32 values
-    spawn = np.arange(lo, hi, dtype=np.uint64)
+    spawn = np.arange(lo, hi, dtype=np.uint32)
     for dst in range(_POOL_SIZE):
         value, hash_const = _hashmix(spawn, hash_const)
         pool[dst] = _mix(pool[dst], value)
     del spawn, value
 
-    # generate_state(4, uint64): eight uint32 words, paired little-endian
-    out = np.empty((_POOL_SIZE, hi - lo), dtype=np.uint64)
+    # generate_state(4, uint64): eight uint32 words, each pair one little-endian uint64
+    out = np.empty((_POOL_SIZE, hi - lo, 2), dtype="<u4")
     hash_const = _INIT_B
     for k in range(2 * _POOL_SIZE):
-        value, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
-        if k % 2:
-            value <<= 32
-            out[k // 2] |= value
-        else:
-            out[k // 2] = value
-    return out.T
+        out[k // 2, :, k % 2], hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
+    return out.view("<u8")[..., 0].astype(np.uint64, copy=False).T
 
 
 def _first_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -351,32 +349,40 @@ def _collapse(dec: SpectralDecomposition, amps: np.ndarray, g: int) -> Measureme
 
 
 def _remember(memo, key, value):
-    """Store ``value`` under ``key``, evicting the oldest entries beyond ``MEMO_ENTRIES``."""
+    """Store ``value`` under ``key``, evicting the oldest entries beyond ``MEMO_ENTRIES``.
+
+    An evicted collapse, stored as its state's outcome table under ``(id(table), g)``,
+    is cleared from slot g of that table.
+    """
     while len(memo) >= MEMO_ENTRIES:
-        memo.popitem(last=False)
+        (_, g), held = memo.popitem(last=False)
+        if type(held) is list:
+            held[g] = None
     memo[key] = value
     return value
 
 
-def _known_state(dec: SpectralDecomposition, psi: StateVector):
-    """Memo key of ``psi`` and its ``(amplitudes, bounds)``, computed once per content.
+def _known_state(dec: SpectralDecomposition, psi: StateVector) -> tuple:
+    """``(psi, amplitudes, bounds, outcome table)`` of a state not known by identity.
 
-    The last ``MEMO_ENTRIES`` state objects looked up are known by identity
-    (states are immutable) from ``dec._known``, which holds each one so that
-    its id cannot be reused while its entry lives; any other state is known
-    by its key.  Only successes are stored, so a refused state is refused
-    every time.
+    The entry is looked up by grid and coefficient bytes, and computed once per
+    content; slot g of its outcome table holds the collapse onto group g while
+    the memo holds it, else None.  The state then joins ``dec._known``, the last
+    ``MEMO_ENTRIES`` state objects looked up, which holds each one so that its
+    id cannot be reused while its entry lives (states are immutable).  Only
+    successes are stored, so a refused state is refused every time.
     """
-    hit = dec._known.get(id(psi))
-    if hit is not None and hit[0] is psi:
-        return hit[1], hit[2]
     memo = dec._memo
     key = (psi.grid, psi.coeffs.tobytes())
-    known = memo.get(key)
-    if known is None:
-        known = _remember(memo, key, _outcome_bounds(dec, psi))
-    _remember(dec._known, id(psi), (psi, key, known))
-    return key, known
+    entry = memo.get(key)
+    if entry is None:
+        amps, bounds = _outcome_bounds(dec, psi)
+        entry = _remember(memo, key, (amps, bounds, [None] * (bounds.size + 1)))
+    known = dec._known
+    while len(known) >= MEMO_ENTRIES:
+        known.popitem(last=False)
+    known[id(psi)] = hit = (psi, *entry)
+    return hit
 
 
 def measure_once(dec: SpectralDecomposition, psi: StateVector,
@@ -385,16 +391,35 @@ def measure_once(dec: SpectralDecomposition, psi: StateVector,
 
     The outcome bounds of ``psi`` and the collapse onto the drawn group are
     taken from ``dec``'s memo when an earlier call computed them for the same
-    state object or for a state with the same grid and coefficient bytes.
-    The group is a scalar bisection of the bounds.
+    state object or for a state with the same grid and coefficient bytes.  A
+    state object known by identity costs one lookup in ``dec._known``, a
+    bisection of its bounds and one slot of its outcome table.
     """
-    state, (amps, bounds) = _known_state(dec, psi)
+    hit = dec._known.get(id(psi))
+    if hit is None or hit[0] is not psi:
+        hit = _known_state(dec, psi)
+    _, amps, bounds, table = hit
     g = bisect.bisect_right(bounds, rng.random())
-    memo = dec._memo
-    outcome = memo.get((state, g))
+    outcome = table[g]
     if outcome is None:
-        outcome = _remember(memo, (state, g), _collapse(dec, amps, g))
+        outcome = table[g] = _collapse(dec, amps, g)
+        _remember(dec._memo, (id(table), g), table)
     return outcome
+
+
+def _tally(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Count per outcome group of the variates ``u`` under the outcome ``bounds``.
+
+    Equal to ``np.bincount(bounds.searchsorted(u, side="right"))`` padded to
+    ``bounds.size + 1`` groups: the variates below each bound are counted on
+    the sorted variates, one search per bound rather than one per variate,
+    and group g counts those below its bound less those below the one before.
+    """
+    below = np.sort(u).searchsorted(bounds, side="left")
+    counts = np.empty(bounds.size + 1, dtype=np.int64)
+    counts[:-1], counts[-1] = below, u.size
+    counts[1:] -= below
+    return counts
 
 
 def repeat_experiment(preparation: Callable[[], StateVector], observable: HermitianOperator,
@@ -406,10 +431,12 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     outcome bounds come from the decomposition's memo, as for
     :func:`measure_once`; a preparation that returns the same object as the
     sample before is not looked up again, and any other object must be a
-    :class:`StateVector` (else ``InputError``).  Sample i draws from
-    ``sample_rng(seed, i)``, so the counts are identical however the loop is
-    chunked, and each outcome can be replayed with :func:`measure_once`.
-    ``n`` and ``seed`` must be integers (a bool is refused with ``TypeError``).
+    :class:`StateVector` (else ``InputError``).  The samples of a chunk
+    under the same bounds are tallied at once (:func:`_tally`).  Sample i draws
+    from ``sample_rng(seed, i)``, so the counts are identical however the
+    loop is chunked, and each outcome can be replayed with
+    :func:`measure_once`.  ``n`` and ``seed`` must be integers (a bool is
+    refused with ``TypeError``).
     """
     if isinstance(n, bool):
         raise TypeError("the sample count must be an integer, not a bool")
@@ -421,6 +448,7 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     seed = operator.index(seed)
     np.random.SeedSequence(seed)  # a negative seed fails here as in sample_rng, before any sample
     dec = eigendecompose(observable)
+    known = dec._known
     counts = np.zeros(dec.bounds.size - 1, dtype=np.int64)
     psi, bounds = object(), None  # an object no preparation returns
     for lo in range(0, n, SAMPLE_CHUNK):
@@ -435,18 +463,23 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
             if not isinstance(prepared, StateVector):
                 raise InputError(f"the preparation must return a StateVector, not {type(prepared).__name__}")
             psi = prepared
-            _, (_, known) = _known_state(dec, psi)
-            if known is not bounds:
-                bounds = known
+            hit = known.get(id(psi))
+            if hit is None or hit[0] is not psi:
+                hit = _known_state(dec, psi)
+            if hit[2] is not bounds:
+                bounds = hit[2]
                 starts.append(i - lo)
                 run_bounds.append(bounds)
         starts.append(hi - lo)
         u = _first_uniforms(seed, lo, hi)
-        picked = np.empty(hi - lo, dtype=np.intp)
+        # a tally does not depend on the order of its variates, so all the
+        # runs under one bounds object are tallied together
+        runs = {}
         for start, stop, run in zip(starts, starts[1:], run_bounds):
             if stop > start:
-                picked[start:stop] = run.searchsorted(u[start:stop], side="right")
-        counts += np.bincount(picked, minlength=counts.size)
+                runs.setdefault(id(run), (run, []))[1].append(u[start:stop])
+        for run, pieces in runs.values():
+            counts += _tally(np.concatenate(pieces), run)
 
     seen = np.flatnonzero(counts)
     observed = {dec.group_eigenvalue(g): int(counts[g]) for g in seen}

@@ -385,7 +385,8 @@ class SpectralDecomposition:
 
     @cached_property
     def _known(self) -> OrderedDict:
-        """The Born path's recent states by ``id``, each as ``(state, key, entry)``, oldest first."""
+        """The Born path's recent states by ``id``, each as ``(state, amplitudes, bounds, outcome table)``,
+        oldest first."""
         return OrderedDict()
 
     @cached_property

@@ -519,25 +519,34 @@ def assert_repeat_matches_replay(a, schedule):
     assert next(calls, None) is None
 
 
-def test_repeat_matches_replay_when_preparation_switches():
-    """Counts equal a per-sample measure_once replay across state changes and
-    chunks, also when the states cycle through more than the memo holds."""
-    rng = np.random.default_rng(SEED + 12)
-    dim = 5
-    a = random_hermitian(rng, dim)
-    first, second = random_state(rng, dim), random_state(rng, dim)
-    n = SAMPLE_CHUNK + 300
-    # equal copies (new objects) and switches inside and across chunks
+def switching_schedule(first, second, n):
+    """n samples of ``first`` and ``second``, as equal copies (new objects) switching
+    inside and across chunks."""
     switches = {0: first, 100: second, 101: first, SAMPLE_CHUNK - 2: second, SAMPLE_CHUNK + 7: first}
     schedule = []
     for i in range(n):
-        schedule.append(StateVector(switches[i].coeffs.copy()) if i in switches else schedule[-1])
-    assert_repeat_matches_replay(a, schedule)
+        schedule.append(StateVector(switches[i].coeffs.copy(), switches[i].grid) if i in switches else schedule[-1])
+    return schedule
+
+
+def test_repeat_matches_replay_when_preparation_switches():
+    """Counts equal a per-sample measure_once replay across state changes and
+    chunks, also when the states cycle through more than the memo holds, and
+    on the 128-point position observable, whose 128 groups the tally spreads
+    the variates over."""
+    rng = np.random.default_rng(SEED + 12)
+    dim = 5
+    a = random_hermitian(rng, dim)
+    n = SAMPLE_CHUNK + 300
+    assert_repeat_matches_replay(a, switching_schedule(random_state(rng, dim), random_state(rng, dim), n))
     # a fresh copy every sample, cycling through more distinct states than
     # MEMO_ENTRIES, so evicted states come back and are computed again
     cycle = [random_state(rng, dim) for _ in range(MEMO_ENTRIES + 3)]
     assert_repeat_matches_replay(a, [StateVector(cycle[(i // 7) % len(cycle)].coeffs.copy())
                                      for i in range(n)])
+    model = build_grid_model(GridMeta(length=1.0, npoints=128))
+    ground = model.energy_spectrum().eigenvector(0)
+    assert_repeat_matches_replay(model.q, switching_schedule(ground, random_state(rng, 128, ground.grid), n))
 
 
 def test_repeat_computes_outcome_bounds_once_per_prepared_content(monkeypatch):
@@ -824,7 +833,8 @@ class CountingMemo(OrderedDict):
 
 def test_replay_computes_outcome_bounds_once_per_content_and_hashes_none_again(monkeypatch):
     """psi, its collapse, psi, ...: each content's bounds are computed once, and
-    every later lookup is by identity, leaving the memo only the collapse lookup."""
+    every later lookup is by identity, which finds the collapse in the state's
+    outcome table without a memo lookup."""
     calls = []
     original = measurement._outcome_bounds
     monkeypatch.setattr(measurement, "_outcome_bounds",
@@ -841,8 +851,27 @@ def test_replay_computes_outcome_bounds_once_per_content_and_hashes_none_again(m
     assert len(collapses) == 2
     assert len(calls) == 1 + len(collapses)
     assert calls[0] is psi
-    # one collapse lookup per call, plus one content lookup per distinct state
-    assert memo.gets == 2 * samples + len(calls)
+    # one content lookup per distinct state, none per call
+    assert memo.gets == len(calls)
+
+
+@given(weights=st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0),
+                        min_size=2, max_size=8).filter(lambda w: max(w) > 0),
+       picks=st.lists(st.integers(0, 7) | st.floats(0.0, 1.0, exclude_max=True)
+                      | st.just(float(np.nextafter(1.0, 0.0))), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_chunk_tally_counts_the_searchsorted_groups(weights, picks):
+    """The sorted tally counts what one searchsorted per variate picks: variates
+    planted exactly on a bound, zero-probability groups (repeated bounds) and
+    the infinite bounds of trailing zero-probability groups included."""
+    dim = len(weights)
+    dec = eigendecompose(certify_hermitian(np.diag(np.arange(dim, dtype=np.float64))))
+    _, bounds = measurement._outcome_bounds(dec, normalize(StateVector(np.sqrt(weights))))
+    u = np.array([float(bounds[pick % bounds.size]) if isinstance(pick, int) else pick for pick in picks])
+    u = u[u < 1.0]  # a planted infinite bound, or a partial sum rounded to one, is no variate
+    want = np.bincount(bounds.searchsorted(u, side="right"), minlength=dim)
+    got = measurement._tally(u, bounds)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class FixedVariate:

@@ -1529,10 +1529,12 @@ def test_dense_real_solve_gives_the_same_bytes_on_one_blas_thread_and_two():
 
 
 def palindromic_bands(rng, n):
-    """Palindromic real bands with signed zeros among their entries."""
+    """Palindromic real bands with signed zeros among their entries, but a nonzero middle
+    coupling, the one the parity halves add to or subtract from their diagonal."""
     d, u = rng.standard_normal(n), rng.standard_normal(n - 1)
     d[rng.random(n) < 0.2], u[rng.random(n - 1) < 0.3] = -0.0, -0.0
     u[rng.random(n - 1) < 0.2] = 0.0
+    u[n // 2 - 1] = rng.standard_normal()
     return np.where(np.arange(n) < n // 2, d, d[::-1]), np.where(np.arange(n - 1) < (n - 1) // 2, u, u[::-1])
 
 

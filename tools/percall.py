@@ -10,7 +10,10 @@ one BLAS thread, it times:
   content to the cat state;
 - ``repeat_experiment`` per sample: the cat state on the cat observable
   (``cat``'s default n), and the 128-point ground state on the position
-  operator (``ensemble-density``'s defaults);
+  operator (``ensemble-density``'s defaults); and per chunk of
+  ``SAMPLE_CHUNK`` variates, its tally alone on that ground state's outcome
+  bounds (in a checkout without ``measurement._tally``, the one
+  ``searchsorted`` per variate and ``bincount`` that preceded it);
 - ``eigendecompose`` per call of small dense operators: the cat observable
   diag(1, -1), Pauli X, and seeded 6x6 real symmetric, centrosymmetric
   (equal to its reflection J A J) and complex hermitian matrices;
@@ -91,6 +94,7 @@ def main() -> int:
 
     from traceqm import GridMeta, StateVector, certify_hermitian, dispersion, experiments, grid_sample, normalize
     from traceqm.dynamics import build_grid_model, evolve_state, spread_series
+    from traceqm import measurement
     from traceqm.measurement import measure_once, repeat_experiment, sample_rng
     from traceqm.spectral import eigendecompose
 
@@ -104,6 +108,10 @@ def main() -> int:
     copies = [StateVector(cat.coeffs.copy()) for _ in range(calls)]
     model = build_grid_model(GridMeta(length=1.0, npoints=128))
     ground = model.energy_spectrum().eigenvector(0)
+    chunk = measurement._first_uniforms(seed, 0, measurement.SAMPLE_CHUNK)
+    _, ground_bounds = measurement._outcome_bounds(eigendecompose(model.q), ground)
+    tally = getattr(measurement, "_tally", None) or (
+        lambda u, bounds: np.bincount(bounds.searchsorted(u, side="right"), minlength=bounds.size + 1))
     # spread's defaults: length 1, 512 points, sigma0 = length / 40, times tau * (0, 1/2, 1, sqrt 3, 2)
     grid = GridMeta(length=1.0, npoints=512)
     spread_model = build_grid_model(grid)
@@ -146,6 +154,7 @@ def main() -> int:
          lambda: repeat_experiment(lambda: cat, cat_observable, 10_000, seed), 10_000),
         ("repeat_experiment.position128.per_sample",
          lambda: repeat_experiment(lambda: ground, model.q, 50_000, seed), 50_000),
+        ("repeat_experiment.position128.tally_per_chunk", lambda: [tally(chunk, ground_bounds) for _ in range(1000)], 1000),
         *[(f"eigendecompose.{name}", lambda a=a: [eigendecompose(a) for _ in range(2000)], 2000) for name, a in small],
         ("eigendecompose.grid512", lambda: [eigendecompose(spread_model.hamiltonian) for _ in range(20)], 20),
         ("evolve_state.grid512", lambda: [evolve_state(spread_model, packet, tau) for _ in range(200)], 200),
