@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import (
     DegreeError,
-    NotHermitianError,
     NumericalError,
     TruncationError,
 )
@@ -260,16 +259,17 @@ def _kinetic_coupling(grid: GridMeta) -> float:
     k is formed from the mantissas of hbar, m and h and scaled back once by
     their exponents, so only k itself decides: hbar^2 and 2 m h^2 may overflow
     (``--hbar 1e300 --length 1e300``) or underflow (``--mass 1e-320 --hbar
-    1e-20``) on the way.  A stencil with a non-finite entry is refused as
-    :func:`certify_hermitian` refuses its matrix, and a zero k, whose
-    Hamiltonian is zero, is refused.
+    1e-20``) on the way.  A k whose diagonal 2k overflows is refused with a
+    :class:`NumericalError` naming the coupling, and so is a zero k, whose
+    Hamiltonian is zero.
     """
     h = grid.spacing
     (a, p), (b, q), (c, r) = np.frexp(grid.hbar), np.frexp(grid.mass), np.frexp(h)
     with np.errstate(over="ignore"):
         k = float(np.ldexp(a * a / (2.0 * b * c * c), 2 * p - q - 2 * r))
     if not 2.0 * k < np.inf:
-        raise NotHermitianError(np.nan, np.inf, "matrix has non-finite entries")
+        raise NumericalError(f"the stencil coupling hbar^2/(2 m h^2) overflows at spacing {h!r}, "
+                             f"mass {grid.mass!r} and hbar {grid.hbar!r}")
     if k == 0.0:
         raise NumericalError(f"the stencil coupling hbar^2/(2 m h^2) underflows to zero at spacing {h!r} "
                              f"and hbar {grid.hbar!r}")

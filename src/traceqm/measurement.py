@@ -17,7 +17,7 @@ the entry.  A measurement whose state object and outcome are known costs one
 variate, one identity lookup, one bisection of the bounds and one table slot:
 replaying samples, or measuring a collapsed state again, repeats no Born
 computation, hashes no coefficients and looks up nothing in the memo.
-:func:`repeat_experiment` tallies the variates of a chunk under one state's
+:func:`repeat_experiment` tallies the variates of a chunk under equal
 bounds together, by sorting them and counting those below each bound.
 
 Ensembles model repeated preparation: every sample rebuilds the state from
@@ -33,7 +33,9 @@ outcome can be replayed with :func:`measure_once`, and the working memory
 does not grow with the number of samples.  ``sample_rng`` seeds numpy's
 own PCG64 from a row of a small cache of such word blocks instead of
 hashing a new SeedSequence per call; the generator is numpy's in state,
-stream, spawning and pickling.
+stream, spawning and pickling.  The row is handed to PCG64 in place, with
+no copy: a block is laid out C-contiguous and read-only, since PCG64 reads
+the four words through the array's data pointer and ignores its strides.
 """
 
 from __future__ import annotations
@@ -75,15 +77,18 @@ POSITION_MATCH_TOL = 1e-9
 MEMO_ENTRIES = 16
 
 #: samples whose variates are drawn and binned together; bounds the working
-#: set.  Also the rows of one cached block of ``sample_rng`` seed words.
+#: set.  Also the rows of one cached block of ``sample_rng`` seed words, so
+#: a power of two: sample i is row ``i & _CHUNK_MASK`` of block ``i >> _CHUNK_SHIFT``.
 SAMPLE_CHUNK = 4096
+_CHUNK_SHIFT, _CHUNK_MASK = SAMPLE_CHUNK.bit_length() - 1, SAMPLE_CHUNK - 1
 
 #: more samples than this are refused: every sample index must fit the one
 #: uint32 spawn word that ``_seed_words`` mixes.
 MAX_SAMPLES = 2**32 - 1
 
-#: blocks of ``SAMPLE_CHUNK`` seed words ``sample_rng`` keeps, 128 KiB each;
-#: at least two, so two seeds read in turn do not evict each other.
+#: blocks of ``SAMPLE_CHUNK`` seed words ``sample_rng`` keeps, about 608 KiB
+#: each (128 KiB of words, 4096 row views and their list); at least two, so
+#: two seeds read in turn do not evict each other.
 SEED_BLOCKS = 4
 
 
@@ -246,8 +251,11 @@ class _SeedWords:
     """``SeedSequence(entropy=seed, spawn_key=(index,))`` holding its PCG64 seed words.
 
     The first ``generate_state(4, np.uint64)``, the one request PCG64
-    makes, returns a copy of ``row``.  ``spawn`` and every other request go
-    to the real SeedSequence, built on first use; the object pickles as it.
+    makes, returns ``row`` itself, a read-only view into a cached block,
+    with no copy.  PCG64 reads the four words from the array's data pointer
+    and ignores its strides, so the row must be C-contiguous.  ``spawn``
+    and every other request go to the real SeedSequence, built on first
+    use; the object pickles as it.
     """
 
     __slots__ = ("entropy", "spawn_key", "_row", "_real")
@@ -264,7 +272,7 @@ class _SeedWords:
         # the row is dropped once used, so a generator does not keep its block alive
         row, self._row = self._row, None
         if row is not None and n_words == 4 and dtype is np.uint64:
-            return row.copy()
+            return row
         return self._sequence().generate_state(n_words, dtype)
 
     def __getattr__(self, name):
@@ -275,17 +283,23 @@ class _SeedWords:
 
 
 @functools.lru_cache(maxsize=SEED_BLOCKS)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """Read-only :func:`_seed_words` of ``seed`` for samples ``block * SAMPLE_CHUNK`` on.
+def _seed_block(seed: int, block: int) -> list:
+    """Rows of :func:`_seed_words` of ``seed`` for samples ``block * SAMPLE_CHUNK`` on.
+
+    The block is copied out of ``_seed_words``' column layout into a
+    C-contiguous read-only array, so that each sample's four words are
+    adjacent: PCG64 reads a row through its data pointer alone.  The rows
+    are returned as a list of read-only views, built once per block, so
+    that ``sample_rng`` takes one by a list index.
 
     Also registers :class:`_SeedWords` as numpy's spawnable seed sequence,
     which every ``sample_rng`` generator needs first; doing it at import
     would load ``numpy.random`` with ``traceqm``.
     """
     np.random.bit_generator.ISpawnableSeedSequence.register(_SeedWords)
-    words = _seed_words(seed, block * SAMPLE_CHUNK, (block + 1) * SAMPLE_CHUNK)
+    words = np.ascontiguousarray(_seed_words(seed, block * SAMPLE_CHUNK, (block + 1) * SAMPLE_CHUNK))
     words.flags.writeable = False
-    return words
+    return list(words)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -293,14 +307,15 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
     The generator is ``Generator(PCG64(SeedSequence(entropy=seed,
     spawn_key=(index,))))`` in state, stream, spawned children and pickle.
-    For ``index`` in [0, 2**32) its seed words come from a cached block
-    (:func:`_seed_block`) instead of a fresh SeedSequence hash; any other
-    index is built as written.  ``seed`` and ``index`` must be integers: a
-    float raises ``TypeError`` rather than being truncated.
+    For ``index`` in [0, 2**32) its seed words are a row of a cached block
+    (:func:`_seed_block`), handed to PCG64 in place, instead of a fresh
+    SeedSequence hash; any other index is built as written.  ``seed`` and
+    ``index`` must be integers: a float raises ``TypeError`` rather than
+    being truncated.
     """
     seed, index = operator.index(seed), operator.index(index)
     if 0 <= index < 2**32:  # one uint32 spawn word
-        row = _seed_block(seed, index // SAMPLE_CHUNK)[index % SAMPLE_CHUNK]
+        row = _seed_block(seed, index >> _CHUNK_SHIFT)[index & _CHUNK_MASK]
         return np.random.Generator(np.random.PCG64(_SeedWords(seed, index, row)))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
@@ -432,7 +447,7 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
     :func:`measure_once`; a preparation that returns the same object as the
     sample before is not looked up again, and any other object must be a
     :class:`StateVector` (else ``InputError``).  The samples of a chunk
-    under the same bounds are tallied at once (:func:`_tally`).  Sample i draws
+    under equal bounds are tallied at once (:func:`_tally`).  Sample i draws
     from ``sample_rng(seed, i)``, so the counts are identical however the
     loop is chunked, and each outcome can be replayed with
     :func:`measure_once`.  ``n`` and ``seed`` must be integers (a bool is
@@ -472,12 +487,13 @@ def repeat_experiment(preparation: Callable[[], StateVector], observable: Hermit
                 run_bounds.append(bounds)
         starts.append(hi - lo)
         u = _first_uniforms(seed, lo, hi)
-        # a tally does not depend on the order of its variates, so all the
-        # runs under one bounds object are tallied together
+        # a tally depends only on the bound values and not on the order of its
+        # variates, so all the runs under equal bounds are tallied together,
+        # also when a recomputed content brings a new bounds object
         runs = {}
         for start, stop, run in zip(starts, starts[1:], run_bounds):
             if stop > start:
-                runs.setdefault(id(run), (run, []))[1].append(u[start:stop])
+                runs.setdefault(run.tobytes(), (run, []))[1].append(u[start:stop])
         for run, pieces in runs.values():
             counts += _tally(np.concatenate(pieces), run)
 

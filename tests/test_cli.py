@@ -240,14 +240,27 @@ def test_memory_error_exits_two_with_one_line(message, line, tmp_path, capsys, m
 @pytest.mark.parametrize("experiment", ["well-spectrum", "spread", "ensemble-density"])
 def test_exit_one_on_mass_too_small_for_the_stencil(experiment, mass, tmp_path, capsys):
     """A mass whose stencil coupling overflows (1e-305) or whose 2 m h^2
-    underflows to zero (1e-320) ends in one error line, with no warning."""
+    underflows to zero (1e-320) ends in one error line naming the overflowing
+    coupling, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli([experiment, "--mass", mass], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("(matrix has non-finite entries)\n")
+    assert err.startswith("error: the stencil coupling hbar^2/(2 m h^2) overflows at spacing ")
+    assert err.endswith(f", mass {float(mass)!r} and hbar 1.0\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_exit_one_on_a_length_whose_stencil_coupling_overflows(tmp_path, capsys):
+    """A spacing of about 1e-163 overflows k = hbar^2/(2 m h^2): one error line
+    naming the coupling, not a hermiticity deviation of nan against inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["spread", "--length", "1e-160", "--times", "0,1"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == ("error: the stencil coupling hbar^2/(2 m h^2) overflows at spacing "
+                                       "1.9493177387914228e-163, mass 1.0 and hbar 1.0\n")
     assert not out.exists()
 
 

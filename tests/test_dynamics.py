@@ -14,7 +14,6 @@ from traceqm import (
     GridMeta,
     InputError,
     ModelSystem,
-    NotHermitianError,
     NumericalError,
     PolynomialObservable,
     StateError,
@@ -294,11 +293,12 @@ def test_grid_levels_solver_failure_is_convergence_error(monkeypatch):
 @pytest.mark.parametrize("mass", [1e-305, 1e-320])
 def test_non_finite_stencil_refused_by_both_paths(mass):
     """2 m h^2 overflowing k (1e-305) or underflowing to zero (1e-320) is
-    refused like a matrix with a non-finite entry, on the band and dense paths."""
+    refused with one message naming the overflowing coupling, on the band and
+    dense paths."""
     g = GridMeta(length=1.0, npoints=2000, mass=mass)
     messages = []
     for build in (lambda: grid_levels(g, 5), lambda: grid_hamiltonian(g), lambda: build_grid_model(g)):
-        with pytest.raises(NotHermitianError, match=r"\(matrix has non-finite entries\)") as exc:
+        with pytest.raises(NumericalError, match=r"stencil coupling .* overflows at spacing .*, mass") as exc:
             build()
         messages.append(str(exc.value))
     assert len(set(messages)) == 1

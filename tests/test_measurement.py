@@ -1,7 +1,9 @@
 """Born sampling, collapse, ensembles, and density reconstruction."""
 
+import gc
 import pickle
 import tracemalloc
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -495,14 +497,26 @@ def test_sample_rng_builds_each_block_once_for_two_alternating_seeds(monkeypatch
 
 
 def test_writing_into_generated_words_leaves_later_streams_alone():
-    block = measurement._seed_block(5, 0)
-    assert not block.flags.writeable
+    """The words are handed to PCG64 in place, as a read-only C-contiguous row
+    of the cached block: writing into them raises."""
+    rows = measurement._seed_block(5, 0)
+    words = measurement._SeedWords(5, 3, rows[3]).generate_state(4, np.uint64)
+    assert words is rows[3]
+    assert not words.flags.writeable and words.flags.c_contiguous
+    assert np.array_equal(words, np.random.SeedSequence(5, spawn_key=(3,)).generate_state(4, np.uint64))
     with pytest.raises(ValueError):
-        block[3, 0] = 0
-    words = measurement._SeedWords(5, 3, block[3]).generate_state(4, np.uint64)
-    assert words.flags.writeable
-    words[:] = 0
+        words[:] = 0
     assert_same_generator(sample_rng(5, 3), numpy_rng(5, 3))
+
+
+def test_a_generator_does_not_keep_its_seed_block_alive():
+    measurement._seed_block.cache_clear()
+    rng = sample_rng(8, 3)
+    block = weakref.ref(measurement._seed_block(8, 0)[3].base)
+    measurement._seed_block.cache_clear()
+    gc.collect()
+    assert block() is None
+    assert_same_generator(rng, numpy_rng(8, 3))
 
 
 def assert_repeat_matches_replay(a, schedule):
@@ -533,7 +547,7 @@ def test_repeat_matches_replay_when_preparation_switches():
     """Counts equal a per-sample measure_once replay across state changes and
     chunks, also when the states cycle through more than the memo holds, and
     on the 128-point position observable, whose 128 groups the tally spreads
-    the variates over."""
+    the variates over, switching or cycling."""
     rng = np.random.default_rng(SEED + 12)
     dim = 5
     a = random_hermitian(rng, dim)
@@ -547,6 +561,26 @@ def test_repeat_matches_replay_when_preparation_switches():
     model = build_grid_model(GridMeta(length=1.0, npoints=128))
     ground = model.energy_spectrum().eigenvector(0)
     assert_repeat_matches_replay(model.q, switching_schedule(ground, random_state(rng, 128, ground.grid), n))
+    # fresh copies cycling through 40 contents in runs of 7: each recomputed
+    # content brings a new bounds object equal to an earlier one
+    cycle = [random_state(rng, 128, ground.grid) for _ in range(40)]
+    assert_repeat_matches_replay(model.q, [StateVector(cycle[(i // 7) % len(cycle)].coeffs.copy(), ground.grid)
+                                           for i in range(n)])
+
+
+def test_repeat_tallies_each_content_once_per_chunk(monkeypatch):
+    """Bounds recomputed after the memo evicted them are a new object with
+    equal values; a chunk still tallies all the runs of one content together."""
+    tallies = []
+    original = measurement._tally
+    monkeypatch.setattr(measurement, "_tally", lambda u, bounds: tallies.append(u.size) or original(u, bounds))
+    rng = np.random.default_rng(SEED + 13)
+    a = random_hermitian(rng, 5)
+    cycle = [random_state(rng, 5) for _ in range(2 * MEMO_ENTRIES + 8)]
+    n = 2 * SAMPLE_CHUNK
+    index = iter(range(n))
+    repeat_experiment(lambda: StateVector(cycle[(next(index) // 7) % len(cycle)].coeffs.copy()), a, n, seed=SEED)
+    assert len(tallies) == 2 * len(cycle) and sum(tallies) == n
 
 
 def test_repeat_computes_outcome_bounds_once_per_prepared_content(monkeypatch):

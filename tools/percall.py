@@ -3,17 +3,24 @@
 Pinned to one core (the highest-numbered one this process may use) with
 one BLAS thread, it times:
 
-- ``sample_rng(seed, i)`` per call, its seed-word block cached;
+- ``sample_rng(seed, i)`` per call, its seed-word block cached, and
+  numpy's floor for it: ``Generator(PCG64(words))`` where ``words`` is a
+  seed sequence whose ``generate_state`` returns precomputed contiguous
+  uint64 words, so the gap between the two rows is what ``sample_rng``
+  adds to numpy's own construction;
 - ``measure_once`` on the 2x2 cat observable: on a new state (content never
   seen, so the Born weights are computed), on the cat state and its
   collapse in turn (the benchmark's replay), and on a new object equal in
   content to the cat state;
 - ``repeat_experiment`` per sample: the cat state on the cat observable
   (``cat``'s default n), and the 128-point ground state on the position
-  operator (``ensemble-density``'s defaults); and per chunk of
-  ``SAMPLE_CHUNK`` variates, its tally alone on that ground state's outcome
-  bounds (in a checkout without ``measurement._tally``, the one
-  ``searchsorted`` per variate and ``bincount`` that preceded it);
+  operator (``ensemble-density``'s defaults), and on the same operator
+  2*10^4 fresh copies cycling through 40 random contents in runs of 7,
+  more contents than the memo holds, so evicted bounds are recomputed (the
+  copies are made inside the timed run); and per chunk of ``SAMPLE_CHUNK``
+  variates, its tally alone on that ground state's outcome bounds (in a
+  checkout without ``measurement._tally``, the one ``searchsorted`` per
+  variate and ``bincount`` that preceded it);
 - ``eigendecompose`` per call of small dense operators: the cat observable
   diag(1, -1), Pauli X, and seeded 6x6 real symmetric, centrosymmetric
   (equal to its reflection J A J) and complex hermitian matrices;
@@ -108,6 +115,8 @@ def main() -> int:
     copies = [StateVector(cat.coeffs.copy()) for _ in range(calls)]
     model = build_grid_model(GridMeta(length=1.0, npoints=128))
     ground = model.energy_spectrum().eigenvector(0)
+    cycle = [normalize(StateVector(row[:128] + 1j * row[128:], ground.grid))
+             for row in np.random.default_rng(seed + 3).standard_normal((40, 256))]
     chunk = measurement._first_uniforms(seed, 0, measurement.SAMPLE_CHUNK)
     _, ground_bounds = measurement._outcome_bounds(eigendecompose(model.q), ground)
     tally = getattr(measurement, "_tally", None) or (
@@ -133,6 +142,27 @@ def main() -> int:
         for i in range(calls):
             sample_rng(seed, i)
 
+    class Words:
+        """A seed sequence whose ``generate_state`` returns precomputed words."""
+
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    np.random.bit_generator.ISpawnableSeedSequence.register(Words)
+    words = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(calls)]
+
+    def numpy_floor():
+        for row in words:
+            np.random.Generator(np.random.PCG64(Words(row)))
+
+    def cycling():
+        index = iter(range(20_000))
+        repeat_experiment(lambda: StateVector(cycle[(next(index) // 7) % len(cycle)].coeffs.copy(), ground.grid),
+                          model.q, 20_000, seed)
+
     def new_state():
         for psi in new_states:
             measure_once(dec, psi, rng)
@@ -147,6 +177,7 @@ def main() -> int:
 
     rows = [
         ("sample_rng", rngs, calls),
+        ("sample_rng.numpy_floor", numpy_floor, calls),
         ("measure_once.new_state", new_state, calls),
         ("measure_once.state_and_collapse", replay, calls),
         ("measure_once.equal_copy", copy, calls),
@@ -154,6 +185,7 @@ def main() -> int:
          lambda: repeat_experiment(lambda: cat, cat_observable, 10_000, seed), 10_000),
         ("repeat_experiment.position128.per_sample",
          lambda: repeat_experiment(lambda: ground, model.q, 50_000, seed), 50_000),
+        ("repeat_experiment.position128.cycling.per_sample", cycling, 20_000),
         ("repeat_experiment.position128.tally_per_chunk", lambda: [tally(chunk, ground_bounds) for _ in range(1000)], 1000),
         *[(f"eigendecompose.{name}", lambda a=a: [eigendecompose(a) for _ in range(2000)], 2000) for name, a in small],
         ("eigendecompose.grid512", lambda: [eigendecompose(spread_model.hamiltonian) for _ in range(20)], 20),
