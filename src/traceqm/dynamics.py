@@ -12,8 +12,9 @@ Two model families are provided:
   the kinetic stencil alone, a diagonal of 2k and an off-diagonal of -k
   with k = hbar^2/(2 m h^2), and :func:`grid_levels` returns its lowest
   levels from the same bands by Sturm-sequence bisection (LAPACK
-  ``?stebz`` from numpy's own LAPACK, as the band eigensolver binds it) in
-  O(N) memory.  Each builder refuses a grid whose working set would not
+  ``?stebz`` from numpy's own LAPACK, as the band eigensolver binds it) of
+  the two parity-sector halves the band eigensolver also solves, in O(N)
+  memory.  Each builder refuses a grid whose working set would not
   fit in physical memory before allocating any of it;
 * a truncated oscillator ladder, built from the usual raising and lowering
   matrices.  Truncation lives entirely in the last row and column, so
@@ -64,7 +65,7 @@ from .operators import (
     _require_fits,
     _require_normalized,
 )
-from .spectral import SpectralDecomposition, _spectral_sum, _stebz, eigendecompose
+from .spectral import SpectralDecomposition, _band_halves, _parity_merge, _spectral_sum, _stebz, eigendecompose
 from .states import GridMeta, StateVector, _require_same_space
 
 __all__ = [
@@ -106,11 +107,13 @@ STENCIL_BYTES_PER_POINT = 2 * 2 * 8 + 8
 #: superdiagonal, 24), held while the Hamiltonian is built with its own.
 GRID_MODEL_BYTES_PER_POINT = 16 + 24 + STENCIL_BYTES_PER_POINT
 
-#: bytes per grid point alive at once inside :func:`grid_levels`: seven
-#: float64 vectors (the diagonal and off-diagonal bands, the eigenvalue
-#: output and ``?stebz``'s 4N workspace) and five vectors of numpy's int64
-#: LAPACK integer (its block and split indices and 3N integer workspace).
-BAND_BYTES_PER_POINT = 7 * 8 + 5 * 8
+#: bytes per grid point alive at once inside :func:`grid_levels`: the two
+#: float64 bands (16), the copies their parity halves make (at most 8), and,
+#: on a half of N/2 points, one sector's ``?stebz`` working set (its
+#: eigenvalue output, 4n float64 workspace, and block and split indices and
+#: 3n integer workspace in numpy's int64 LAPACK integer: ten words) and the
+#: first sector's eigenvalue output, kept while the second is bisected.
+BAND_BYTES_PER_POINT = 2 * 8 + 8 + (10 + 1) * 8 // 2
 
 
 class PolynomialObservable:
@@ -296,17 +299,29 @@ def grid_levels(grid: GridMeta, count: int) -> np.ndarray:
     """Lowest ``count`` levels of :func:`grid_hamiltonian`, ascending, from its two bands.
 
     The stencil is symmetric by construction, so there is nothing to
-    certify beyond finiteness; bisection on the bands costs O(N) memory and
-    O(N) work per bisection step instead of a dense N x N solve.  The bands
-    are scaled by the power of two putting k in [0.5, 1) and the levels
-    scaled back, both exactly, so the squared coupling cannot underflow.
+    certify beyond finiteness.  Its bands are palindromic, so they are cut
+    into the half tridiagonals of their even and odd parity sectors
+    (``spectral._band_halves``, as the band eigensolver cuts them), and each
+    half is bisected for its share: the ceil(count/2) lowest even levels and
+    the floor(count/2) lowest odd ones, merged by a stable ascending sort.
+    The shares are exact because the stencil is a Jacobi matrix with
+    off-diagonal -k < 0: by the Gantmacher-Krein oscillation theorem its
+    levels are simple and the j-th eigenvector has j - 1 sign changes, so
+    the levels alternate even, odd, even, ... from the ground state up.
+    Bisection costs O(N) memory and O(N) work per step, here on two halves
+    of order about N/2 instead of the whole band.  The bands are scaled by
+    the power of two putting k in [0.5, 1) and the levels scaled back, both
+    exactly, so the squared coupling cannot underflow.
     """
     if not 1 <= count <= grid.npoints:
         raise ValueError(f"count must lie in [1, {grid.npoints}], got {count!r}")
     _require_fits(grid, BAND_BYTES_PER_POINT * grid.npoints, "its band working set")
     unit, exponent = np.frexp(_kinetic_coupling(grid))
+    halves = _band_halves(*_stencil_bands(grid.npoints, unit))
     # not ?stemr: given an index range it allocates an N x N array
-    return np.ldexp(_stebz(*_stencil_bands(grid.npoints, unit), count), exponent)
+    levels = [_stebz(d, e, share) if share else np.empty(0)
+              for (d, e), share in zip(halves, ((count + 1) // 2, count // 2))]
+    return np.ldexp(_parity_merge(levels, grid.npoints, False), exponent)
 
 
 def build_grid_model(grid: GridMeta, potential: str = "infinite_well") -> ModelSystem:

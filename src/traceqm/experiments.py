@@ -39,7 +39,7 @@ from .spectral import (
     _worst_spread,
     vn_generator,
 )
-from .states import GridMeta, StateVector, _squares, _unit_rows, grid_sample
+from .states import GridMeta, StateVector, _squares, _unit_rows, normalize
 
 __all__ = [
     "ExperimentConfig",
@@ -230,17 +230,12 @@ def run_spread(cfg: ExperimentConfig):
     model = _grid_model(cfg)
     grid = model.grid
 
-    # formed at sigma0's power of two 2**e, where neither (x - c)^2 nor 4 sigma0^2 leaves float range
+    # exp(-(x - c)^2 / (4 sigma0^2)) formed at sigma0's power of two 2**e, where neither (x - c)^2 nor
+    # 4 sigma0^2 leaves float range: d = (x - c) 2**-e exactly, and d * d correctly rounded
     e = math.frexp(sigma0)[1]
     center, scaled = math.ldexp(cfg.length / 2.0, -e), math.ldexp(sigma0, -e)
-    width = 4.0 * scaled * scaled
-
-    def packet(x):
-        """exp(-(x - c)^2 / (4 sigma0^2)): d = (x - c) 2**-e exactly, and d * d correctly rounded."""
-        d = math.ldexp(x, -e) - center
-        return np.exp(-(d * d) / width)
-
-    psi0 = grid_sample(packet, grid)
+    d = np.ldexp(grid.positions, -e) - center
+    psi0 = normalize(StateVector(np.exp(-(d * d) / (4.0 * scaled * scaled)), grid))
 
     rows = []
     free_errors = []

@@ -55,10 +55,12 @@ centrosymmetric matrices", Linear Algebra Appl. 13, 275-288, 1976): two
 half tridiagonals cut in O(N) (``_band_halves``) whose eigenvalues are
 merged by a stable ascending sort (``_parity_merge``), a tie across the
 parities being one degenerate group like any other.  Other bands are solved
-whole.  Each tridiagonal goes to LAPACK ``?stevd`` (divide and conquer; Gu
-and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172-191, 1995) from numpy's
-own LAPACK at every size (``_lapack``, or :class:`LapackError` if it has
-none).  numpy's ``?syevd`` reduces the filled tridiagonal with tau = 0 and
+whole.  The same halves serve bisection: ``dynamics.grid_levels`` hands
+each to ``?stebz`` (``_stebz``) for its share of the lowest levels and
+merges them by ``_parity_merge``.  Each tridiagonal a band solve forms
+goes to LAPACK ``?stevd`` (divide and conquer; Gu and Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 172-191, 1995) from numpy's own LAPACK at every
+size (``_lapack``, or :class:`LapackError` if it has none).  numpy's ``?syevd`` reduces the filled tridiagonal with tau = 0 and
 calls the same ``?stedc``, so whole bands give the dense path's bytes up to
 the sign of a zero level, and the halves agree with it to roundoff.  Every
 LAPACK solve runs on one BLAS thread (``_one_blas_thread``).  Each path
@@ -485,8 +487,11 @@ def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool):
 
 def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues, ascending, of the real tridiagonal with diagonal ``d`` and
-    off-diagonal ``e`` by ``?stebz`` bisection (range I, order E, abstol 0), in O(N) memory."""
+    off-diagonal ``e`` by ``?stebz`` bisection (range I, order E, abstol 0), in O(N) memory.  A
+    ``count`` outside [1, N] is refused with ``ValueError`` before LAPACK sees it."""
     (_, stebz, integer), n = _lapack(), d.size
+    if not 1 <= count <= n:
+        raise ValueError(f"count must lie in [1, {n}], got {count!r}")
     found, levels, blocks = np.zeros(2, integer), np.empty(n), np.empty(2 * n, integer)
     info = stebz(b"I", b"E", n, 0.0, 0.0, 1, count, 0.0, d, e, found[:1], found[1:], levels, blocks[:n], blocks[n:],
                  np.empty(4 * n), np.empty(3 * n, integer))

@@ -245,20 +245,74 @@ def test_grid_levels_match_discrete_closed_form(length, mass, hbar, npoints):
     assert np.max(np.abs(grid_levels(g, 5) - exact)) <= npoints * EPS * stencil_norm(g)
 
 
-def unscaled_stebz_levels(g, count):
-    """?stebz on the unscaled bands 2k and -k, as grid_levels bisected them before scaling."""
+def whole_band_stebz_levels(d, e, count):
+    """scipy's ?stebz on the whole tridiagonal (d, e): its ``count`` lowest levels."""
     from scipy.linalg import eigvalsh_tridiagonal
 
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1), lapack_driver="stebz")
+
+
+def unscaled_halves_stebz_levels(g, count):
+    """scipy's ?stebz on the parity halves of the unscaled bands 2k and -k, ceil(count/2) even and
+    floor(count/2) odd levels merged, as grid_levels bisects them before scaling."""
     k = dynamics._kinetic_coupling(g)
-    return eigvalsh_tridiagonal(np.full(g.npoints, 2.0 * k), np.full(g.npoints - 1, -k),
-                                select="i", select_range=(0, count - 1), lapack_driver="stebz")
+    halves = spectral._band_halves(np.full(g.npoints, 2.0 * k), np.full(g.npoints - 1, -k))
+    levels = np.concatenate([whole_band_stebz_levels(d, e, share)
+                             for (d, e), share in zip(halves, ((count + 1) // 2, count // 2)) if share])
+    return np.sort(levels, kind="stable")
 
 
 @pytest.mark.parametrize("npoints", [2000, 500, 1001])
 def test_grid_levels_scaling_keeps_the_default_well_spectrum_bytes(npoints):
     """The power-of-two scaling changes no bit on the three default grids."""
     g = GridMeta(length=1.0, npoints=npoints)
-    assert grid_levels(g, 5).tobytes() == unscaled_stebz_levels(g, 5).tobytes()
+    assert grid_levels(g, 5).tobytes() == unscaled_halves_stebz_levels(g, 5).tobytes()
+
+
+@pytest.mark.parametrize("npoints", [8, 9, 40, 41])
+def test_grid_levels_parity_split_equals_whole_band_bisection(npoints):
+    """Bisecting the two parity halves for ceil(count/2) even and floor(count/2)
+    odd levels gives the lowest ``count`` of the whole band, at every count."""
+    g = GridMeta(length=1.3, npoints=npoints, mass=0.7, hbar=1.9)
+    k = dynamics._kinetic_coupling(g)
+    whole = whole_band_stebz_levels(np.full(npoints, 2.0 * k), np.full(npoints - 1, -k), npoints)
+    bound = npoints * EPS * stencil_norm(g)
+    for count in range(1, npoints + 1):
+        np.testing.assert_allclose(grid_levels(g, count), whole[:count], rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("npoints", [8, 9, 40, 41])
+def test_grid_levels_bisect_each_parity_half_for_its_share(npoints, monkeypatch):
+    """The even half (one row larger at odd N) is bisected first for ceil(count/2)
+    levels, then the odd half for floor(count/2); an empty share is not bisected."""
+    calls = []
+    stebz = dynamics._stebz
+    monkeypatch.setattr(dynamics, "_stebz", lambda d, e, count: calls.append((d.size, count)) or stebz(d, e, count))
+    g = GridMeta(length=1.0, npoints=npoints)
+    even, odd = (npoints + 1) // 2, npoints // 2
+    for count, shares in ((1, [(even, 1)]), (2, [(even, 1), (odd, 1)]), (5, [(even, 3), (odd, 2)]),
+                          (npoints, [(even, even), (odd, odd)])):
+        calls.clear()
+        grid_levels(g, count)
+        assert calls == shares
+
+
+@pytest.mark.parametrize("npoints", [8, 9, 40, 41])
+def test_grid_levels_alternate_in_parity(npoints):
+    """The oscillation theorem behind the split: level j's vector is symmetric
+    under x -> L - x for odd j and antisymmetric for even j."""
+    basis = eigendecompose(grid_hamiltonian(GridMeta(length=1.0, npoints=npoints))).basis
+    for j, vector in enumerate(basis.T, 1):
+        np.testing.assert_allclose(vector[::-1], vector if j % 2 else -vector, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("count", [0, 10])
+def test_stebz_refuses_a_count_outside_its_order_before_lapack(count, capfd):
+    """?stebz would print an illegal-parameter line and return info -7; the
+    count is refused first, and nothing is printed."""
+    with pytest.raises(ValueError, match=r"count must lie in \[1, 9\]"):
+        spectral._stebz(np.full(9, 2.0), np.full(8, -1.0), count)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("hbar", [1e-75, 1e-100, 1e-150])

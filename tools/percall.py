@@ -24,6 +24,8 @@ one BLAS thread, it times:
 - ``eigendecompose`` per call of small dense operators: the cat observable
   diag(1, -1), Pauli X, and seeded 6x6 real symmetric, centrosymmetric
   (equal to its reflection J A J) and complex hermitian matrices;
+- ``grid_levels`` of the five levels ``well-spectrum`` reads, on each of
+  its three default grids (N = 500, 1001 and 2000);
 - on the 512-point grid of ``spread``'s defaults: ``eigendecompose`` of the
   grid Hamiltonian, ``evolve_state`` of ``spread``'s packet to one time,
   ``spread_series`` over ``spread``'s five default times, and
@@ -99,7 +101,8 @@ def main() -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import numpy as np
 
-    from traceqm import GridMeta, StateVector, certify_hermitian, dispersion, experiments, grid_sample, normalize
+    from traceqm import (GridMeta, StateVector, certify_hermitian, dispersion, experiments, grid_levels, grid_sample,
+                         normalize)
     from traceqm.dynamics import build_grid_model, evolve_state, spread_series
     from traceqm import measurement
     from traceqm.measurement import measure_once, repeat_experiment, sample_rng
@@ -188,6 +191,8 @@ def main() -> int:
         ("repeat_experiment.position128.cycling.per_sample", cycling, 20_000),
         ("repeat_experiment.position128.tally_per_chunk", lambda: [tally(chunk, ground_bounds) for _ in range(1000)], 1000),
         *[(f"eigendecompose.{name}", lambda a=a: [eigendecompose(a) for _ in range(2000)], 2000) for name, a in small],
+        *[(f"grid_levels.grid{n}", lambda g=GridMeta(length=1.0, npoints=n): [grid_levels(g, 5) for _ in range(100)],
+           100) for n in (500, 1001, 2000)],
         ("eigendecompose.grid512", lambda: [eigendecompose(spread_model.hamiltonian) for _ in range(20)], 20),
         ("evolve_state.grid512", lambda: [evolve_state(spread_model, packet, tau) for _ in range(200)], 200),
         ("spread_series.grid512.5_times", lambda: [spread_series(spread_model, packet, times) for _ in range(50)], 50),
