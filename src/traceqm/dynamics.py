@@ -111,9 +111,9 @@ GRID_MODEL_BYTES_PER_POINT = 16 + 24 + STENCIL_BYTES_PER_POINT
 #: float64 bands (16), the copies their parity halves make (at most 8), and,
 #: on a half of N/2 points, one sector's ``?stebz`` working set (its
 #: eigenvalue output, 4n float64 workspace, and block and split indices and
-#: 3n integer workspace in numpy's int64 LAPACK integer: ten words) and the
-#: first sector's eigenvalue output, kept while the second is bisected.
-BAND_BYTES_PER_POINT = 2 * 8 + 8 + (10 + 1) * 8 // 2
+#: 3n integer workspace in numpy's int64 LAPACK integer: ten words).  The
+#: first sector keeps only its found levels while the second is bisected.
+BAND_BYTES_PER_POINT = 2 * 8 + 8 + 10 * 8 // 2
 
 
 class PolynomialObservable:

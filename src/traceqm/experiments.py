@@ -9,6 +9,7 @@ whatever bound was actually used is echoed in the check record.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .scalars import IMAG_UNIT, _minimal_poly_parts, trace
 from .spectral import (
     BAND_BASIS_BYTES_PER_ENTRY,
     _eigendecompose_stack,
+    _open_grid,
     _spectral_sum,
     _vn_generator_stack,
     _worst_spread,
@@ -120,9 +122,15 @@ def _check(cfg: ExperimentConfig, name: str, value, default: float, mode: str = 
 
 
 def _hermitian_part(normals: np.ndarray) -> np.ndarray:
-    """(A + adjoint(A)) / 2 for A = normals[..., 0, :, :] + 1j * normals[..., 1, :, :], one matrix or a stack."""
-    raw = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    return (raw + np.swapaxes(raw.conj(), -1, -2)) / 2.0
+    """(A + adjoint(A)) / 2 for A = X + iY, X = normals[..., 0, :, :] and Y = normals[..., 1, :, :], one
+    matrix or a stack: (X + X^T) / 2 + i (Y - Y^T) / 2, formed in the parts of one complex output."""
+    x, y = normals[..., 0, :, :], normals[..., 1, :, :]
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.add(x, np.swapaxes(x, -1, -2), out=out.real)
+    np.subtract(y, np.swapaxes(y, -1, -2), out=out.imag)
+    parts = out.view(np.float64)
+    np.divide(parts, 2.0, out=parts)
+    return out
 
 
 def _grid_model(cfg: ExperimentConfig):
@@ -316,7 +324,7 @@ def _canned_generator():
 #: dimension's pending stack and solve the stack once it holds as many trials
 #: as fit in this budget at the sweep's declared bytes per trial
 #: (:func:`_trial_bytes` of its ``TRIAL_MATRICES`` entry).  Each stack pays
-#: about half a millisecond of numpy dispatch whatever its size, while the
+#: about 0.4 ms of numpy dispatch whatever its size (a recon stack of one), while the
 #: working set shows in the process's peak RSS.  At 1 MiB a default
 #: ``small-algebra`` pass solves 41 stacks, and no sweep's traced peak
 #: exceeds 1.7 MB.
@@ -405,12 +413,12 @@ def _family_recon_error(normals: np.ndarray, coeffs: np.ndarray) -> float:
     values, basis = _eigendecompose_stack(generators, _certify_stack(generators)[0])
     # round half to even, as round() does
     labels = np.rint(values)
-    outside = np.argwhere(~((labels >= 0) & (labels < counts[:, None])))
-    if outside.size:
-        f, k = outside[0]
+    outside = ~((labels >= 0) & (labels < counts[:, None]))
+    if outside.any():
+        f, k = np.argwhere(outside)[0]
         raise NumericalError(f"generator eigenvalue {values[f, k]:.17g} rounds to {labels[f, k]:g}, "
                              f"outside the labels 0 .. {counts[f] - 1}")
-    rebuilt_values = np.take_along_axis(tables, labels.astype(np.intp)[:, None, :], axis=-1)
+    rebuilt_values = tables[(*_open_grid(tables.shape)[:-1], labels.astype(np.intp)[:, None, :])]
     worst = 0.0
     for member, values in zip(members, rebuilt_values.transpose(1, 0, 2)):  # one member's temporaries at a time
         worst = np.maximum(worst, abs(_spectral_sum(basis, values) - member).max())
@@ -477,19 +485,39 @@ def _trial_normals(rng: np.random.Generator, dims: list[int], sweep: str, shapes
     """Standard normals of trials of dimensions ``dims``, trial by trial in
     order, each drawing one array of every shape in ``shapes(dim)`` in turn.
 
-    Each trial is drawn by one call straight into its dimension's pending
-    stack of ``sweep`` (:func:`_stacks`), which gives the same variates as one
-    call per array: numpy fills arrays variate by variate.  A stack holds no
+    The normals are drawn by one ``standard_normal`` call per run of
+    consecutive whole trials into a buffer of at most ``STACK_BYTES // 16``
+    bytes, and each trial is copied from it into its dimension's pending
+    stack of ``sweep`` (:func:`_stacks`); a trial larger than the buffer is
+    drawn straight into its row.  numpy fills arrays variate by variate, so
+    every array gets the variates of one call per array.  A stack holds no
     more rows than its dimension has trials.  Yields, per stack, one
     (k, *shape) array per shape over its k trials.
     """
     counts = Counter(dims)
+    widths = {dim: sum(math.prod(shape) for shape in shapes(dim)) for dim in counts}
+    buffer = np.empty(min(STACK_BYTES // 128, sum(widths[dim] * count for dim, count in counts.items())))
+    cursor = [0, 0, 0]  # the next trial, its offset in the buffer, and the end of the buffer's draws
 
     def arrays(dim, cap):
-        return (np.empty((min(cap, counts[dim]), sum(math.prod(shape) for shape in shapes(dim)))),)
+        return (np.empty((min(cap, counts[dim]), widths[dim])),)
 
     def draw(stack, i):
-        rng.standard_normal(out=stack[0][i])
+        trial, offset, end = cursor
+        size, row = widths[dims[trial]], stack[0][i]
+        if offset + size > end:  # the buffer is spent: refill it with the whole trials from this one that fit
+            offset, end = 0, 0
+            for later in itertools.islice(dims, trial, None):
+                if end + widths[later] > buffer.size:
+                    break
+                end += widths[later]
+            if not end:
+                rng.standard_normal(out=row)
+                cursor[:] = trial + 1, 0, 0
+                return
+            rng.standard_normal(out=buffer[:end])
+        row[...] = buffer[offset:offset + size]
+        cursor[:] = trial + 1, offset + size, end
 
     for dim, (block,) in _stacks(dims, sweep, arrays, draw):
         ends = np.cumsum([0, *(math.prod(shape) for shape in shapes(dim))]).tolist()
@@ -542,9 +570,12 @@ def _worst_dispersion_free(rng: np.random.Generator, trials: int) -> tuple[float
         a = _hermitian_part(a)
         values, basis = _eigendecompose_stack(a, _certify_stack(a)[0])
         norm = abs(values).max(axis=-1)
-        worst_spread = float(np.maximum(worst_spread, (_worst_spread(a, basis, norm) / np.sqrt(1.0 + norm * norm)).max()))
-        residual = abs(a @ basis - basis * values[:, None, :]).max(axis=(1, 2))
+        product = a @ basis
+        residual = abs(product - basis * values[:, None, :]).max(axis=(1, 2))
         worst_eig = float(np.maximum(worst_eig, (residual / (1.0 + norm)).max()))
+        # the spread reads the same product last, as it centers it in place
+        spread = _worst_spread(product, basis, norm)
+        worst_spread = float(np.maximum(worst_spread, (spread / np.sqrt(1.0 + norm * norm)).max()))
     return worst_spread, worst_eig
 
 

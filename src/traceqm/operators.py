@@ -229,9 +229,9 @@ def _require_normalized_rows(coeffs: np.ndarray, grid: GridMeta | None):
     """Refuse the first state of a vector or (k, N) stack whose norm is not within
     ``STATE_NORM_TOL`` of one (see :attr:`StateVector.normalized`)."""
     norms = np.atleast_1d(_raw_norm(coeffs, grid))
-    off = np.flatnonzero(~(abs(norms - 1.0) <= STATE_NORM_TOL))
-    if off.size:
-        raise StateError(f"state is not normalized (norm {norms[off[0]]:.12f})")
+    off = ~(abs(norms - 1.0) <= STATE_NORM_TOL)
+    if off.any():
+        raise StateError(f"state is not normalized (norm {norms[off.argmax()]:.12f})")
 
 
 def adjoint(a: Operator) -> Operator:
@@ -322,9 +322,10 @@ def _raw_expectations(matrices, coeffs: np.ndarray,
     raw, images = _raw_values(matrices, coeffs, grid)
     norms = _raw_norm(images, grid)
     bounds = IMAG_EXPECT_TOL * norms
-    beyond = np.flatnonzero(abs(raw.imag) > bounds)
-    if beyond.size:
-        imag, bound = float(raw.imag[beyond[0]]), float(bounds[beyond[0]])
+    beyond = abs(raw.imag) > bounds
+    if beyond.any():
+        first = beyond.argmax()
+        imag, bound = float(raw.imag[first]), float(bounds[first])
         raise NumericalError(
             f"hermitian expectation has imaginary part {imag:.3e} beyond bound {bound:.3e}",
             value=imag, bound=bound,

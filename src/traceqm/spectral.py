@@ -191,14 +191,19 @@ def _lapack():
     return stevd, stebz, integer
 
 
+#: numpy's floating-point error handling while a range or a gap that may exceed float range is formed;
+#: entered once per public call or stack, by its caller, not by ``_group_tol`` and ``_breaks``.
+_QUIET_OVERFLOW = partial(np.errstate, over="ignore")
+
+
 def _group_tol(values: np.ndarray) -> np.ndarray:
     """Degenerate-group width of each ascending row of ``values`` (any leading stack axes).
 
-    A range beyond float range is taken at half scale, exactly, and scaled back.
+    A range beyond float range is taken at half scale, exactly, and scaled
+    back; the caller holds ``_QUIET_OVERFLOW``.
     """
     low, high = values[..., 0], values[..., -1]
-    with np.errstate(over="ignore"):
-        width = GROUP_TOL_FACTOR * (high - low)
+    width = GROUP_TOL_FACTOR * (high - low)
     wide = np.isinf(width)
     if wide.any():
         width = np.where(wide, np.ldexp(GROUP_TOL_FACTOR * (np.ldexp(high, -1) - np.ldexp(low, -1)), 1), width)
@@ -208,19 +213,20 @@ def _group_tol(values: np.ndarray) -> np.ndarray:
 def _breaks(values: np.ndarray, tol) -> np.ndarray:
     """Gap mask of ascending rows: True between adjacent values more than their row's ``tol`` apart.
 
-    A gap beyond float range reads inf, which is a break."""
-    with np.errstate(over="ignore"):
-        return values[..., 1:] - values[..., :-1] > np.asarray(tol)[..., None]
+    A gap beyond float range reads inf, which is a break; the caller holds ``_QUIET_OVERFLOW``."""
+    return values[..., 1:] - values[..., :-1] > np.asarray(tol)[..., None]
 
 
 def _bounds(breaks: np.ndarray) -> list[int]:
     """First index of every group of one row's gap mask, then the row's length."""
-    return [0, *(np.flatnonzero(breaks) + 1).tolist(), breaks.size + 1]
+    return [0, *(breaks.nonzero()[0] + 1).tolist(), breaks.size + 1]
 
 
 def _tied_runs(breaks: np.ndarray) -> list[tuple[int, int, int]]:
     """``(row, start, stop)`` of every group of more than one index in a (k, N - 1) gap mask."""
     runs = []
+    if breaks.all():  # no ties anywhere, the common case: no row is looked at
+        return runs
     for row in np.flatnonzero(~breaks.all(axis=-1)).tolist():
         bounds = _bounds(breaks[row])
         runs.extend((row, a, b) for a, b in zip(bounds, bounds[1:]) if b - a > 1)
@@ -242,14 +248,22 @@ def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
     return _orthonormal_rows(cols[:, np.argsort(dominant, kind="stable")].T).T
 
 
+def _open_grid(shape) -> tuple[np.ndarray, ...]:
+    """``np.ogrid`` of ``shape``, a range over each axis shaped to broadcast against the others: with it
+    ``np.take_along_axis(a, i, axis=-1)`` is ``a[(*_open_grid(i.shape)[:-1], i)]``, without that call's
+    index building."""
+    # a list, not a generator: on CPython 3.11, tuple() of a generator leaves about 64 bytes a call
+    # allocated until the cycle collector runs, which a sweep's traced peak counts
+    return tuple([np.arange(n).reshape((n,) + (1,) * (len(shape) - 1 - axis)) for axis, n in enumerate(shape)])
+
+
 def _anchors(basis: np.ndarray) -> np.ndarray:
     """Row of each column's first entry of magnitude above ``PHASE_FLOOR`` (row 0 where there is none),
     for a basis or a stack, scanned ``PHASE_SCAN_ROWS`` rows at a time until every column has one."""
     rows = missing = None
     for start in range(0, basis.shape[-2], PHASE_SCAN_ROWS):
         above = np.abs(basis[..., start:start + PHASE_SCAN_ROWS, :]) > PHASE_FLOOR
-        first = np.argmax(above, axis=-2)
-        found = np.take_along_axis(above, first[..., None, :], axis=-2)[..., 0, :]
+        first, found = above.argmax(axis=-2), above.any(axis=-2)
         if rows is None:
             rows, missing = first, ~found
         else:
@@ -262,9 +276,11 @@ def _anchors(basis: np.ndarray) -> np.ndarray:
 
 
 def _phase_fix(basis: np.ndarray) -> np.ndarray:
-    """Apply the phase convention in place to every column of a basis or a stack of bases."""
-    pivots = np.take_along_axis(basis, _anchors(basis)[..., None, :], axis=-2)
-    if np.iscomplexobj(basis):
+    """Apply the phase convention in place to every column of a basis or a stack of bases (..., R, C)."""
+    rows = _anchors(basis)
+    *lead, columns = _open_grid(rows.shape)
+    pivots = basis[(*lead, rows, columns)][..., None, :]  # basis[..., rows[..., j], j] of every column j
+    if basis.dtype.kind == "c":
         # hypot, as abs() of one complex scalar computes it; np.abs on a complex
         # array takes a vectorized route that can differ in the last bit
         basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
@@ -327,9 +343,19 @@ class SpectralDecomposition:
 
     def __init__(self, eigenvalues, basis, bounds, group_tol, grid: GridMeta | None = None):
         eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        self._hold(eigenvalues, basis, _partition(bounds, eigenvalues.size), group_tol, grid)
+
+    @classmethod
+    def _solved(cls, eigenvalues: np.ndarray, basis: np.ndarray, bounds: list[int], group_tol, grid):
+        """A decomposition of what :func:`eigendecompose` solved, its ``bounds`` from ``_bounds`` and so
+        a partition without the constructor's check."""
+        dec = cls.__new__(cls)
+        dec._hold(eigenvalues, basis, np.array(bounds, dtype=np.intp), group_tol, grid)
+        return dec
+
+    def _hold(self, eigenvalues, basis, bounds, group_tol, grid):
         basis = np.asarray(basis)
         basis = basis.astype(np.complex128 if np.iscomplexobj(basis) else np.float64, copy=False)
-        bounds = _partition(bounds, eigenvalues.size)
         for array in (eigenvalues, basis, bounds):
             array.setflags(write=False)
         self.eigenvalues = eigenvalues
@@ -487,8 +513,9 @@ def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool):
 
 def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues, ascending, of the real tridiagonal with diagonal ``d`` and
-    off-diagonal ``e`` by ``?stebz`` bisection (range I, order E, abstol 0), in O(N) memory.  A
-    ``count`` outside [1, N] is refused with ``ValueError`` before LAPACK sees it."""
+    off-diagonal ``e`` by ``?stebz`` bisection (range I, order E, abstol 0), in O(N) memory, as an
+    array of their own: not a view that keeps LAPACK's N-vector alive.  A ``count`` outside [1, N] is
+    refused with ``ValueError`` before LAPACK sees it."""
     (_, stebz, integer), n = _lapack(), d.size
     if not 1 <= count <= n:
         raise ValueError(f"count must lie in [1, {n}], got {count!r}")
@@ -497,7 +524,7 @@ def _stebz(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
                  np.empty(4 * n), np.empty(3 * n, integer))
     if info:
         raise ConvergenceError(f"eigenvalue iteration failed: ?stebz returned info {info}")
-    return levels[:found[0]]
+    return levels[:found[0]].copy()
 
 
 def _parity_merge(results, n: int, vectors: bool):
@@ -594,8 +621,9 @@ def _hermitian_solve(a: HermitianOperator, caller: str, vectors: bool = True):
 
 def _canonical(values: np.ndarray, parts):
     """Group widths, gap masks and the canonical ``(rows, basis)`` parts of a solved (k, N) stack."""
-    tol = _group_tol(values)
-    breaks = _breaks(values, tol)
+    with _QUIET_OVERFLOW():
+        tol = _group_tol(values)
+        breaks = _breaks(values, tol)
     return tol, breaks, [(rows, _canonicalize(basis, _tied_runs(breaks[rows]))) for rows, basis in parts]
 
 
@@ -615,7 +643,7 @@ def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     """Decompose a certified hermitian operator with canonical conventions."""
     values, parts = _hermitian_solve(a, "eigendecompose")
     tol, breaks, ((_, basis),) = _canonical(values, parts)  # a stack of one is solved as one part
-    return SpectralDecomposition(values[0], basis[0], _bounds(breaks[0]), tol[0], a.grid)
+    return SpectralDecomposition._solved(values[0], basis[0], _bounds(breaks[0]), tol[0], a.grid)
 
 
 def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> float:
@@ -632,14 +660,15 @@ def verify_dispersion_free(dec: SpectralDecomposition, a: HermitianOperator) -> 
         raise InputError(f"dimension mismatch: decomposition {dec.dim} vs operator {a.dim}")
     if dec.grid != a.grid:
         raise InputError("decomposition and operator are bound to different grids")
-    return float(_worst_spread(a.matrix[None], dec.basis[None], np.array([a.scale]))[0])
+    return float(_worst_spread(a.matrix[None] @ dec.basis[None], dec.basis[None], np.array([a.scale]))[0])
 
 
-def _worst_spread(matrices: np.ndarray, bases: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """:func:`verify_dispersion_free`'s worst spread of each of k matrices (k, N, N) over its basis (k, N, N),
-    the residuals formed at each matrix's scale (k,), such as max|A|."""
-    # the basis columns as rows: each one's dispersion, in place in the one product
-    images, columns = (matrices @ bases).swapaxes(-1, -2), bases.swapaxes(-1, -2)
+def _worst_spread(products: np.ndarray, bases: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`verify_dispersion_free`'s worst spread of each of k matrices A over its basis U (k, N, N),
+    given the products A U (k, N, N), which it overwrites: the residuals formed at each matrix's scale
+    (k,), such as max|A|."""
+    # the basis columns as rows: each one's dispersion, in place in the product
+    images, columns = products.swapaxes(-1, -2), bases.swapaxes(-1, -2)
     return _centered(images, columns, _raw_inner(columns, images, None).real, scales[:, None], None)[2].max(axis=-1)
 
 
@@ -655,25 +684,25 @@ def _worst_commutator(members, scales) -> tuple[np.ndarray, np.ndarray]:
     # each member scaled exactly into [0.5, 1), so no product overflows or underflows
     units, exps = np.frexp(scales)
     scaled = [np.ldexp(a.view(np.float64), -e[:, None, None]).view(np.complex128) for a, e in zip(members, exps)]
-    worst_pair, worst = np.zeros((scales.shape[1], 2), dtype=int), np.zeros(scales.shape[1])
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            ai, aj = scaled[i], scaled[j]
-            commutator = ai @ aj
-            commutator -= aj @ ai
-            deviation = abs(commutator).max(axis=(1, 2))
-            relative = np.divide(deviation, units[i] * units[j], out=np.zeros_like(deviation), where=deviation != 0)
-            worse = relative > worst
-            worst_pair[worse], worst[worse] = (i, j), relative[worse]
-    return worst_pair, worst
+    # pair (0, 0) first, at 0: the answer where every commutator vanishes
+    pairs = [(0, 0), *((i, j) for i in range(len(members)) for j in range(i + 1, len(members)))]
+    relative = np.zeros((len(pairs), scales.shape[1]))
+    for (i, j), row in zip(pairs[1:], relative[1:]):
+        commutator = scaled[i] @ scaled[j]
+        commutator -= scaled[j] @ scaled[i]
+        deviation = abs(commutator).max(axis=(1, 2))
+        np.divide(deviation, units[i] * units[j], out=row, where=deviation != 0)
+    worst = relative.argmax(axis=0)  # the first pair of the largest
+    return np.array(pairs)[worst], relative.max(axis=0)
 
 
 def _require_commuting(members, scales):
     """Refuse the first of k families whose worst scaled commutator exceeds ``COMMUTE_TOL``."""
     pair, worst = _worst_commutator(members, scales)
-    failed = np.flatnonzero(worst > COMMUTE_TOL)
-    if failed.size:
-        raise NotCommutingError(tuple(pair[failed[0]].tolist()), float(worst[failed[0]]))
+    failed = worst > COMMUTE_TOL
+    if failed.any():
+        first = failed.argmax()
+        raise NotCommutingError(tuple(pair[first].tolist()), float(worst[first]))
 
 
 def _check_family(family) -> list[HermitianOperator]:
@@ -703,7 +732,8 @@ def _joint_stack(members, scales, values: np.ndarray, parts) -> tuple[np.ndarray
     member's solve (``values``, ``parts``)."""
     # complex, so a later member's rotation inside a degenerate block keeps its imaginary part
     basis = _complex_stack(parts, values.shape + values.shape[-1:])
-    blocks = _tied_runs(_breaks(values, _group_tol(values)))
+    with _QUIET_OVERFLOW():
+        blocks = _tied_runs(_breaks(values, _group_tol(values)))
     units, exps = np.frexp(scales)
     for a, unit, e in zip(members[1:], units[1:], exps[1:]):
         refined = []
@@ -714,11 +744,13 @@ def _joint_stack(members, scales, values: np.ndarray, parts) -> tuple[np.ndarray
             m = (m + m.conj().T) / 2.0
             w, s = _solve(np.linalg.eigh, m)
             basis[row, :, start:stop] = sub @ s
+            # w is the spectrum of a matrix scaled into [0.5, 1): no gap leaves float range
             refined.extend((row, start + i, start + j)
                            for _, i, j in _tied_runs(_breaks(w, GROUP_TOL_FACTOR * 2.0 * unit[row])[None]))
         blocks = refined
     basis = _canonicalize(basis, blocks)
-    lists = np.stack([np.einsum("kij,kij->kj", basis.conj(), a @ basis).real for a in members], axis=1)
+    adjoint = basis.conj()
+    lists = np.stack([np.einsum("kij,kij->kj", adjoint, a @ basis).real for a in members], axis=1)
     return basis, lists
 
 
@@ -740,14 +772,16 @@ def simultaneous_diagonalize(family) -> JointDecomposition:
 def _representatives(values: np.ndarray) -> np.ndarray:
     """Snap every row of eigenvalue lists (any leading axes) to cluster representatives (cluster means)."""
     order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    flat = ordered.reshape(-1, ordered.shape[-1])
+    along = (*_open_grid(values.shape)[:-1], order)
+    flat = values[along].reshape(-1, values.shape[-1])
     # every index a singleton first, by _group_means' rule; then each larger cluster's mean
     means = flat + 0.0
-    for row, a, b in _tied_runs(_breaks(flat, _group_tol(flat))):
+    with _QUIET_OVERFLOW():
+        runs = _tied_runs(_breaks(flat, _group_tol(flat)))
+    for row, a, b in runs:
         means[row, a:b] = _group_means(flat[row], [range(a, b)])[0]
     reps = np.empty_like(values)
-    np.put_along_axis(reps, order, means.reshape(values.shape), axis=-1)
+    reps[along] = means.reshape(values.shape)
     return reps
 
 
@@ -759,12 +793,13 @@ def _generators(basis: np.ndarray, lists: np.ndarray):
     # index columns in lexicographic order of their tuples, stably: each
     # distinct tuple's table entries come from its lowest index
     order = np.lexsort(reps.transpose(1, 0, 2)[::-1], axis=-1)
-    ordered = np.take_along_axis(reps, order[:, None, :], axis=-1)
+    family, member, _ = _open_grid(reps.shape)
+    ordered = reps[family, member, order[:, None, :]]
     first = np.ones(order.shape, dtype=bool)
     first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=1)
     label_sorted = np.cumsum(first, axis=-1) - 1
     labels = np.empty(order.shape)
-    np.put_along_axis(labels, order, label_sorted, axis=-1)
+    labels[family[:, 0], order] = label_sorted
     tables = np.zeros(reps.shape)
     row, col = np.nonzero(first)
     tables[row, :, label_sorted[row, col]] = ordered[row, :, col]

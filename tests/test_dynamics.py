@@ -315,6 +315,13 @@ def test_stebz_refuses_a_count_outside_its_order_before_lapack(count, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_stebz_levels_own_their_memory():
+    """The found levels are an array of their own, so the first parity half's
+    N-vector output is freed before the second half is bisected."""
+    levels = spectral._stebz(np.full(1000, 2.0), np.full(999, -1.0), 3)
+    assert levels.shape == (3,) and levels.flags.owndata and levels.base is None
+
+
 @pytest.mark.parametrize("hbar", [1e-75, 1e-100, 1e-150])
 def test_grid_levels_scale_as_hbar_squared_at_tiny_hbar(hbar):
     """Levels are proportional to hbar^2; unscaled, k^2 underflowed and every

@@ -758,6 +758,89 @@ def test_generators_of_a_stack_are_bit_identical_to_the_adjoint_form():
         assert generators.tobytes() == want.tobytes()
 
 
+def along_axis_anchors(basis):
+    """``spectral._anchors`` with ``np.take_along_axis``, the oracle for its direct gather."""
+    rows = missing = None
+    for start in range(0, basis.shape[-2], spectral.PHASE_SCAN_ROWS):
+        above = np.abs(basis[..., start:start + spectral.PHASE_SCAN_ROWS, :]) > PHASE_FLOOR
+        first = np.argmax(above, axis=-2)
+        found = np.take_along_axis(above, first[..., None, :], axis=-2)[..., 0, :]
+        if rows is None:
+            rows, missing = first, ~found
+        else:
+            found &= missing
+            rows[found] = start + first[found]
+            missing &= ~found
+    return rows
+
+
+def along_axis_phase_fix(basis):
+    """``spectral._phase_fix`` with ``np.take_along_axis``."""
+    pivots = np.take_along_axis(basis, along_axis_anchors(basis)[..., None, :], axis=-2)
+    if np.iscomplexobj(basis):
+        basis *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    else:
+        basis *= np.copysign(1.0, pivots)
+    return basis
+
+
+def along_axis_representatives(values):
+    """``spectral._representatives`` with ``np.take_along_axis`` and ``np.put_along_axis``."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    flat = np.take_along_axis(values, order, axis=-1).reshape(-1, values.shape[-1])
+    means = flat + 0.0
+    for row, a, b in spectral._tied_runs(spectral._breaks(flat, spectral._group_tol(flat))):
+        means[row, a:b] = _group_means(flat[row], [range(a, b)])[0]
+    reps = np.empty_like(values)
+    np.put_along_axis(reps, order, means.reshape(values.shape), axis=-1)
+    return reps
+
+
+def along_axis_generators(basis, lists):
+    """``spectral._generators`` with ``np.take_along_axis`` and ``np.put_along_axis``."""
+    reps = along_axis_representatives(lists)
+    order = np.lexsort(reps.transpose(1, 0, 2)[::-1], axis=-1)
+    ordered = np.take_along_axis(reps, order[:, None, :], axis=-1)
+    first = np.ones(order.shape, dtype=bool)
+    first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=1)
+    label_sorted = np.cumsum(first, axis=-1) - 1
+    labels = np.empty(order.shape)
+    np.put_along_axis(labels, order, label_sorted, axis=-1)
+    tables = np.zeros(reps.shape)
+    row, col = np.nonzero(first)
+    tables[row, :, label_sorted[row, col]] = ordered[row, :, col]
+    return spectral._spectral_sum(basis, labels), tables, label_sorted[:, -1] + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), dim=st.integers(1, 12), members=st.integers(1, 3),
+       kind=st.sampled_from([np.float64, np.complex128]), tall=st.booleans())
+def test_direct_gathers_equal_their_along_axis_oracles(seed, k, dim, members, kind, tall):
+    """The phase rule's anchors and pivots, the representatives and the
+    generators' labels and tables, gathered by direct fancy indexing, are the
+    bytes ``np.take_along_axis`` and ``np.put_along_axis`` give: on real and
+    complex (k, N, N) stacks, taller than one scan block or not, with columns
+    that have no entry above ``PHASE_FLOOR``, and on (k, m, N) lists with
+    tied and near-tied eigenvalues."""
+    rng = np.random.default_rng(seed)
+    rows = dim + (spectral.PHASE_SCAN_ROWS + 3 if tall else 0)
+    basis = rng.standard_normal((k, rows, dim)).astype(kind)
+    if kind is np.complex128:
+        basis.imag = rng.standard_normal((k, rows, dim))
+    leading = np.arange(rows)[:, None] < rng.integers(0, rows + 1, size=(k, 1, dim))
+    basis[leading] = np.where(rng.random(np.count_nonzero(leading)) < 0.5, 0.0, 0.5 * PHASE_FLOOR)
+    basis[:, 0][leading[:, 0]] = 0.5 * PHASE_FLOOR  # a column wholly below the floor is anchored here
+    assert spectral._anchors(basis).tobytes() == along_axis_anchors(basis).tobytes()
+    assert _phase_fix(basis.copy()).tobytes() == along_axis_phase_fix(basis.copy()).tobytes()
+    # planted ties, some split by less than the group width
+    lists = rng.choice(rng.uniform(-2.0, 2.0, size=max(1, dim // 2)), size=(k, members, dim))
+    lists += np.where(rng.random(lists.shape) < 0.3, 1e-12 * rng.standard_normal(lists.shape), 0.0)
+    assert spectral._representatives(lists).tobytes() == along_axis_representatives(lists).tobytes()
+    square = basis[:, :dim]
+    for got, want in zip(spectral._generators(square, lists), along_axis_generators(square, lists)):
+        assert got.tobytes() == want.tobytes()
+
+
 def drawn_hermitian(rng, dim):
     """The hermitian part of one standard_normal((2, dim, dim)) draw, as the experiments draw it."""
     return experiments._hermitian_part(rng.standard_normal((2, dim, dim)))
@@ -1031,6 +1114,51 @@ def test_sweep_peak_is_bounded_by_the_stack_budget(sweep, trials, budget, monkey
     finally:
         tracemalloc.stop()
     assert peak <= stack_peak_bound(sweep) + 2**14
+
+
+class CountingGenerator:
+    """A ``Generator`` that counts its ``standard_normal`` calls and passes every call on."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def buffer_runs(sizes, capacity):
+    """Runs of consecutive whole trials of ``sizes`` normals that fill a buffer of ``capacity`` normals
+    greedily, a trial larger than the buffer being a run of its own."""
+    runs, filled = 0, None
+    for size in sizes:
+        if size > capacity:
+            runs, filled = runs + 1, None
+            continue
+        if filled is None or filled + size > capacity:
+            runs, filled = runs + 1, 0
+        filled += size
+    return runs
+
+
+@pytest.mark.parametrize("budget", [experiments.STACK_BYTES, 2**16])
+@pytest.mark.parametrize("sweep, trials", [("weak", 1000), ("av-split", 500)])
+def test_claims_sweeps_draw_their_normals_once_per_buffer_run(sweep, trials, budget, monkeypatch):
+    """The weak and alpha/beta sweeps call ``standard_normal`` once per run of
+    trials that fills a buffer of ``STACK_BYTES // 16`` bytes, not once per
+    trial, and reach the bits and the generator state of an unwrapped run."""
+    run, _, shapes = SWEEPS[sweep]
+    monkeypatch.setattr(experiments, "STACK_BYTES", budget)
+    counting = CountingGenerator(np.random.default_rng(SEED + 67))
+    got = run(counting, trials)
+    plain = np.random.default_rng(SEED + 67)
+    assert np.array_equal(np.array(got), np.array(run(plain, trials)))
+    assert counting.rng.bit_generator.state == plain.bit_generator.state
+    sizes = [sum(math.prod(shape) for shape in shapes(2 + trial % 7)) for trial in range(trials)]
+    assert counting.normal_calls == buffer_runs(sizes, budget // 128) < trials // 2
 
 
 def stacked_family_results(families):

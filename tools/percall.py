@@ -33,7 +33,10 @@ one BLAS thread, it times:
 - the random sweeps behind ``vn-generator`` and ``claims``: the ``recon``
   sweep per family at ``vn-generator --n 1000``, and per run each ``claims``
   sweep at its trial count (weak commutativity 1000, the alpha/beta split
-  500, dispersion-free 44, ``recon`` 100), each from a fresh generator.
+  500, dispersion-free 44, ``recon`` 100), each from a fresh generator;
+- a sweep stack's fixed cost: ``_family_recon_error`` on one seeded
+  5-dimensional family, and each ``claims`` sweep run for one trial (a
+  stack of one), its draw and a fresh generator's construction included.
 
 Each row is the best of five timed runs divided by the calls of one run.
 A ``stacks`` row after each sweep counts the stacks one run of it solves
@@ -208,11 +211,21 @@ def main() -> int:
     ]
     rows += [(name, lambda sweep=sweep, trials=trials: sweep(np.random.default_rng(seed), trials), count)
              for name, sweep, trials, count in sweeps]
+    family = np.random.default_rng(seed + 4)
+    normals5, coeffs5 = family.standard_normal((1, 2, 5, 5)), family.uniform(-2.0, 2.0, (1, 3, 3))
+    rows.append(("family_recon_error.dim5.stack_of_one",
+                 lambda: [experiments._family_recon_error(normals5, coeffs5) for _ in range(1000)], 1000))
+    # (name, sweep): one trial each, so one stack of one
+    stack_of_one = [("weak", experiments._worst_weak), ("av_split", experiments._worst_av_split),
+                    ("dispersion_free", experiments._worst_dispersion_free), ("recon", experiments._worst_family_recon)]
+    rows += [(f"claims.{name}.stack_of_one",
+              lambda sweep=sweep: [sweep(np.random.default_rng(seed), 1) for _ in range(1000)], 1000)
+             for name, sweep in stack_of_one]
     for _, run, _ in rows:
         run()  # warm lazy caches, seed blocks and imports
     for name, run, count in rows:
         print(f"{name} {best_us(run, count):.3f} us")
-        if name.startswith(("worst_family_recon", "claims")):
+        if name.startswith(("worst_family_recon", "claims")) and not name.endswith("stack_of_one"):
             print(f"{name.rsplit('.', 1)[0]}.stacks {stacks(experiments, run)}")
     return 0
 
