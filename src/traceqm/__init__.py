@@ -44,7 +44,6 @@ from .states import (
     GridMeta,
     StateVector,
     complex_inner,
-    gram_schmidt,
     grid_sample,
     normalize,
     real_inner,
@@ -61,7 +60,6 @@ from .operators import (
     dispersion,
     expect_c,
     expect_r,
-    sym_antisym_split,
 )
 from .spectral import (
     GeneratorResult,

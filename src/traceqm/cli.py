@@ -27,12 +27,7 @@ import numpy as np
 
 from .dynamics import MIN_LADDER_DIM
 from .errors import InputError, UsageError, ValidationError, WorkbenchError
-from .experiments import (
-    EXPERIMENT_DEFAULTS,
-    EXPERIMENTS,
-    TOL_KEYS,
-    ExperimentConfig,
-)
+from .experiments import DECLARATIONS, EXPERIMENTS, Experiment, ExperimentConfig
 from .states import MIN_GRID_POINTS
 
 __all__ = [
@@ -46,22 +41,17 @@ __all__ = [
 USAGE = """usage: traceqm EXPERIMENT [--flag value ...]
 
 experiments:
-  cat               two-outcome superposition statistics
-  well-spectrum     hard-wall level energies against the analytic law
-  spread            free-packet width growth and stationary-state width
-  poisson           classical bracket vs commutator expectations
-  vn-generator      single generator of a commuting family
-  ensemble-density  sampled position density against the state density
-  claims            structural invariant sweep
+{experiments}
 
 common flags: --seed INT --out PATH --format csv|json --config FILE
 model flags:  --n INT --grid-n INT --length X --mass X --omega X --hbar X
               --d INT --times T1,T2,... --a1 X --a2 X
 tolerances:   --tol-NAME X (echoed into the checks output)
-"""
+""".format(experiments="\n".join(f"  {name:{max(map(len, DECLARATIONS))}}  {experiment.summary}"
+                                  for name, experiment in DECLARATIONS.items()))
 
 
-def _parse_flags(tokens: list[str]) -> dict[str, str]:
+def _parse_flags(tokens: list[str], experiment: Experiment) -> dict[str, str]:
     flags: dict[str, str] = {}
     i = 0
     while i < len(tokens):
@@ -69,7 +59,7 @@ def _parse_flags(tokens: list[str]) -> dict[str, str]:
         if not token.startswith("--"):
             raise UsageError(f"expected a --flag, got {token!r}")
         key = token[2:]
-        if not _known_key(key):
+        if not _known_key(key, experiment):
             raise UsageError(f"unknown flag --{key}")
         if i + 1 >= len(tokens):
             raise UsageError(f"flag --{key} needs a value")
@@ -78,13 +68,21 @@ def _parse_flags(tokens: list[str]) -> dict[str, str]:
     return flags
 
 
-def _known_key(key: str) -> bool:
+def _known_key(key: str, experiment: Experiment) -> bool:
+    """Whether ``key`` is a flag (less its ``--``) and config-file key of
+    ``experiment``.  A ``tol-`` key naming none of its checks bounds nothing:
+    it raises :class:`UsageError` naming the experiment's checks."""
     if key == "config" or key in FIELD_OF_KEY:
         return True
-    return key.startswith("tol-") and key[4:] in TOL_KEYS
+    if not key.startswith("tol-"):
+        return False
+    if key[4:] not in experiment.checks:
+        raise UsageError(f"{key} names no check of {experiment.name}; "
+                         f"its checks are {', '.join(experiment.checks)}")
+    return True
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, experiment: Experiment) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -100,7 +98,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key == "config":
             raise UsageError(f"{path}:{lineno}: config files cannot nest")
-        if not _known_key(key):
+        if not _known_key(key, experiment):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -149,7 +147,7 @@ def _to_format(key: str, raw) -> str:
 #: the parser of every settable :class:`ExperimentConfig` field, called as
 #: ``parser(key, raw)``; its flag and config-file key is the field name
 #: with "-" for "_".  Unset fields take the dataclass default, overridden
-#: by ``EXPERIMENT_DEFAULTS``.
+#: by the experiment's declared ``defaults``.
 PARSERS = {
     "n": partial(_to_int, minimum=1),
     "seed": partial(_to_int, minimum=0),
@@ -178,13 +176,13 @@ def parse_config(args) -> ExperimentConfig:
     args = [str(a) for a in args]
     if not args:
         raise UsageError("missing experiment name")
-    experiment = args[0]
-    if experiment not in EXPERIMENTS:
-        raise UsageError(f"unknown experiment {experiment!r}")
+    if args[0] not in DECLARATIONS:
+        raise UsageError(f"unknown experiment {args[0]!r}")
+    declared = DECLARATIONS[args[0]]
 
-    flags = _parse_flags(args[1:])
+    flags = _parse_flags(args[1:], declared)
     config_path = flags.pop("config", None)
-    file_values = _read_config_file(config_path) if config_path is not None else {}
+    file_values = _read_config_file(config_path, declared) if config_path is not None else {}
 
     merged: dict[str, str] = {}
     if "WORKBENCH_SEED" in os.environ:
@@ -192,7 +190,7 @@ def parse_config(args) -> ExperimentConfig:
     merged.update(file_values)
     merged.update(flags)
 
-    values: dict[str, object] = dict(EXPERIMENT_DEFAULTS[experiment])
+    values: dict[str, object] = dict(declared.defaults)
     tols: dict[str, float] = {}
     for key, raw in merged.items():
         if key.startswith("tol-"):
@@ -204,8 +202,8 @@ def parse_config(args) -> ExperimentConfig:
             name = FIELD_OF_KEY[key]
             values[name] = PARSERS[name](key, raw)
 
-    cfg = ExperimentConfig(experiment, **values, tols=tols)
-    if experiment == "cat" and cfg.a1 == cfg.a2:
+    cfg = ExperimentConfig(declared.name, **values, tols=tols)
+    if cfg.experiment == "cat" and cfg.a1 == cfg.a2:
         raise ValidationError("a1 and a2 must be distinct outcomes")
     return cfg
 

@@ -347,7 +347,9 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
 
     The Hamiltonian built from the truncated q and p is diagonal with the
     exact levels hbar*omega*(n + 1/2) everywhere except the top entry,
-    which truncation lowers to hbar*omega*(dim - 1)/2.
+    which truncation lowers to hbar*omega*(dim - 1)/2.  A potential
+    coefficient m omega^2/2 that overflows is refused with a
+    :class:`NumericalError` naming it.
     """
     if dim < MIN_LADDER_DIM:
         raise ValueError(f"ladder needs at least {MIN_LADDER_DIM} levels, got {dim}")
@@ -357,13 +359,17 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
     if 2.0 * mass * omega == 0.0:
         raise NumericalError(f"2 m omega underflows to zero (mass {mass!r}, omega {omega!r}); "
                              "the position scale sqrt(hbar/(2 m omega)) is undefined")
+    potential = 0.5 * mass * omega * omega
+    if potential == np.inf:
+        raise NumericalError(f"the potential coefficient m omega^2/2 overflows "
+                             f"(mass {mass!r}, omega {omega!r})")
     lower = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     raise_ = lower.conj().T
     # a scale or product that overflows (inf, or inf * 0 = NaN) is refused by certification, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         q_matrix = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
         p_matrix = 1j * np.sqrt(mass * omega * hbar / 2.0) * (raise_ - lower)
-        h_matrix = p_matrix @ p_matrix / (2.0 * mass) + 0.5 * mass * omega * omega * (q_matrix @ q_matrix)
+        h_matrix = p_matrix @ p_matrix / (2.0 * mass) + potential * (q_matrix @ q_matrix)
     q = certify_hermitian(Operator(q_matrix))
     p = certify_hermitian(Operator(p_matrix))
     hamiltonian = certify_hermitian(Operator(h_matrix))

@@ -4,7 +4,10 @@ Each experiment function takes a resolved :class:`ExperimentConfig` and
 returns ``(rows, checks)``: a uniform table of result rows plus a list of
 :class:`Check` records, one per tolerance the experiment guards.  All
 tolerances have compiled-in defaults, overridable through ``cfg.tols``;
-whatever bound was actually used is echoed in the check record.
+whatever bound was actually used is echoed in the check record.  Each
+experiment is declared once, as an :class:`Experiment` record in
+:data:`DECLARATIONS`, which the command line reads for everything it knows
+of it.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +50,9 @@ from .states import GridMeta, StateVector, _squares, _unit_rows, normalize
 __all__ = [
     "ExperimentConfig",
     "Check",
+    "Experiment",
+    "DECLARATIONS",
     "EXPERIMENTS",
-    "EXPERIMENT_DEFAULTS",
-    "TOL_KEYS",
 ]
 
 
@@ -90,30 +94,6 @@ class Check:
         if self.mode == "max":
             return bool(self.value <= self.bound)
         return bool(self.value >= self.bound)
-
-
-EXPERIMENT_DEFAULTS: dict[str, dict[str, object]] = {
-    "cat": {},
-    "well-spectrum": {},
-    "spread": {"grid_n": 512},
-    "poisson": {},
-    "vn-generator": {"n": 100},
-    "ensemble-density": {"grid_n": 128, "n": 50000},
-    "claims": {},
-}
-
-#: every tolerance any experiment understands, for flag validation.
-TOL_KEYS = (
-    "support", "mean", "std",
-    "spectrum", "convergence",
-    "spread", "stationary",
-    "gap",
-    "canned", "tables", "recon",
-    "envelope", "mass-one-cell",
-    "weak", "av-residual", "av-orth", "av-beta",
-    "dispersion-free", "eigen-residual",
-    "trace-i", "minpoly",
-)
 
 
 def _check(cfg: ExperimentConfig, name: str, value, default: float, mode: str = "max") -> Check:
@@ -619,12 +599,37 @@ def run_claims(cfg: ExperimentConfig):
     return rows, checks
 
 
-EXPERIMENTS = {
-    "cat": run_cat,
-    "well-spectrum": run_well_spectrum,
-    "spread": run_spread,
-    "poisson": run_poisson,
-    "vn-generator": run_vn_generator,
-    "ensemble-density": run_ensemble_density,
-    "claims": run_claims,
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's declaration: its command-line name, its runner, the
+    names of the checks the runner emits in order (each one's bound is
+    ``--tol-NAME``), its one-line usage summary, and its overrides of the
+    :class:`ExperimentConfig` defaults."""
+
+    name: str
+    run: Callable[[ExperimentConfig], tuple[list[dict], list[Check]]]
+    checks: tuple[str, ...]
+    summary: str
+    defaults: dict[str, object] = field(default_factory=dict)
+
+
+#: every experiment, declared once, in the order the usage text lists them.
+DECLARATIONS = {experiment.name: experiment for experiment in (
+    Experiment("cat", run_cat, ("support", "mean", "std"), "two-outcome superposition statistics"),
+    Experiment("well-spectrum", run_well_spectrum, ("spectrum", "convergence"),
+               "hard-wall level energies against the analytic law"),
+    Experiment("spread", run_spread, ("spread", "stationary"),
+               "free-packet width growth and stationary-state width", {"grid_n": 512}),
+    Experiment("poisson", run_poisson, ("gap",), "classical bracket vs commutator expectations"),
+    Experiment("vn-generator", run_vn_generator, ("canned", "tables", "recon"),
+               "single generator of a commuting family", {"n": 100}),
+    Experiment("ensemble-density", run_ensemble_density, ("envelope", "mass-one-cell"),
+               "sampled position density against the state density", {"grid_n": 128, "n": 50000}),
+    Experiment("claims", run_claims,
+               ("weak", "av-residual", "av-orth", "av-beta", "dispersion-free", "eigen-residual",
+                "trace-i", "minpoly", "recon"),
+               "structural invariant sweep"),
+)}
+
+#: name -> runner, in declaration order: what the command line dispatches through.
+EXPERIMENTS = {name: experiment.run for name, experiment in DECLARATIONS.items()}

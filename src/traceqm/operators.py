@@ -7,9 +7,6 @@ beyond tolerance.  Expectations come in the complex flavour ``expect_c``
 to vanish) and the trace-form flavour ``expect_r`` which is exactly twice
 ``expect_c`` for hermitian input.
 
-Any product of two hermitian operators splits as
-``A @ B = S + i*D`` with ``S = (AB + BA)/2`` and ``D = (AB - BA)/(2i)``
-both hermitian; :func:`sym_antisym_split` returns that pair certified.
 ``av_decompose`` splits the action of an observable on a state into a mean
 part along the state and a dispersion part orthogonal to it.  The norm of
 that part, the centered residual, is the one dispersion rule: ``dispersion``
@@ -47,7 +44,6 @@ __all__ = [
     "AvResult",
     "adjoint",
     "certify_hermitian",
-    "sym_antisym_split",
     "expect_c",
     "expect_r",
     "dispersion",
@@ -282,19 +278,6 @@ def certify_hermitian(a, grid: GridMeta | None = None) -> HermitianOperator:
     object.__setattr__(certified, "certificate", float(deviations[0]))
     object.__setattr__(certified, "scale", float(scales[0]))
     return certified
-
-
-def sym_antisym_split(a: HermitianOperator, b: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
-    """Split A @ B into hermitian S and D with A @ B = S + i*D.
-
-    S = (AB + BA)/2 and D = (AB - BA)/(2i) are both hermitian whenever A
-    and B are; the identity holds entrywise to roundoff.
-    """
-    ab = a @ b
-    ba = b @ a
-    s = certify_hermitian(Operator((ab.matrix + ba.matrix) / 2.0, a.grid))
-    d = certify_hermitian(Operator((ab.matrix - ba.matrix) / 2j, a.grid))
-    return s, d
 
 
 def _operand(a: Operator):

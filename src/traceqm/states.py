@@ -43,7 +43,6 @@ __all__ = [
     "real_inner",
     "normalize",
     "superpose",
-    "gram_schmidt",
     "grid_sample",
 ]
 
@@ -235,42 +234,23 @@ def superpose(states, weights) -> StateVector:
     return StateVector(acc, first.grid)
 
 
-def gram_schmidt(states) -> list[StateVector]:
-    """Orthonormalize a list of states in order.
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormalize the rows of a 2D array in order.
 
-    Runs a modified Gram-Schmidt sweep twice per vector, so the returned
-    basis is orthonormal to machine precision.  If a vector's residual after
-    projection is below ``DEPENDENT_TOL`` (relative to the vector's own
-    norm), the set is dependent and :class:`DegenerateSetError` is raised.
+    Modified Gram-Schmidt, swept twice per row, so the rows are orthonormal
+    to machine precision; raises :class:`DegenerateSetError` for a zero row
+    or one whose residual after projection is below ``DEPENDENT_TOL``.
     """
-    states = list(states)
-    if not states:
-        return []
-    first = states[0]
-    for s in states[1:]:
-        _require_same_space(first, s, "states")
-    rows = _orthonormal_rows(np.array([s.coeffs for s in states]), first.grid)
-    return [StateVector(row, first.grid) for row in rows]
-
-
-def _orthonormal_rows(rows: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
-    """Orthonormalize the rows of a 2D array in order, under the grid weight.
-
-    Modified Gram-Schmidt, swept twice per row; raises
-    :class:`DegenerateSetError` for a zero row or one whose residual after
-    projection is below ``DEPENDENT_TOL``.
-    """
-    weight = _weight(grid)
     out = np.empty_like(rows, order="C")
     for k, row in enumerate(rows):
-        nrm = _raw_norm(row, grid)
+        nrm = _raw_norm(row, None)
         if nrm == 0.0:
             raise DegenerateSetError(f"vector {k} is zero")
         v = row / nrm
         for _ in range(2):
             for b in out[:k]:
-                v = v - b * (np.vdot(b, v) * weight)
-        residual = _raw_norm(v, grid)
+                v = v - b * np.vdot(b, v)
+        residual = _raw_norm(v, None)
         if residual < DEPENDENT_TOL:
             raise DegenerateSetError(
                 f"vector {k} is dependent on its predecessors (residual {residual:.3e})"

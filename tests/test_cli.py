@@ -112,6 +112,26 @@ def test_tolerance_flags_collected():
     assert cfg.tols == {"weak": 1e-9}
 
 
+def test_tolerance_of_another_experiment_exits_two(capsys):
+    """recon is a check of vn-generator and claims, not of cat: its bound would
+    guard nothing, so the run is refused with one line naming cat's checks."""
+    assert main(["cat", "--tol-recon", "5", "--n", "100"]) == 2
+    captured = capsys.readouterr()
+    first, *rest = captured.err.splitlines()
+    assert first.startswith("error: ") and "cat" in first and "support, mean, std" in first
+    assert not any(line.startswith("error:") for line in rest)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_config_file_tolerance_is_checked_per_experiment(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("tol-recon = 5\n")
+    with pytest.raises(UsageError, match="cat; its checks are support, mean, std"):
+        parse_config(["cat", "--config", str(f)])
+    assert parse_config(["claims", "--config", str(f)]).tols == {"recon": 5.0}
+
+
 def test_times_parsing():
     cfg = parse_config(["spread", "--times", "0.0,0.001,0.01"])
     assert cfg.times == (0.0, 0.001, 0.01)
@@ -315,19 +335,24 @@ def test_value_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    # 0.5 m omega^2 overflows, and inf times the zero entries of q @ q is NaN
-    ("--omega", "1e200"),
+@pytest.mark.parametrize("flags, ending", [
+    # 0.5 m omega^2 overflows, where inf times the zero entries of q @ q would be NaN: refused where
+    # the ladder is built, naming it
+    pytest.param(["--omega", "1e200"], "the potential coefficient m omega^2/2 overflows (mass 1.0, omega 1e+200)",
+                 id="--omega-1e200"),
+    # m omega hbar/2 overflows, and inf times the zero entries of p is NaN: refused by certification
+    pytest.param(["--mass", "1e300", "--hbar", "1e300"], "(matrix has non-finite entries)",
+                 id="--mass-1e300-hbar-1e300"),
 ])
-def test_poisson_exit_one_on_overflowing_matrix(flag, value, tmp_path, capsys):
+def test_poisson_exit_one_on_overflowing_matrix(flags, ending, tmp_path, capsys):
     """A ladder matrix that overflows ends in one error line, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run_cli(["poisson", flag, value], tmp_path)
+        code, out = run_cli(["poisson", *flags], tmp_path)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("(matrix has non-finite entries)\n")
+    assert err.endswith(ending + "\n")
     assert not out.exists()
 
 
@@ -791,7 +816,8 @@ def test_json_config_echo_keys_and_order(tmp_path):
 
 
 def test_tol_keys_are_exactly_the_emitted_check_names():
-    from traceqm.experiments import EXPERIMENTS, TOL_KEYS
+    """Each experiment emits exactly its declared checks, in order, each once."""
+    from traceqm.experiments import DECLARATIONS
 
     small = {
         "cat": ["--n", "200"],
@@ -802,20 +828,23 @@ def test_tol_keys_are_exactly_the_emitted_check_names():
         "ensemble-density": ["--n", "200", "--grid-n", "16"],
         "claims": [],
     }
-    assert set(small) == set(EXPERIMENTS)
-    emitted = set()
+    assert list(small) == list(DECLARATIONS)
     for name, flags in small.items():
-        _, checks = EXPERIMENTS[name](parse_config([name] + flags))
-        emitted |= {check.name for check in checks}
-    assert emitted == set(TOL_KEYS)
-    assert len(TOL_KEYS) == len(set(TOL_KEYS))
+        declared = DECLARATIONS[name].checks
+        _, checks = DECLARATIONS[name].run(parse_config([name] + flags))
+        assert [check.name for check in checks] == list(declared), name
+        assert len(set(declared)) == len(declared), name
 
 
 def test_usage_names_every_flag():
     from traceqm.cli import FIELD_OF_KEY, USAGE
+    from traceqm.experiments import DECLARATIONS
 
     for key in list(FIELD_OF_KEY) + ["config", "tol-NAME"]:
         assert f"--{key} " in USAGE
+    lines = USAGE.splitlines()
+    for name, experiment in DECLARATIONS.items():
+        assert any(line.split() == [name, *experiment.summary.split()] for line in lines), name
 
 
 def test_underscore_field_name_is_not_a_flag(tmp_path):

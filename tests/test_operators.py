@@ -31,7 +31,6 @@ from traceqm import (
     expect_r,
     normalize,
     real_inner,
-    sym_antisym_split,
 )
 
 from traceqm import (
@@ -41,7 +40,6 @@ from traceqm import (
     eigendecompose,
     evolve_operator,
     evolve_state,
-    gram_schmidt,
     measure_once,
     sample_rng,
     simultaneous_diagonalize,
@@ -203,29 +201,6 @@ def test_adjoint_matches_conjugate_transpose():
     np.testing.assert_allclose(adjoint(a).matrix, m.conj().T)
 
 
-def test_sym_antisym_split_reassembles():
-    """A*B = S + i*D with S, D both certified hermitian."""
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(25):
-        a = random_hermitian(rng, 5)
-        b = random_hermitian(rng, 5)
-        s, d = sym_antisym_split(a, b)
-        assert isinstance(s, HermitianOperator)
-        assert isinstance(d, HermitianOperator)
-        np.testing.assert_allclose(
-            s.matrix + 1j * d.matrix, a.matrix @ b.matrix, atol=1e-12
-        )
-
-
-def test_sym_antisym_split_pauli():
-    # sigma_x sigma_y = i sigma_z: symmetric part vanishes
-    a = certify_hermitian(PAULI_X)
-    b = certify_hermitian(PAULI_Y)
-    s, d = sym_antisym_split(a, b)
-    np.testing.assert_allclose(s.matrix, np.zeros((2, 2)), atol=1e-15)
-    np.testing.assert_allclose(d.matrix, PAULI_Z, atol=1e-15)
-
-
 def test_operator_apply_and_matmul():
     a = Operator(PAULI_X)
     v = StateVector([1.0, 0.0])
@@ -268,7 +243,6 @@ SAME_SPACE_CALLS = {
     "matmul": lambda a, b: _space_op(a) @ _space_op(b),
     "complex_inner": lambda a, b: complex_inner(_space_state(a), _space_state(b)),
     "superpose": lambda a, b: superpose([_space_state(a), _space_state(b)], [1.0, 1.0]),
-    "gram_schmidt": lambda a, b: gram_schmidt([_space_state(a), _space_state(b, 2)]),
     "expect_c": lambda a, b: expect_c(_space_op(a), _space_state(b)),
     "measure_once": lambda a, b: measure_once(eigendecompose(_space_op(a)), _space_state(b), sample_rng(0, 0)),
     "evolve_state": lambda a, b: evolve_state(_space_model(a), _space_state(b), 0.1),

@@ -13,14 +13,13 @@ from traceqm import (
     StateVector,
     ZeroVectorError,
     complex_inner,
-    gram_schmidt,
     grid_sample,
     normalize,
     real_inner,
     superpose,
     trace,
 )
-from traceqm.states import _raw_inner, _raw_norm
+from traceqm.states import _orthonormal_rows, _raw_inner, _raw_norm
 
 SEED = 2202
 ORTH_TOL = 1e-10
@@ -270,9 +269,10 @@ def test_superpose_mixed_grids_rejected():
 
 
 def test_gram_schmidt_orthonormal_output():
+    """``_orthonormal_rows``, the modified Gram-Schmidt sweep, returns orthonormal rows."""
     rng = np.random.default_rng(SEED + 4)
-    vs = [StateVector(rng.standard_normal(5) + 1j * rng.standard_normal(5)) for _ in range(4)]
-    basis = gram_schmidt(vs)
+    rows = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    basis = [StateVector(row) for row in _orthonormal_rows(rows)]
     assert len(basis) == 4
     for i, u in enumerate(basis):
         for j, w in enumerate(basis):
@@ -282,11 +282,13 @@ def test_gram_schmidt_orthonormal_output():
 
 
 def test_gram_schmidt_detects_dependence():
-    a = StateVector([1.0, 0.0, 0.0])
-    b = StateVector([0.0, 1.0, 0.0])
-    c = StateVector([1.0, 1.0, 0.0])  # in the span of a, b
-    with pytest.raises(DegenerateSetError):
-        gram_schmidt([a, b, c])
+    rows = np.array([[1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0],
+                     [1.0, 1.0, 0.0]])  # the last row in the span of the first two
+    with pytest.raises(DegenerateSetError, match="vector 2 is dependent"):
+        _orthonormal_rows(rows)
+    with pytest.raises(DegenerateSetError, match="vector 1 is zero"):
+        _orthonormal_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_grid_sample_normalizes():

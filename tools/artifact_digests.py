@@ -1,9 +1,10 @@
 """Print the sha256 digest of every CLI artifact the workbench writes at its defaults.
 
-Runs the seven experiments at their default configs in csv and in json,
-plus the runs listed in ``EXTRA``, each with the reason it is there, into a
-temporary directory, and prints one ``name sha256`` line per artifact file
-and one ``name.exit CODE`` line per run, or ``name.exit raised TYPE`` for a
+Runs every experiment in the checkout's ``traceqm.experiments.EXPERIMENTS``,
+in its order, at its default config in csv and in json, plus the runs
+listed in ``EXTRA``, each with the reason it is there, into a temporary
+directory, and prints one ``name sha256`` line per artifact file and one
+``name.exit CODE`` line per run, or ``name.exit raised TYPE`` for a
 run that raised.  Three ``#`` header lines first name the numpy and scipy
 versions and the OpenBLAS configuration, which the bytes also depend on.
 Comparing two checkouts is one ``diff``::
@@ -32,8 +33,6 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
-
-EXPERIMENTS = ("cat", "well-spectrum", "spread", "poisson", "vn-generator", "ensemble-density", "claims")
 
 #: extra runs beyond the defaults: (label, arguments).
 EXTRA = (
@@ -104,8 +103,8 @@ EXTRA = (
 )
 
 
-def runs():
-    for name in EXPERIMENTS:
+def runs(experiments):
+    for name in experiments:
         for fmt in ("csv", "json"):
             yield f"{name}-{fmt}", (name, "--format", fmt)
     for label, argv in EXTRA:
@@ -121,6 +120,7 @@ def main() -> int:
     os.environ.pop("WORKBENCH_SEED", None)
     import numpy as np
     from traceqm.cli import main as traceqm_main
+    from traceqm.experiments import EXPERIMENTS
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(f"# numpy {np.__version__}")
@@ -128,7 +128,7 @@ def main() -> int:
     print(f"# blas {blas.get('openblas configuration', blas['name'] + ' ' + blas['version'])}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv in runs():
+        for label, argv in runs(EXPERIMENTS):
             out_dir = Path(tmp) / label
             out_dir.mkdir()
             suffix = ".json" if "json" in argv else ".csv"
