@@ -32,18 +32,24 @@ under which the classical bracket {A, H} and the operator bracket
 
 Time evolution is spectral: the propagator is assembled from the
 Hamiltonian eigenbasis, so unitarity and energy conservation are exact up
-to roundoff.  A state is evolved in the basis's own arithmetic: the grid
-Hamiltonian's basis is real, so its amplitudes and its evolved coefficients
-are real products on the stacked real and imaginary parts.
-:func:`spread_series` forms the amplitudes once and evolves every requested
-time in one stacked product, of which :func:`evolve_state` is the stack of
-one, and reads each width through position's band product, so a grid run
-builds no dense operator and no complex copy of the basis.  A time whose
-phases E t / hbar would be roundoff is refused.
+to roundoff.  The grid Hamiltonian commutes with the reflection x -> L - x,
+so a grid state is evolved by parity sector: folded in O(N) into its even
+and odd half coordinates, each evolved in its own half's real ``?stevd``
+basis at half the order, and mirrored back; a part that is exactly zero is
+never solved or multiplied, so an even state costs one half solve and stays
+exactly even.  Any other model evolves in its whole eigenbasis.  Either way
+the products are real products on the stacked real and imaginary parts of
+a real basis.  :func:`spread_series` evolves every requested time in one
+stacked product, of which :func:`evolve_state` is the stack of one, and
+reads each width through position's band product, so a grid run builds no
+dense operator and no N x N basis.  A time whose phases E t / hbar would be
+roundoff is refused.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -65,8 +71,10 @@ from .operators import (
     _require_fits,
     _require_normalized,
 )
-from .spectral import SpectralDecomposition, _band_halves, _parity_merge, _spectral_sum, _stebz, eigendecompose
-from .states import GridMeta, StateVector, _require_same_space
+from .spectral import (BAND_BASIS_BYTES_PER_ENTRY, SpectralDecomposition, _band_halves, _band_solve, _decomposition,
+                       _one_blas_thread, _pairs, _parity_fold, _parity_merge, _parity_unfold, _phase_fix,
+                       _sector_solve, _sectored, _spectral_sum, _stebz, eigendecompose)
+from .states import GridMeta, StateVector, _require_same_space, _weight
 
 __all__ = [
     "MAX_DEGREE",
@@ -221,8 +229,14 @@ class ModelSystem:
     """A concrete model: position, momentum, Hamiltonian, and ``hbar``.
 
     ``kind`` is one of ``grid_well``, ``grid_free``, ``oscillator_ladder``.
-    The Hamiltonian eigendecomposition is computed once on demand and
-    cached, since every evolution call needs it.
+    A Hamiltonian with real palindromic bands (every grid model's) commutes
+    with the reflection x -> L - x, so it is solved by parity sector: each
+    sector's half tridiagonal is solved by ``?stevd`` on first use and kept,
+    and the evolution reads only the sectors a state occupies.
+    :meth:`energy_spectrum` merges those same kept halves into the whole
+    eigendecomposition, so no half is solved twice; any other Hamiltonian is
+    decomposed whole.  Either decomposition is computed once on demand and
+    cached.
     """
 
     def __init__(self, kind: str, q: HermitianOperator, p: HermitianOperator,
@@ -234,14 +248,31 @@ class ModelSystem:
         self.hbar = float(hbar)
         self.grid = grid
         self._spectrum: SpectralDecomposition | None = None
+        self._halves = [None, None]  # the even and odd sectors' ?stevd results, once solved
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
 
+    @cached_property
+    def _sectored(self) -> bool:
+        return _sectored(self.hamiltonian)
+
+    def _half(self, odd: int):
+        """The even (``odd`` 0) or odd (1) sector's ``spectral._sector_solve`` result, solved on first
+        use, refused first if its basis and ``?stevd`` workspace would not fit in physical memory."""
+        if self._halves[odd] is None:
+            order = (self.dim + 1 - odd) // 2
+            _require_fits(self.grid, BAND_BASIS_BYTES_PER_ENTRY * order * order,
+                          f"solving its {order}x{order} parity half")
+            self._halves[odd] = _sector_solve(self.hamiltonian, odd)
+        return self._halves[odd]
+
     def energy_spectrum(self) -> SpectralDecomposition:
         if self._spectrum is None:
-            self._spectrum = eigendecompose(self.hamiltonian)
+            h = self.hamiltonian
+            self._spectrum = (_decomposition(h, *_band_solve(h, True, self._half)) if self._sectored
+                              else eigendecompose(h))
         return self._spectrum
 
     def __repr__(self):
@@ -348,7 +379,8 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
     The Hamiltonian built from the truncated q and p is diagonal with the
     exact levels hbar*omega*(n + 1/2) everywhere except the top entry,
     which truncation lowers to hbar*omega*(dim - 1)/2.  A potential
-    coefficient m omega^2/2 that overflows is refused with a
+    coefficient m omega^2/2, position scale hbar/(2 m omega) or momentum
+    scale m omega hbar/2 that overflows is refused with a
     :class:`NumericalError` naming it.
     """
     if dim < MIN_LADDER_DIM:
@@ -359,16 +391,23 @@ def build_oscillator_ladder(dim: int, mass: float = 1.0, omega: float = 1.0,
     if 2.0 * mass * omega == 0.0:
         raise NumericalError(f"2 m omega underflows to zero (mass {mass!r}, omega {omega!r}); "
                              "the position scale sqrt(hbar/(2 m omega)) is undefined")
+    units = f"(mass {mass!r}, omega {omega!r}, hbar {hbar!r})"
     potential = 0.5 * mass * omega * omega
     if potential == np.inf:
         raise NumericalError(f"the potential coefficient m omega^2/2 overflows "
                              f"(mass {mass!r}, omega {omega!r})")
+    with np.errstate(over="ignore"):
+        position, momentum = hbar / (2.0 * mass * omega), mass * omega * hbar / 2.0
+    # inf times the ladders' zero entries would be NaN, reported as a hermiticity deviation
+    for name, scale in (("position scale hbar/(2 m omega)", position), ("momentum scale m omega hbar/2", momentum)):
+        if scale == np.inf:
+            raise NumericalError(f"the {name} overflows {units}")
     lower = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
     raise_ = lower.conj().T
-    # a scale or product that overflows (inf, or inf * 0 = NaN) is refused by certification, unwarned
+    # a product that overflows (inf, or inf * 0 = NaN) is refused by certification, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        q_matrix = np.sqrt(hbar / (2.0 * mass * omega)) * (lower + raise_)
-        p_matrix = 1j * np.sqrt(mass * omega * hbar / 2.0) * (raise_ - lower)
+        q_matrix = np.sqrt(position) * (lower + raise_)
+        p_matrix = 1j * np.sqrt(momentum) * (raise_ - lower)
         h_matrix = p_matrix @ p_matrix / (2.0 * mass) + potential * (q_matrix @ q_matrix)
     q = certify_hermitian(Operator(q_matrix))
     p = certify_hermitian(Operator(p_matrix))
@@ -471,40 +510,81 @@ def _time_over_hbar(t: float, hbar: float) -> float:
     return scaled
 
 
-def _propagator(model: ModelSystem, times) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Energy eigenbasis of ``model`` and the phases exp(-i E t / hbar) of U(t) on it, one row per time.
+def _phases(model: ModelSystem, times, scaled: np.ndarray, spectra) -> list[np.ndarray]:
+    """The phases exp(-i E t / hbar) of U(t) on each ascending eigenvalue array of ``spectra``, one row
+    per time, given each time over hbar, ``scaled``.
 
     A phase error delta in every component moves the evolved state by at most
     delta in norm, and rounding E t / hbar errs by up to eps |E t| / hbar.  So a
-    time at which eps max|E| |t| / hbar reaches 1, where that bound reaches the
-    state's own norm, is refused, as is one at which it overflows.
+    time at which eps max|E| |t| / hbar reaches 1, max|E| taken over
+    ``spectra``, where that bound reaches the state's own norm, is refused, as
+    is one at which it overflows.
     """
-    scaled = np.array([_time_over_hbar(t, model.hbar) for t in times])
-    dec = model.energy_spectrum()
-    values = dec.eigenvalues  # ascending: the largest |E| is at one end
+    top = max(max(abs(values[0]), abs(values[-1])) for values in spectra)  # ascending: |E| peaks at an end
     with np.errstate(over="ignore"):
-        errors = np.finfo(np.float64).eps * float(max(abs(values[0]), abs(values[-1]))) * abs(scaled)
+        errors = np.finfo(np.float64).eps * float(top) * abs(scaled)
     beyond = np.flatnonzero(~(errors < 1.0))
     if beyond.size:
         t = float(times[beyond[0]])
         raise NumericalError(f"energy times time {t!r} over hbar {model.hbar!r} leaves the propagator's "
                              f"phases to roundoff: eps max|E| |t| / hbar is {errors[beyond[0]]:.3g}, "
                              "not below 1")
-    return dec, np.exp(-1j * values * scaled[:, None])
+    return [np.exp(-1j * values * scaled[:, None]) for values in spectra]
+
+
+def _propagator(model: ModelSystem, times) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Energy eigenbasis of ``model`` and the :func:`_phases` of U(t) on it, one row per time."""
+    scaled = np.array([_time_over_hbar(t, model.hbar) for t in times])
+    dec = model.energy_spectrum()
+    return dec, _phases(model, times, scaled, [dec.eigenvalues])[0]
 
 
 def _evolved(model: ModelSystem, psi0: StateVector, times) -> np.ndarray:
-    """Coefficients (T, N) of a normalized state evolved to each of ``times``: its amplitudes
-    formed once, then every time in one stacked product with the energy eigenbasis."""
-    dec, phases = _propagator(model, times)
+    """Coefficients (T, N) of a normalized state evolved to each of ``times``, every time in one stacked
+    product, so each row has the bytes it has alone.
+
+    A model with palindromic real bands folds the state into its even and
+    odd half coordinates in O(N) (``spectral._parity_fold``), evolves each
+    part in its own sector's half basis at half the order, and mirrors the
+    two back (``spectral._parity_unfold``).  A part that is exactly zero is
+    neither solved nor multiplied, and the phases' roundoff refusal reads
+    max|E| over the sectors evolved; parity is conserved exactly, so an
+    exactly even or odd state stays exactly so.  Any other model forms the
+    state's amplitudes once in its whole energy eigenbasis.
+    """
+    scaled = np.array([_time_over_hbar(t, model.hbar) for t in times])
     _require_same_space(model.hamiltonian, psi0, "operator and state")
     _require_normalized(psi0)
-    return dec._combination(phases * dec._coordinates(psi0.coeffs))
+    if not model._sectored:
+        dec, phases = _propagator(model, times)
+        return dec._combination(phases * dec._coordinates(psi0.coeffs))
+    parts = _parity_fold(psi0.coeffs)
+    live = [odd for odd, part in enumerate(parts) if part.any()]
+    halves = [model._half(odd) for odd in live]
+    e = math.frexp(model.hamiltonian.scale)[1]  # the halves' levels are solved at 2**-e
+    phases = _phases(model, times, scaled, [np.ldexp(values, e) for values, _ in halves])
+    evolved = [None, None]
+    with _one_blas_thread():
+        for odd, (_, vectors), phase in zip(live, halves, phases):
+            amplitudes = (vectors.T @ parts[odd]).view(np.complex128)[:, 0]
+            evolved[odd] = np.matmul(vectors, _pairs(phase * amplitudes))
+    return _parity_unfold(*evolved, model.dim).view(np.complex128)[..., 0]
 
 
 def evolve_state(model: ModelSystem, psi0: StateVector, t: float) -> StateVector:
     """Evolve a normalized state by time t through the spectral propagator."""
     return StateVector(_evolved(model, psi0, [t])[0], psi0.grid)
+
+
+def _ground_state(model: ModelSystem) -> StateVector:
+    """``model.energy_spectrum().eigenvector(0)`` of a model with palindromic real bands, from its even
+    sector alone: the half's first vector laid out, sign-fixed and weighted as the merged basis's
+    first column is, so to the same bytes wherever that column is a degenerate group of its own.
+    The bands form a Jacobi matrix, so by the oscillation theorem the lowest level is simple and its
+    nodeless vector even: the even half's lowest level is the whole spectrum's."""
+    vectors = model._half(0)[1]
+    column = _parity_unfold(vectors[:, :1], None, model.dim)
+    return StateVector(_phase_fix(column)[:, 0] * (1.0 / np.sqrt(_weight(model.grid))), model.grid)
 
 
 def evolve_operator(model: ModelSystem, a: HermitianOperator, t: float) -> HermitianOperator:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import (
     PolynomialObservable,
+    _ground_state,
     _time_over_hbar,
     build_grid_model,
     build_oscillator_ladder,
@@ -113,12 +114,15 @@ def _hermitian_part(normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_model(cfg: ExperimentConfig):
+def _grid_model(cfg: ExperimentConfig, even_half: bool):
     """The hard-wall grid model of ``cfg``, refused up front, before its bands
-    exist, when its energy eigenbasis would not fit in physical memory: every
-    caller decomposes the Hamiltonian."""
+    exist, when the eigenbasis the run solves, with its ``?stevd`` workspace,
+    would not fit in physical memory: the even parity half's, of order
+    N - N//2, for ``even_half``, and otherwise the whole energy eigenbasis."""
     grid = GridMeta(cfg.length, cfg.grid_n, cfg.mass, cfg.hbar)
-    _require_fits(grid, BAND_BASIS_BYTES_PER_ENTRY * grid.npoints**2, "its energy eigenbasis")
+    order, what = ((grid.npoints + 1) // 2, "its even-sector eigenbasis") if even_half \
+        else (grid.npoints, "its energy eigenbasis")
+    _require_fits(grid, BAND_BASIS_BYTES_PER_ENTRY * order * order, what)
     return build_grid_model(grid)
 
 
@@ -214,16 +218,20 @@ def run_spread(cfg: ExperimentConfig):
         _time_over_hbar(t, cfg.hbar)
 
     # "free" and "infinite_well" grid models have the same q, p and H and
-    # differ only in their recorded kind, so one model evolves both series
-    model = _grid_model(cfg)
+    # differ only in their recorded kind, so one model evolves both series;
+    # the packet and the ground state are both even, so only the even sector is solved
+    model = _grid_model(cfg, even_half=True)
     grid = model.grid
 
     # exp(-(x - c)^2 / (4 sigma0^2)) formed at sigma0's power of two 2**e, where neither (x - c)^2 nor
-    # 4 sigma0^2 leaves float range: d = (x - c) 2**-e exactly, and d * d correctly rounded
+    # 4 sigma0^2 leaves float range: d = (x - c) 2**-e exactly, and d * d correctly rounded; sampled on
+    # the left half and the centre point, and mirrored, so the packet is exactly even
     e = math.frexp(sigma0)[1]
     center, scaled = math.ldexp(cfg.length / 2.0, -e), math.ldexp(sigma0, -e)
-    d = np.ldexp(grid.positions, -e) - center
-    psi0 = normalize(StateVector(np.exp(-(d * d) / (4.0 * scaled * scaled)), grid))
+    n = grid.npoints
+    d = np.ldexp(grid.positions[:n - n // 2], -e) - center
+    left = np.exp(-(d * d) / (4.0 * scaled * scaled))
+    psi0 = normalize(StateVector(np.concatenate((left, left[:n // 2][::-1])), grid))
 
     rows = []
     free_errors = []
@@ -233,8 +241,7 @@ def run_spread(cfg: ExperimentConfig):
         free_errors.append(err)
         rows.append({"series": "free", "t": t, "width": width, "reference": reference, "err": err})
 
-    ground = model.energy_spectrum().eigenvector(0)
-    stationary = spread_series(model, ground, times)
+    stationary = spread_series(model, _ground_state(model), times)
     base_width = stationary[0][1]
     drifts = []
     for t, width in stationary:
@@ -346,7 +353,7 @@ def _stacks(dims, sweep: str, arrays, draw):
             yield dim, entry[0]
     for dim, (stack, filled) in pending.items():
         if filled:
-            yield dim, tuple(array[:filled] for array in stack)
+            yield dim, tuple([array[:filled] for array in stack])  # a list: see spectral._open_grid
 
 
 def _worst_family_recon(rng: np.random.Generator, trials: int) -> float:
@@ -425,7 +432,7 @@ def run_vn_generator(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_ensemble_density(cfg: ExperimentConfig):
-    model = _grid_model(cfg)
+    model = _grid_model(cfg, even_half=False)
     grid = model.grid
     ground = model.energy_spectrum().eigenvector(0)
 

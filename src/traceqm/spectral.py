@@ -54,10 +54,14 @@ order (Cantoni and Butler, "Eigenvalues and eigenvectors of symmetric
 centrosymmetric matrices", Linear Algebra Appl. 13, 275-288, 1976): two
 half tridiagonals cut in O(N) (``_band_halves``) whose eigenvalues are
 merged by a stable ascending sort (``_parity_merge``), a tie across the
-parities being one degenerate group like any other.  Other bands are solved
-whole.  The same halves serve bisection: ``dynamics.grid_levels`` hands
-each to ``?stebz`` (``_stebz``) for its share of the lowest levels and
-merges them by ``_parity_merge``.  Each tridiagonal a band solve forms
+parities being one degenerate group like any other.  Each half is solved
+alone by ``_sector_solve``, so a caller can keep the halves and hand them to
+the merge (``dynamics.ModelSystem`` does), and a state is folded into the
+halves' coordinates and back (``_parity_fold``, ``_parity_unfold``) in the
+merge's own arithmetic, so it can be evolved in the halves alone.  Other
+bands are solved whole.  The same halves serve bisection:
+``dynamics.grid_levels`` hands each to ``?stebz`` (``_stebz``) for its share
+of the lowest levels and merges them by ``_parity_merge``.  Each tridiagonal a band solve forms
 goes to LAPACK ``?stevd`` (divide and conquer; Gu and Eisenstat, SIAM J.
 Matrix Anal. Appl. 16, 172-191, 1995) from numpy's own LAPACK at every
 size (``_lapack``, or :class:`LapackError` if it has none).  numpy's ``?syevd`` reduces the filled tridiagonal with tau = 0 and
@@ -124,6 +128,7 @@ COMMUTE_TOL = 1e-8
 #: bytes per matrix entry alive at once while a real band operator is decomposed: ``?stevd``'s
 #: eigenvectors and (1 + 4N + N^2)-entry workspace on whole bands (8 + 8).  The rest holds less: the
 #: halves' solves (2 + 2 + 2), their merge (4 + 8), the phase rule (8).  No complex basis is made.
+#: One half solved alone holds the same 16 bytes per entry of its own order squared.
 BAND_BASIS_BYTES_PER_ENTRY = 8 + 8
 
 _BLAS_THREADS = threading.Lock()
@@ -238,8 +243,9 @@ def _group_means(values: np.ndarray, groups) -> tuple[float, ...]:
 
     A singleton's is its value plus 0.0, bit for bit ``np.mean``'s (whose sum
     starts from +0.0, so -0.0 reads 0.0), without the reduction."""
-    return tuple(float(values[group[0]]) + 0.0 if len(group) == 1 else float(np.mean(values[list(group)]))
-                 for group in groups)
+    # a list, not a generator: see _open_grid
+    return tuple([float(values[group[0]]) + 0.0 if len(group) == 1 else float(np.mean(values[list(group)]))
+                  for group in groups])
 
 
 def _orthonormalize_block(cols: np.ndarray) -> np.ndarray:
@@ -554,17 +560,77 @@ def _parity_merge(results, n: int, vectors: bool):
     return values, basis
 
 
-def _band_solve(a: BandOperator, vectors: bool):
+def _parity_fold(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd half coordinates of a complex vector (n,) as real parts (see :func:`_pairs`), the
+    inverse of :func:`_parity_unfold`: x = (c_top + J c_bottom) sqrt(1/2) with the centre entry c_m
+    appended for odd n, (n - n//2, 2), and y = (c_top - J c_bottom) sqrt(1/2), (n//2, 2).  A vector
+    whose entries mirror exactly has a y of zeros; one whose entries mirror exactly negated, and whose
+    centre entry is zero, has an x of zeros."""
+    pairs, n = _pairs(coeffs), coeffs.size
+    m, r = n // 2, math.sqrt(0.5)
+    top, mirrored = pairs[:m], pairs[n - m:][::-1]
+    even = np.empty((n - m, 2))
+    np.add(top, mirrored, out=even[:m])
+    even[:m] *= r
+    even[m:] = pairs[m:n - m]
+    odd = top - mirrored
+    odd *= r
+    return even, odd
+
+
+def _parity_unfold(even, odd, n: int) -> np.ndarray:
+    """Rows (..., n, k) of the vectors whose even and odd half coordinates are the rows (..., n - n//2, k)
+    of ``even`` and (..., n//2, k) of ``odd``, either None for a zero part: top (x + y) sqrt(1/2), centre
+    x_m for odd n, bottom J (x - y) sqrt(1/2), each vector as :func:`_parity_merge` forms it.  With one
+    part the bottom is the top mirrored exactly, negated for the odd part alone."""
+    m, r = n // 2, math.sqrt(0.5)
+    part = odd if even is None else even
+    out = np.empty(part.shape[:-2] + (n,) + part.shape[-1:])
+    top, bottom = out[..., :m, :], out[..., n - m:, :][..., ::-1, :]
+    if odd is None:
+        np.multiply(even[..., :m, :], r, out=top)
+        bottom[...] = top
+    elif even is None:
+        np.multiply(odd, r, out=top)
+        np.negative(top, out=bottom)
+    else:
+        np.add(even[..., :m, :], odd, out=top)
+        np.subtract(even[..., :m, :], odd, out=bottom)
+        top *= r
+        bottom *= r
+    if n % 2:
+        out[..., m, :] = 0.0 if even is None else even[..., m, :]
+    return out
+
+
+def _sectored(a) -> bool:
+    """Whether ``a`` is a band operator with real palindromic bands, solved in its parity sectors."""
+    return (isinstance(a, BandOperator) and not np.iscomplexobj(a.upper)
+            and np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1]))
+
+
+def _sector_solve(a: BandOperator, odd: int, vectors: bool = True):
+    """``?stevd`` of the even (``odd`` 0) or odd (1) half of real palindromic bands at the power of
+    two 2**-e that brings max|A| into [0.5, 1): the half's eigenvalues at that scale, ascending, and
+    with ``vectors`` its eigenvectors, of order N - N//2 (even) or N//2 (odd).  Refuses nothing."""
+    e = math.frexp(a.scale)[1]
+    return _stevd(*_band_halves(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e))[odd], vectors)
+
+
+def _band_solve(a: BandOperator, vectors: bool, half=None):
     """Solve a band operator with real bands from its bands (see the module notes), returning what
-    :func:`_dense_solve` returns for a stack of one."""
+    :func:`_dense_solve` returns for a stack of one.  Palindromic bands take each parity half's
+    :func:`_sector_solve` result from ``half(odd)`` if given (a model's cached halves), after the
+    refusal, and solve it otherwise."""
     n = a.dim
-    palindromic = np.array_equal(a.diagonal, a.diagonal[::-1]) and np.array_equal(a.upper, a.upper[::-1])
     if vectors:
         _require_fits(a.grid, BAND_BASIS_BYTES_PER_ENTRY * n * n, f"solving its {n}x{n} tridiagonal")
     e = math.frexp(a.scale)[1]
-    bands = np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e)
-    results = [_stevd(d, e, vectors) for d, e in (_band_halves(*bands) if palindromic else [bands])]
-    result = _parity_merge(results, n, vectors) if palindromic else results[0]
+    if _sectored(a):
+        half = half or partial(_sector_solve, a, vectors=vectors)
+        result = _parity_merge([half(odd) for odd in (0, 1)], n, vectors)
+    else:
+        result = _stevd(np.ldexp(a.diagonal, -e), np.ldexp(a.upper, -e), vectors)
     if not vectors:
         return np.ldexp(result, e)[None]
     return np.ldexp(result[0], e)[None], [(slice(None), result[1][None])]
@@ -641,7 +707,11 @@ def eigenvalues(a: HermitianOperator) -> np.ndarray:
 
 def eigendecompose(a: HermitianOperator) -> SpectralDecomposition:
     """Decompose a certified hermitian operator with canonical conventions."""
-    values, parts = _hermitian_solve(a, "eigendecompose")
+    return _decomposition(a, *_hermitian_solve(a, "eigendecompose"))
+
+
+def _decomposition(a: HermitianOperator, values: np.ndarray, parts) -> SpectralDecomposition:
+    """The canonical decomposition of ``a`` from its solve as a stack of one, ``values`` and ``parts``."""
     tol, breaks, ((_, basis),) = _canonical(values, parts)  # a stack of one is solved as one part
     return SpectralDecomposition._solved(values[0], basis[0], _bounds(breaks[0]), tol[0], a.grid)
 

@@ -220,19 +220,23 @@ def test_exit_two_on_grid_too_large_for_memory(experiment, npoints, tmp_path, ca
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("experiment, npoints", [("spread", 30_000), ("ensemble-density", 100_000)])
-def test_exit_two_on_eigenbasis_too_large_for_memory(experiment, npoints, tmp_path, capsys):
-    """The grid model's bands fit; the energy eigenbasis the run needs does not,
-    and is refused before the bands are built."""
+@pytest.mark.parametrize("experiment, npoints, order, what", [
+    # spread solves only the even parity half, of order N - N//2
+    pytest.param("spread", 100_000, 50_000, "its even-sector eigenbasis", id="spread-100000"),
+    pytest.param("ensemble-density", 100_000, 100_000, "its energy eigenbasis", id="ensemble-density-100000"),
+])
+def test_exit_two_on_eigenbasis_too_large_for_memory(experiment, npoints, order, what, tmp_path, capsys):
+    """The grid model's bands fit; the eigenbasis the run solves, with its ?stevd
+    workspace, does not, and is refused before the bands are built."""
     from traceqm import spectral
 
-    if spectral.BAND_BASIS_BYTES_PER_ENTRY * npoints**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        pytest.skip(f"this machine's physical memory holds the eigenbasis of {npoints} points")
+    if spectral.BAND_BASIS_BYTES_PER_ENTRY * order**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip(f"this machine's physical memory holds the {order}x{order} eigenbasis of {npoints} points")
     code, out = run_cli([experiment, "--grid-n", str(npoints)], tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: a grid of {npoints} points") and err.count("\n") == 1
-    assert "its energy eigenbasis" in err and "physical memory" in err
+    assert what in err and "physical memory" in err
     assert not out.exists()
 
 
@@ -340,9 +344,18 @@ def test_value_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     # the ladder is built, naming it
     pytest.param(["--omega", "1e200"], "the potential coefficient m omega^2/2 overflows (mass 1.0, omega 1e+200)",
                  id="--omega-1e200"),
-    # m omega hbar/2 overflows, and inf times the zero entries of p is NaN: refused by certification
-    pytest.param(["--mass", "1e300", "--hbar", "1e300"], "(matrix has non-finite entries)",
+    # m omega hbar/2 overflows, where inf times the zero entries of p would be NaN: refused where the
+    # ladder is built, naming it
+    pytest.param(["--mass", "1e300", "--hbar", "1e300"],
+                 "the momentum scale m omega hbar/2 overflows (mass 1e+300, omega 1.0, hbar 1e+300)",
                  id="--mass-1e300-hbar-1e300"),
+    pytest.param(["--hbar", "1e300", "--mass", "1e10"],
+                 "the momentum scale m omega hbar/2 overflows (mass 10000000000.0, omega 1.0, hbar 1e+300)",
+                 id="--hbar-1e300-mass-1e10"),
+    # hbar/(2 m omega) overflows, and inf times the zero entries of q would be NaN
+    pytest.param(["--hbar", "1e300", "--mass", "1e-10"],
+                 "the position scale hbar/(2 m omega) overflows (mass 1e-10, omega 1.0, hbar 1e+300)",
+                 id="--hbar-1e300-mass-1e-10"),
 ])
 def test_poisson_exit_one_on_overflowing_matrix(flags, ending, tmp_path, capsys):
     """A ladder matrix that overflows ends in one error line, with no warning."""
@@ -437,10 +450,11 @@ def test_spread_exit_one_on_a_time_whose_phases_are_roundoff(tmp_path, capsys):
 
 
 def test_spread_holds_one_real_basis_and_its_halves_at_its_peak():
-    """A grid run's traced peak is the merge of the
-    Hamiltonian's two half eigenbases (4 bytes per entry of the N x N basis)
-    into its real basis (8), up to 32 float64 vectors of O(N) working set: no
-    complex copy of the basis, and no dense q, since dispersion takes q's bands."""
+    """A grid run's traced peak is the even parity half's solve: ?stevd's
+    eigenvectors and workspace, 16 bytes per entry of a basis of order
+    N - N//2, up to 32 float64 vectors of O(N) working set.  No odd half, no
+    merged N x N basis, no complex copy, and no dense q, since dispersion
+    takes q's bands."""
     from traceqm.experiments import ExperimentConfig, run_spread
 
     npoints = 1600
@@ -454,7 +468,8 @@ def test_spread_holds_one_real_basis_and_its_halves_at_its_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (8 + 4) * npoints**2 + 32 * 8 * npoints
+    order = npoints - npoints // 2
+    assert peak <= 16 * order**2 + 32 * 8 * npoints
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -696,9 +711,12 @@ def test_spread_respects_custom_times(tmp_path):
 
 
 def test_spread_builds_and_diagonalizes_one_model(tmp_path, monkeypatch):
-    from traceqm import dynamics, experiments
+    """One model is built, and of its Hamiltonian only the even parity half is
+    solved, once: both the packet and the ground state are even, so no odd half
+    is solved and no merged basis is formed."""
+    from traceqm import dynamics, experiments, spectral
 
-    calls = {"build_grid_model": 0, "eigendecompose": 0}
+    calls = {"build_grid_model": 0, "eigendecompose": 0, "_parity_merge": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -711,9 +729,19 @@ def test_spread_builds_and_diagonalizes_one_model(tmp_path, monkeypatch):
 
     counting(experiments, "build_grid_model")
     counting(dynamics, "eigendecompose")
+    counting(spectral, "_parity_merge")
+    solved = []
+    stevd, stebz, integer = spectral._lapack()
+
+    def recorded(layout, jobz, n, *rest):
+        solved.append((n, jobz.decode()))
+        return stevd(layout, jobz, n, *rest)
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: (recorded, stebz, integer))
     code, _ = run_cli(["spread", "--grid-n", "256", "--times", "0.0,0.0005"], tmp_path)
     assert code == 0
-    assert calls == {"build_grid_model": 1, "eigendecompose": 1}
+    assert calls == {"build_grid_model": 1, "eigendecompose": 0, "_parity_merge": 0}
+    assert solved == [(128, "V")]
 
 
 def test_well_spectrum_takes_the_band_path(tmp_path, monkeypatch):

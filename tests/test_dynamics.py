@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceqm import dynamics, spectral
 from traceqm.operators import STATE_NORM_TOL
@@ -637,10 +639,44 @@ def coordinate_forms(dec, coeffs, phases):
     return amps, (basis @ pairs((phases[None] * amps)[0])).view(np.complex128)[:, 0]
 
 
+def sector_form(model, coeffs, t):
+    """evolve_state of a grid model written out by parity sector.  With N = 2m or 2m + 1, J the
+    reversal and r = sqrt(1/2): the even coordinates x = r (c[:m] + J c[N - m:]), and c[m] for odd N,
+    and the odd ones y = r (c[:m] - J c[N - m:]); each nonzero part is evolved as V (phases * V^T part)
+    in its half tridiagonal's ?stevd basis V, by real products on the stacked parts, with its levels
+    scaled back by H's power of two; then the top is r (x + y), the centre x[m] and the bottom
+    J r (x - y), a missing part contributing nothing."""
+    n, m, r = coeffs.size, coeffs.size // 2, np.sqrt(0.5)
+    c = pairs(coeffs)
+    top, mirror = c[:m], c[::-1][:m]
+    parts = [np.concatenate([(top + mirror) * r, c[m:n - m]]), (top - mirror) * r]
+    h = model.hamiltonian
+    e = np.frexp(h.scale)[1]
+    halves = spectral._band_halves(np.ldexp(h.diagonal, -e), np.ldexp(h.upper, -e))
+    evolved = []
+    for (d, u), part in zip(halves, parts):
+        if not part.any():
+            evolved.append(None)
+            continue
+        levels, vectors = spectral._stevd(d, u, True)
+        phases = np.exp(-1j * np.ldexp(levels, e) * (t / model.hbar))
+        amps = (vectors.T @ part).view(np.complex128)[:, 0]
+        evolved.append(vectors @ pairs((phases[None] * amps)[0]))
+    x, y = evolved
+    if y is None:
+        upper, lower = x[:m] * r, x[:m] * r
+    elif x is None:
+        upper, lower = y * r, -(y * r)
+    else:
+        upper, lower = (x[:m] + y) * r, (x[:m] - y) * r
+    centre = [] if n % 2 == 0 else [np.zeros(2) if x is None else x[m]]
+    return np.ascontiguousarray(np.vstack([upper, *centre, lower[::-1]])).view(np.complex128)[:, 0]
+
+
 def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
     """Coordinates read off the basis give the same bytes as the per-call forms: the grid
-    Hamiltonian's real basis by real products on the stacked parts, and the operator picture
-    by forming basis.conj().T."""
+    Hamiltonian's state evolution by parity sector (:func:`sector_form`), and the operator
+    picture by forming basis.conj().T."""
     g = GridMeta(length=1.0, npoints=40, mass=0.7, hbar=0.9)
     model = build_grid_model(g)
     psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
@@ -648,7 +684,7 @@ def test_evolution_is_bit_identical_to_the_conjugate_transpose_form():
     assert dec._basis.dtype == np.float64
     for t in (0.0, 0.013, 0.37, 2.5):
         phases = np.exp(-1j * dec.eigenvalues * (t / g.hbar))
-        want_state = coordinate_forms(dec, psi0.coeffs, phases)[1]
+        want_state = sector_form(model, psi0.coeffs, t)
         assert evolve_state(model, psi0, t).coeffs.tobytes() == want_state.tobytes()
         u = (dec.basis * phases) @ dec.basis.conj().T
         want_op = u.conj().T @ model.q.matrix @ u
@@ -664,13 +700,16 @@ def random_model(rng, dim):
 
 
 def assert_basis_reads_match_the_adjoint_forms(model, psi, t):
-    """amplitudes and evolve_state give the bytes of :func:`coordinate_forms`, and apply_function
-    and evolve_operator those of ``(basis * v) @ basis.conj().T`` on the complex ``basis``."""
+    """amplitudes and evolve_state give the bytes of :func:`coordinate_forms`, a grid model's
+    evolve_state those of :func:`sector_form`, and apply_function and evolve_operator those of
+    ``(basis * v) @ basis.conj().T`` on the complex ``basis``."""
     dec = model.energy_spectrum()
     adjoint = dec.basis.conj().T
     weight = 1.0 if dec.grid is None else dec.grid.spacing
     phases = np.exp(-1j * dec.eigenvalues * (t / model.hbar))
     amps, want_state = coordinate_forms(dec, psi.coeffs, phases)
+    if dec.grid is not None:
+        want_state = sector_form(model, psi.coeffs, t)
     assert dec.amplitudes(psi).tobytes() == (np.sqrt(weight) * amps).tobytes()
     values = np.exp(0.7j * dec.eigenvalues)
     applied = apply_function(dec, lambda lam: np.exp(0.7j * lam)).matrix
@@ -696,6 +735,63 @@ def test_basis_reads_on_grid_hamiltonians_are_bit_identical_to_the_adjoint_forms
     psi0 = grid_sample(lambda x: np.exp(-((x - 0.4) ** 2) / 0.01 + 5j * x), g)
     assert model.energy_spectrum()._basis.dtype == np.float64
     assert_basis_reads_match_the_adjoint_forms(model, psi0, 0.013)
+
+
+@pytest.mark.parametrize("npoints", [128, 512, 513, 1601])  # 513, 1601: the centre row; 1601: ?stevd merges
+def test_sector_ground_state_is_the_bytes_of_the_first_eigenvector(npoints):
+    """The ground state laid out from the even half alone has the bytes of the merged
+    decomposition's first eigenvector, and solves no odd half on its own."""
+    g = GridMeta(length=1.0, npoints=npoints, mass=0.7, hbar=0.9)
+    model = build_grid_model(g)
+    ground = dynamics._ground_state(model)
+    assert model._halves[1] is None
+    assert ground.coeffs.tobytes() == model.energy_spectrum().eigenvector(0).coeffs.tobytes()
+
+
+def random_grid_state(rng, npoints, parity):
+    """A normalized random complex state on a grid of ``npoints``: any (``parity`` None), or with its
+    entries mirrored exactly (0, even) or mirrored exactly negated with a zero centre (1, odd)."""
+    c = rng.standard_normal(npoints) + 1j * rng.standard_normal(npoints)
+    m = npoints // 2
+    if parity is not None:
+        c[npoints - m:] = (c[:m] if parity == 0 else -c[:m])[::-1]
+        if npoints % 2 and parity == 1:
+            c[m] = 0.0
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(npoints=st.integers(8, 97), parity=st.sampled_from([None, 0, 1]), t=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sector_evolution_agrees_with_the_merged_basis_and_keeps_parity(npoints, parity, t, seed):
+    """Evolving by parity sector agrees with the merged basis's B (phases * B^T c), entry by entry
+    and part by part, within 4 N eps (|B| |B|^T |c|) with |c| = |Re c| + |Im c|.  Both forms map c
+    through the same computed vectors (B is the halves' vectors laid out by sqrt(1/2), mirror and
+    sign, and the phases have the same bytes), so they differ only by rounding: a length-n dot
+    product errs by at most gamma_n = n u / (1 - n u) times the sum of its terms' magnitudes
+    (u = eps/2), so each form's two products err by 2 gamma_N |B| |B|^T |c|, and the phase products
+    (whose real and imaginary parts mix the two parts of c) and the sqrt(1/2) roundings add a few u;
+    the two forms together differ by under 2 (N + 4) eps times that, below 4 N eps from N = 8.  An
+    exactly even state stays mirror-equal to the bit, an odd one negated mirror-equal, and the
+    other sector is never solved."""
+    g = GridMeta(length=1.3, npoints=npoints, mass=0.7, hbar=0.9)
+    model = build_grid_model(g)
+    rng = np.random.default_rng(seed)
+    psi = normalize(StateVector(random_grid_state(rng, npoints, parity), g))
+    evolved = evolve_state(model, psi, t).coeffs
+    if parity is not None:
+        assert model._halves[1 - parity] is None
+        m = npoints // 2
+        top, bottom = pairs(evolved)[:m], pairs(evolved)[npoints - m:][::-1]
+        assert top.tobytes() == (bottom if parity == 0 else -bottom).tobytes()
+        if npoints % 2 and parity == 1:
+            assert not pairs(evolved)[m].any()
+    dec = model.energy_spectrum()
+    phases = np.exp(-1j * dec.eigenvalues * (t / g.hbar))
+    merged = coordinate_forms(dec, psi.coeffs, phases)[1]
+    size = abs(dec._basis) @ (abs(dec._basis).T @ (abs(psi.coeffs.real) + abs(psi.coeffs.imag)))
+    bound = 4 * npoints * np.finfo(float).eps * size
+    assert (abs(pairs(evolved) - pairs(merged)) <= bound[:, None]).all()
 
 
 @pytest.mark.parametrize("npoints", [128, 512, 513, 1600])  # 513: the centre row; 1600: ?stevd

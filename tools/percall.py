@@ -30,6 +30,8 @@ one BLAS thread, it times:
   grid Hamiltonian, ``evolve_state`` of ``spread``'s packet to one time,
   ``spread_series`` over ``spread``'s five default times, and
   ``dispersion`` of the position operator in the packet;
+- ``run_spread`` whole, at its defaults (N = 512) and at N = 4001, each
+  call building and solving a model of its own;
 - the random sweeps behind ``vn-generator`` and ``claims``: the ``recon``
   sweep per family at ``vn-generator --n 1000``, and per run each ``claims``
   sweep at its trial count (weak commutativity 1000, the alpha/beta split
@@ -200,6 +202,8 @@ def main() -> int:
         ("evolve_state.grid512", lambda: [evolve_state(spread_model, packet, tau) for _ in range(200)], 200),
         ("spread_series.grid512.5_times", lambda: [spread_series(spread_model, packet, times) for _ in range(50)], 50),
         ("dispersion.grid512.q", lambda: [dispersion(spread_model.q, packet) for _ in range(500)], 500),
+        *[(f"run_spread.grid{n}", lambda cfg=experiments.ExperimentConfig("spread", grid_n=n), k=k:
+           [experiments.run_spread(cfg) for _ in range(k)], k) for n, k in ((512, 20), (4001, 1))],
     ]
     # (name, sweep, trials, calls per run): one row per family or per run
     sweeps = [
